@@ -39,6 +39,23 @@ def _check_order(leq: LeqMatrix) -> None:
                         raise ValueError(f"order not transitive at {i},{j},{k}")
 
 
+def cover_edges(matrix: LeqMatrix) -> tuple[tuple[int, int], ...]:
+    """Pairs (i, j), i below j, with nothing strictly between them.
+
+    Works on any preorder matrix: strictly between means distinct from
+    both ends, so points equivalent under a non-antisymmetric order are
+    joined both ways.
+    """
+    n = len(matrix)
+    return tuple(
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j and matrix[i][j]
+        and not any(k != i and k != j and matrix[i][k] and matrix[k][j] for k in range(n))
+    )
+
+
 @dataclass(frozen=True)
 class FinitePoset:
     """A partial order on named elements, as a full boolean matrix."""
@@ -92,15 +109,7 @@ class FinitePoset:
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Pairs (i, j) with j directly above i; the Hasse diagram edges."""
-        out = []
-        for i in range(self.n):
-            for j in range(self.n):
-                if i == j or not self.leq[i][j]:
-                    continue
-                if any(k != i and k != j and self.leq[i][k] and self.leq[k][j] for k in range(self.n)):
-                    continue
-                out.append((i, j))
-        return tuple(out)
+        return cover_edges(self.leq)
 
 
 @dataclass(frozen=True)
@@ -241,8 +250,7 @@ def heyting_from_upsets(frame: FinitePoset) -> FiniteLattice:
     """The Heyting algebra of upsets of a frame.
 
     Join is union, meet is intersection, and A -> B collects the points
-    whose upset meets A inside B.  The defining adjunction is asserted
-    on every triple before returning.
+    whose upset meets A inside B.
     """
     n = frame.n
     universe = frozenset(range(n))
@@ -263,12 +271,10 @@ def heyting_from_upsets(frame: FinitePoset) -> FiniteLattice:
         for i in range(m)
     ]
     impl = tuple(tuple(index[s] for s in row) for row in impl_sets)
-    out = FiniteLattice(
+    return FiniteLattice(
         names, leq, join, meet,
         impl=impl, top=index[universe], bottom=index[frozenset()],
     )
-    assert out.is_heyting, "upset algebra must satisfy the adjunction"
-    return out
 
 
 def logic_from_lattice_filters(lattice: FiniteLattice, *, proper: bool = True) -> AbstractLogic:
@@ -331,12 +337,10 @@ def open_set_lattice(space: FiniteSpace) -> FiniteLattice:
         tuple(index[interior((carrier - ops[i]) | ops[j])] for j in range(m))
         for i in range(m)
     )
-    out = FiniteLattice(
+    return FiniteLattice(
         names, leq, join, meet,
         impl=impl, top=index[frozenset().union(*ops)], bottom=index[frozenset()],
     )
-    assert out.is_heyting, "open-set algebra must satisfy the adjunction"
-    return out
 
 
 def logic_from_topology(space: FiniteSpace) -> AbstractLogic:

@@ -20,7 +20,7 @@ import os
 import sys
 from collections.abc import Sequence
 
-from .builders import godel_witness, heyting_from_upsets
+from .builders import POSET_ENUMERATION_BOUND, godel_witness, heyting_from_upsets
 from .connectives import verify_connectives
 from .core import AbstractLogic, set_key, sorted_sets, theory_spectrum
 from .corpus import run_all
@@ -70,6 +70,8 @@ def _jsonable(x):
         return sorted(x, key=repr) if not all(isinstance(e, int) for e in x) else sorted(x)
     if isinstance(x, (list, tuple)):
         return [_jsonable(e) for e in x]
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
     return x
 
 
@@ -219,6 +221,8 @@ def _cmd_check_map(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    if not 1 <= args.max_points <= POSET_ENUMERATION_BOUND:
+        raise _UsageError(f"--max-points must be in 1..{POSET_ENUMERATION_BOUND}, got {args.max_points}")
     jobs = args.jobs if args.jobs is not None else int(os.environ.get("WORKBENCH_JOBS", "1"))
     results = run_all(max_points=args.max_points, seed=args.seed, jobs=jobs)
     lines = [
@@ -280,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     corpus = sub.choices["corpus"]
     corpus.add_argument("--max-points", type=int, default=4, metavar="N",
-                        help="largest poset size feeding the corpus (default 4)")
+                        help=f"largest poset size feeding the corpus, 1..{POSET_ENUMERATION_BOUND} (default 4)")
     corpus.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     corpus.add_argument("--jobs", type=int, default=None,
                         help="parallel workers (default: WORKBENCH_JOBS or 1)")

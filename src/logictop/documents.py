@@ -40,10 +40,11 @@ class Document:
 
 def parse_document(text: str) -> Document:
     try:
-        obj = json.loads(text)
+        return _document_from_obj(json.loads(text), "")
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}", witness=(e.lineno, e.colno)) from None
-    return _document_from_obj(obj, "")
+    except RecursionError:
+        raise ParseError("document nested too deeply") from None
 
 
 def emit_document(doc: Document) -> str:

@@ -8,28 +8,15 @@ a comment legend.  Output is deterministic line for line.
 
 from __future__ import annotations
 
-from .builders import FinitePoset
+from .builders import FinitePoset, cover_edges
 from .topology import FiniteSpace, SpecializationOrder, specialization_order
-
-
-def _cover_edges(matrix) -> list[tuple[int, int]]:
-    n = len(matrix)
-    out = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not matrix[i][j]:
-                continue
-            if any(k != i and k != j and matrix[i][k] and matrix[k][j] for k in range(n)):
-                continue
-            out.append((i, j))
-    return out
 
 
 def _digraph(names: tuple[str, ...], matrix, legend: list[str]) -> str:
     lines = ["digraph {"]
     lines += [f"  // {entry}" for entry in legend]
     lines += [f'  "{s}";' for s in names]
-    lines += [f'  "{names[i]}" -> "{names[j]}";' for i, j in _cover_edges(matrix)]
+    lines += [f'  "{names[i]}" -> "{names[j]}";' for i, j in cover_edges(matrix)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -67,6 +67,11 @@ class FiniteSpace:
     def carrier(self) -> PointSet:
         return frozenset(range(self.n_points))
 
+    @property
+    def uncovered(self) -> PointSet:
+        """Points lying in no basic open."""
+        return self.carrier.difference(*self.basis)
+
     def basis_index(self, U: Iterable[int]) -> int:
         u = frozenset(U)
         try:
@@ -196,9 +201,7 @@ def specialization_order(space: FiniteSpace) -> SpecializationOrder:
         tuple(all(y in b for b in space.basis if x in b) for y in range(n))
         for x in range(n)
     )
-    order = SpecializationOrder(space.point_names, matrix)
-    assert order.is_antisymmetric == is_t0(space), "antisymmetry must match T0"
-    return order
+    return SpecializationOrder(space.point_names, matrix)
 
 
 def _sorted_basis(space: FiniteSpace) -> list[PointSet]:
@@ -244,6 +247,15 @@ def _lattice_violation(space: FiniteSpace) -> tuple[PointSet, PointSet] | None:
     return None
 
 
+def _require_lattice(space: FiniteSpace) -> None:
+    bad = _lattice_violation(space)
+    if bad is not None:
+        raise BasisNotLattice(
+            f"basis not closed under union/intersection at {set_key(bad[0])}, {set_key(bad[1])}",
+            witness=bad,
+        )
+
+
 def prime_filters_on_basis(space: FiniteSpace) -> tuple[frozenset[int], ...]:
     """All prime filters on the basis lattice, as sets of basis indices.
 
@@ -254,12 +266,7 @@ def prime_filters_on_basis(space: FiniteSpace) -> tuple[frozenset[int], ...]:
     open (the whole lattice) is admitted, matching the point filter of a
     point lying in every basic open.
     """
-    bad = _lattice_violation(space)
-    if bad is not None:
-        raise BasisNotLattice(
-            f"basis not closed under union/intersection at {set_key(bad[0])}, {set_key(bad[1])}",
-            witness=bad,
-        )
+    _require_lattice(space)
     empty = frozenset()
     out = set()
     basis = space.basis
@@ -286,7 +293,7 @@ def is_distributive_space(space: FiniteSpace) -> DistributiveSpaceVerdict:
     both the empty set and the carrier.
     """
     bounded = frozenset() in space.basis and space.carrier in space.basis
-    if not all(any(x in b for b in space.basis) for x in range(space.n_points)):
+    if space.uncovered:
         return DistributiveSpaceVerdict(False, bounded, ("carrier-not-covered", None))
     if not is_t0(space):
         return DistributiveSpaceVerdict(False, bounded, ("not-T0", None))
@@ -296,10 +303,7 @@ def is_distributive_space(space: FiniteSpace) -> DistributiveSpaceVerdict:
     bad = _lattice_violation(space)
     if bad is not None:
         return DistributiveSpaceVerdict(False, bounded, ("basis-not-lattice", bad))
-    try:
-        filters = set(prime_filters_on_basis(space))
-    except BasisNotLattice as e:  # pragma: no cover - caught above
-        return DistributiveSpaceVerdict(False, bounded, ("basis-not-lattice", e.witness))
+    filters = set(prime_filters_on_basis(space))
     points = {point_filter(space, x) for x in range(space.n_points)}
     if filters != points:
         diff = sorted(filters ^ points, key=set_key)[0]
@@ -337,10 +341,10 @@ def analyze_space(space: FiniteSpace) -> SpaceReport:
                 break
             profiles[p] = x
 
-    covers = all(any(x in b for b in space.basis) for x in range(n))
+    uncovered = space.uncovered
+    covers = not uncovered
     if not covers:
-        uncovered = next(x for x in range(n) if not any(x in b for b in space.basis))
-        witnesses.append(("covers_carrier", uncovered))
+        witnesses.append(("covers_carrier", min(uncovered)))
 
     compact = space.carrier in ops
 
@@ -394,8 +398,7 @@ def constructible_topology(space: FiniteSpace) -> FiniteSpace:
     diamond-order space {a,d} is a union of differences but no single
     one).  Every singleton is the difference of a point's minimal open
     and that open minus the point, so on a finite spectral space the
-    result is the discrete, hence Boolean, space; that is asserted
-    before returning.
+    result is the discrete, hence Boolean, space.
     """
     report = analyze_space(space)
     if not report.is_spectral:
@@ -405,9 +408,7 @@ def constructible_topology(space: FiniteSpace) -> FiniteSpace:
     fresh = {u & (carrier - v) for u in pool for v in pool}
     staged = FiniteSpace(space.point_names, tuple(sorted_sets(fresh)))
     basis = tuple(sorted_sets(opens(staged)))
-    out = FiniteSpace(space.point_names, basis, tuple(f"C{i}" for i in range(len(basis))))
-    assert analyze_space(out).is_boolean, "constructible topology must be Boolean"
-    return out
+    return FiniteSpace(space.point_names, basis, tuple(f"C{i}" for i in range(len(basis))))
 
 
 def is_heyting_basis(space: FiniteSpace) -> bool:
@@ -419,12 +420,7 @@ def is_heyting_basis(space: FiniteSpace) -> bool:
     the specialization order is made, so agreement with has_implication
     is a genuine cross-check rather than a tautology.
     """
-    bad = _lattice_violation(space)
-    if bad is not None:
-        raise BasisNotLattice(
-            f"basis not closed under union/intersection at {set_key(bad[0])}, {set_key(bad[1])}",
-            witness=bad,
-        )
+    _require_lattice(space)
     for u in space.basis:
         for v in space.basis:
             candidates = [w for w in space.basis if w & u <= v]

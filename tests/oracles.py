@@ -198,3 +198,29 @@ def order_isomorphic(leq_a, leq_b):
         all(leq_a[i][j] == leq_b[p[i]][p[j]] for i in range(n) for j in range(n))
         for p in permutations(range(n))
     )
+
+
+def oracle_is_theory(logic, s):
+    """The closure reading of a theory: consistent and its own consequence set."""
+    s = frozenset(s)
+    consistent = any(s <= t for t in logic.theories.theories)
+    return consistent and oracle_consequence(logic, s) == s
+
+
+def oracle_equivalent(logic, a, b):
+    """Logical equivalence as mutual consequence."""
+    return b in oracle_consequence(logic, {a}) and a in oracle_consequence(logic, {b})
+
+
+def oracle_extent(points, a):
+    """Indices of the listed prime theories that contain expression a."""
+    return frozenset(i for i, p in enumerate(points) if a in p)
+
+
+def oracle_t0(n, basis):
+    """Any two distinct points are told apart by some open."""
+    ops = oracle_opens(n, basis)
+    return all(
+        any((x in u) != (y in u) for u in ops)
+        for x in range(n) for y in range(x + 1, n)
+    )

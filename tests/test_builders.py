@@ -15,7 +15,7 @@ from logictop.builders import (
     open_set_lattice,
     random_logic,
 )
-from logictop.corpus import antichain, chain, discrete_two, indiscrete_two, sierpinski, v_frame
+from logictop.corpus import POSET_COUNTS, antichain, chain, corpus_frames, discrete_two, indiscrete_two, sierpinski, v_frame
 from logictop.core import sorted_sets
 from logictop.errors import BoundExceeded, NotDistributiveLattice, NotHeyting
 
@@ -76,7 +76,7 @@ def test_vframe_negation_swaps_the_arms(vframe):
 
 
 def test_heyting_adjunction_holds_on_upset_algebras(vframe):
-    for frame in (chain(3), antichain(3), vframe):
+    for frame in (chain(3), antichain(3), vframe, *(f for _, f in corpus_frames())):
         algebra = heyting_from_upsets(frame)
         assert algebra.is_heyting
         for x in range(algebra.n):
@@ -138,6 +138,11 @@ def test_open_set_lattice_of_sierpinski_is_chain():
     assert lattice.is_heyting
 
 
+def test_open_set_lattices_are_heyting(small_spaces):
+    for name, space in small_spaces:
+        assert open_set_lattice(space).is_heyting, name
+
+
 def test_logic_from_topology_matches_filter_route(chain3_logic):
     built = logic_from_topology(sierpinski())
     assert built.theories == chain3_logic.theories
@@ -183,6 +188,12 @@ def test_every_labeled_poset_appears():
     enumerated = {canonical_form(p.leq) for p in enumerate_posets(3)}
     brute = {canonical_form(m) for m in oracle_labeled_posets(3)}
     assert enumerated == brute
+
+
+def test_poset_counts_cover_the_enumeration_bound():
+    assert len(POSET_COUNTS) == POSET_ENUMERATION_BOUND
+    for n, expected in enumerate(POSET_COUNTS, start=1):
+        assert len(tuple(enumerate_posets(n))) == expected, n
 
 
 def test_enumeration_bound():

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from logictop.cli import run_cli
-from logictop.corpus import l3, l22, sierpinski, v_frame
+from logictop.corpus import discrete_two, l3, l22, sierpinski, v_frame
 from logictop.documents import Document, emit_document
 from logictop.duality import LogicMap, PointMap
 
@@ -21,6 +21,7 @@ def docs(tmp_path):
         "bad_map.json": Document("logic_map", LogicMap(l22(), l22(), (0, 2, 0, 3))),
         "id_map.json": Document("logic_map", LogicMap(l22(), l22(), (0, 1, 2, 3))),
         "swap_points.json": Document("point_map", PointMap(sierpinski(), sierpinski(), (1, 0))),
+        "onto_discrete.json": Document("point_map", PointMap(sierpinski(), discrete_two(), (0, 1))),
     }
     for name, doc in files.items():
         (tmp_path / name).write_text(emit_document(doc), encoding="utf-8")
@@ -104,6 +105,22 @@ def test_check_map_on_point_maps(docs, capsys):
     assert "is_spectral_map: false" in out
 
 
+def test_check_map_json_between_logics_with_joins(docs, capsys):
+    code = run_cli(["check-map", "--input", str(docs / "bad_map.json"), "--format", "json"])
+    assert code == 1
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["analysis"]["is_logic_map"] is True
+    assert obj["analysis"]["is_stable"] is False
+    assert obj["disjunction"]["preserves_join"] is False
+    assert obj["disjunction"]["agree"] is True
+
+
+def test_check_map_json_on_non_spectral_point_map(docs, capsys):
+    code = run_cli(["check-map", "--input", str(docs / "onto_discrete.json"), "--format", "json"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out) == {"is_spectral_map": False, "witness": [0]}
+
+
 def test_godel_witness_text(docs, capsys):
     code = run_cli(["godel-witness", "--input", str(docs / "v.json")])
     out = capsys.readouterr().out
@@ -151,6 +168,14 @@ def test_missing_file_exits_2(docs, capsys):
     assert code == 2
 
 
+def test_deeply_nested_input_exits_2(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100_000))
+    assert run_cli(["classify"]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_usage_error_exits_2(capsys):
     assert run_cli(["no-such-command"]) == 2
     assert run_cli([]) == 2
@@ -162,13 +187,32 @@ def test_domain_error_exits_1(docs, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+CORPUS_2_TEXT = """\
+criterion 1 logic-roundtrip: pass (3 logics, poset counts (1, 2))
+criterion 2 space-roundtrip: pass (3 spaces)
+criterion 3 spectrality: pass (4 bounded logics, 4 spectral)
+criterion 4 generic-points: pass (16 irreducible closed sets)
+criterion 5 prime-extension: pass (6186 sampled pairs)
+criterion 6 stability-lemma: pass (24500 samples over 7^2 logic pairs, 4549 logic maps)
+criterion 7 spectral-distributive: pass (6 spectral spaces)
+criterion 8 heyting-agreement: pass (9 covering spaces, 2 non-covering skipped)
+criterion 9 godel-witness: pass (V-frame witness (1, 2, 4, 3); Boolean algebras up to 16 elements clean)
+criterion 10 constructible-topology: pass (6 spectral spaces refined)
+criterion 11 degenerate-primes: pass (4 logics, all flag combinations)
+passed 11/11
+"""
+
+
 def test_corpus_small_run(capsys):
     code = run_cli(["corpus", "--max-points", "2"])
-    out = capsys.readouterr().out
     assert code == 0
-    lines = [l for l in out.splitlines() if l.startswith("criterion")]
-    assert len(lines) == 11
-    assert all(": pass" in l for l in lines)
+    assert capsys.readouterr().out == CORPUS_2_TEXT
+
+
+@pytest.mark.parametrize("points", ["0", "6"])
+def test_corpus_max_points_outside_the_enumeration_bound_exits_2(points, capsys):
+    assert run_cli(["corpus", "--max-points", points]) == 2
+    assert "--max-points must be in 1..5" in capsys.readouterr().err
 
 
 def test_corpus_deterministic_across_jobs(capsys, monkeypatch):

@@ -11,10 +11,12 @@ from logictop.connectives import (
     verify_connectives,
 )
 from logictop.core import AbstractLogic, close_under_intersection, theory_spectrum
+from logictop.corpus import corpus_logics
 from logictop.errors import MissingJoin, NotDistributive, PreconditionViolated
 
 from oracles import (
     oracle_bottom_condition,
+    oracle_consequence,
     oracle_impl_condition,
     oracle_join_condition,
     oracle_meet_condition,
@@ -102,6 +104,18 @@ def test_degenerate_quartet_flags(quartet):
             report.full_set_is_prime,
         )
         assert got == expected, name
+
+
+def test_degenerate_biconditionals_hold_on_the_corpus():
+    for name, logic in corpus_logics():
+        if not verify_connectives(logic).is_distributive:
+            continue
+        report = check_degenerate_primes(logic)
+        assert report.no_valid_formula == report.empty_is_prime, name
+        assert report.no_inconsistent_formula == report.full_set_is_prime, name
+        assert report.no_valid_formula == (not oracle_consequence(logic, ())), name
+        consistent = all(any(a in t for t in logic.theories.theories) for a in logic.exprs)
+        assert report.no_inconsistent_formula == consistent, name
 
 
 def test_degenerate_check_requires_distributive():

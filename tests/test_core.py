@@ -23,7 +23,9 @@ from logictop.builders import random_logic
 from oracles import (
     oracle_close,
     oracle_consequence,
+    oracle_equivalent,
     oracle_generates,
+    oracle_is_theory,
     oracle_maximals,
     oracle_primes,
     oracle_totally_primes,
@@ -106,6 +108,17 @@ def test_is_theory_and_consistency(chain3_logic):
     assert not is_consistent(chain3_logic, {0})
 
 
+def _with_random_logics(small_logics):
+    """The small corpus plus random structures, which often repeat columns."""
+    return [*small_logics, *((f"random{seed}", random_logic(6, seed)) for seed in range(20))]
+
+
+def test_membership_matches_closure_reading(small_logics):
+    for name, logic in _with_random_logics(small_logics):
+        for s in all_subsets(logic.universe_size):
+            assert is_theory(logic, s) == oracle_is_theory(logic, s), (name, set_key(s))
+
+
 def test_full_set_is_not_a_theory_in_regular_logics(chain3_logic, boolean4_logic):
     for logic in (chain3_logic, boolean4_logic):
         assert logic.is_regular
@@ -184,6 +197,15 @@ def test_logically_equivalent(chain3_logic):
         for b in chain3_logic.exprs:
             expected = chain3_logic.theories_with(a) == chain3_logic.theories_with(b)
             assert logically_equivalent(chain3_logic, a, b) == expected
+
+
+def test_equivalence_matches_mutual_consequence(small_logics):
+    logics = _with_random_logics(small_logics)
+    assert any(quotient_logic(logic)[0].universe_size < logic.universe_size for _, logic in logics)
+    for name, logic in logics:
+        for a in logic.exprs:
+            for b in logic.exprs:
+                assert logically_equivalent(logic, a, b) == oracle_equivalent(logic, a, b), (name, a, b)
 
 
 def test_quotient_collapses_duplicate_columns():

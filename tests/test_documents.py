@@ -124,6 +124,15 @@ def test_malformed_json_reports_line_and_column():
     assert err.value.witness == (1, 10)
 
 
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(ParseError):
+        parse_document("[" * 100_000)
+    # well-formed JSON, but map endpoints nested far past the recursion limit
+    nested = '{"kind": "logic_map", "map": [], "source": ' * 400 + "{}" + "}" * 400
+    with pytest.raises(ParseError):
+        parse_document(nested)
+
+
 def test_map_length_must_match_source():
     bad = json.loads(emit_document(Document("logic_map", LogicMap(l22(), l22(), (0, 1, 2, 3)))))
     bad["map"] = [0, 1]

@@ -24,6 +24,8 @@ from logictop.duality import (
 from logictop.errors import NotDistributive, NotLogicMap, NotSpectralMap, NotStable
 from logictop.topology import FiniteSpace
 
+from oracles import oracle_extent
+
 
 def test_logic_space_of_chain_is_sierpinski(chain3_logic):
     pres = logic_space(chain3_logic)
@@ -170,6 +172,26 @@ def test_dual_point_map_of_swap(boolean4_logic):
     swap = LogicMap(boolean4_logic, boolean4_logic, (0, 2, 1, 3))
     pm = dual_point_map(swap)
     assert pm.mapping == (1, 0)
+
+
+def test_dual_point_map_pulls_extents_back(chain3_logic, boolean4_logic, vframe_logic):
+    stable = [
+        LogicMap(boolean4_logic, boolean4_logic, (0, 1, 2, 3)),
+        LogicMap(boolean4_logic, boolean4_logic, (0, 2, 1, 3)),
+    ]
+    for logic in (chain3_logic, vframe_logic):
+        n = logic.universe_size
+        for code in range(n ** n):
+            h = LogicMap(logic, logic, tuple(code // n**i % n for i in range(n)))
+            if analyze_logic_map(h).is_stable:
+                stable.append(h)
+    assert len(stable) > 2
+    for h in stable:
+        pm = dual_point_map(h)
+        src_points = logic_space(h.source).points
+        tgt_points = logic_space(h.target).points
+        for a in h.source.exprs:
+            assert pm.preimage(oracle_extent(src_points, a)) == oracle_extent(tgt_points, h(a)), (h.mapping, a)
 
 
 def test_dual_point_map_requires_stability(boolean4_logic):

@@ -17,6 +17,7 @@ from logictop.topology import (
     implication_open,
     irreducible_closed_sets,
     is_distributive_space,
+    is_t0,
     is_heyting_basis,
     opens,
     point_filter,
@@ -24,7 +25,7 @@ from logictop.topology import (
     specialization_order,
 )
 
-from oracles import oracle_opens
+from oracles import oracle_opens, oracle_t0
 
 
 def test_space_validation():
@@ -100,6 +101,13 @@ def test_specialization_of_vframe_spectrum(vframe_logic):
     above = {(i, j) for i in range(3) for j in range(3) if i != j and order.matrix[i][j]}
     assert above == {(0, 1), (0, 2)}
     assert order.is_antisymmetric
+
+
+def test_specialization_antisymmetric_iff_t0(small_spaces):
+    assert any(not is_t0(space) for _, space in small_spaces)
+    for name, space in small_spaces:
+        antisymmetric = specialization_order(space).is_antisymmetric
+        assert antisymmetric == is_t0(space) == oracle_t0(space.n_points, space.basis), name
 
 
 def test_basic_opens_are_specialization_upsets(small_spaces):
