@@ -220,10 +220,25 @@ def _cmd_check_map(args) -> int:
     return 0 if all(flags) else 1
 
 
+def _jobs(args) -> int:
+    """Worker count from --jobs, else WORKBENCH_JOBS, else 1; anything but
+    a positive integer is a usage error."""
+    source, raw = "--jobs", args.jobs
+    if raw is None:
+        source, raw = "WORKBENCH_JOBS", os.environ.get("WORKBENCH_JOBS", "1")
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise _UsageError(f"{source} must be a positive integer, got {raw!r}")
+    return jobs
+
+
 def _cmd_corpus(args) -> int:
     if not 1 <= args.max_points <= POSET_ENUMERATION_BOUND:
         raise _UsageError(f"--max-points must be in 1..{POSET_ENUMERATION_BOUND}, got {args.max_points}")
-    jobs = args.jobs if args.jobs is not None else int(os.environ.get("WORKBENCH_JOBS", "1"))
+    jobs = _jobs(args)
     results = run_all(max_points=args.max_points, seed=args.seed, jobs=jobs)
     lines = [
         f"criterion {r.number} {r.name}: {'pass' if r.passed else 'FAIL'} ({r.detail})"
@@ -286,8 +301,8 @@ def _build_parser() -> argparse.ArgumentParser:
     corpus.add_argument("--max-points", type=int, default=4, metavar="N",
                         help=f"largest poset size feeding the corpus, 1..{POSET_ENUMERATION_BOUND} (default 4)")
     corpus.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    corpus.add_argument("--jobs", type=int, default=None,
-                        help="parallel workers (default: WORKBENCH_JOBS or 1)")
+    corpus.add_argument("--jobs", default=None, metavar="N",
+                        help="worker processes for criterion 6 (default: WORKBENCH_JOBS or 1)")
     return parser
 
 

@@ -13,7 +13,7 @@ Every public operation accepts any iterable of indices and normalizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 from .errors import EmptyGeneratorSet, NotTheories
@@ -160,9 +160,52 @@ class AbstractLogic:
     def expr_index(self, name: str) -> int:
         return self.expr_names.index(name)
 
-    def theories_with(self, a: int) -> frozenset[ExprSet]:
-        """Membership column of an expression: all theories containing it."""
-        return frozenset(t for t in self.theories.theories if a in t)
+    @cached_property
+    def _index(self) -> LogicIndex:
+        return LogicIndex.of(self)
+
+
+def _mask(s: ExprSet) -> int:
+    """An expression set as an int bitmask: bit a is set when a is a member."""
+    return sum(1 << a for a in s)
+
+
+@dataclass(frozen=True)
+class LogicIndex:
+    """A logic's theories, primes and equivalence classes, compiled once.
+
+    Built lazily, once per AbstractLogic object (its ``_index``).
+    ``theories`` follows sorted_sets order and ``primes`` the graded
+    order (size, then contents), so scanning either finds the same first
+    witness as scanning the frozensets.  ``masks`` holds the theories as
+    bitmasks; ``mask_set`` and ``prime_mask_set`` answer membership of a
+    bitmask among the theories and among the primes.  ``class_of[a]``
+    numbers the membership column of expression a by first appearance:
+    two expressions share a class id exactly when they lie in the same
+    theories, and class ids ascend with the smallest member of their
+    class.
+    """
+
+    theories: tuple[ExprSet, ...]
+    masks: tuple[int, ...]
+    mask_set: frozenset[int]
+    primes: tuple[ExprSet, ...]
+    prime_mask_set: frozenset[int]
+    class_of: tuple[int, ...]
+
+    @classmethod
+    def of(cls, logic: AbstractLogic) -> LogicIndex:
+        theories = tuple(sorted_sets(logic.theories.theories))
+        masks = tuple(_mask(t) for t in theories)
+        primes = tuple(sorted(theory_spectrum(logic).totally_primes, key=lambda t: (len(t), set_key(t))))
+        prime_mask_set = frozenset(_mask(p) for p in primes)
+        columns = [0] * logic.universe_size
+        for k, t in enumerate(theories):
+            for a in t:
+                columns[a] |= 1 << k
+        ids: dict[int, int] = {}
+        class_of = tuple(ids.setdefault(column, len(ids)) for column in columns)
+        return cls(theories, masks, frozenset(masks), primes, prime_mask_set, class_of)
 
 
 @dataclass(frozen=True)
@@ -298,12 +341,13 @@ def is_generator_set(logic: AbstractLogic, G: Iterable[Iterable[int]]) -> bool:
 def logically_equivalent(logic: AbstractLogic, a: int, b: int) -> bool:
     """Equal membership columns: a and b lie in exactly the same theories.
 
-    This is mutual consequence read off the family directly, and the
-    reading quotient_logic groups expressions by.
+    This is mutual consequence read off the family directly, as the
+    class ids of the logic's index that quotient_logic groups by.
     """
     if not (0 <= a < logic.universe_size and 0 <= b < logic.universe_size):
         raise ValueError(f"expression index out of range: {(a, b)}")
-    return logic.theories_with(a) == logic.theories_with(b)
+    class_of = logic._index.class_of
+    return class_of[a] == class_of[b]
 
 
 def quotient_logic(logic: AbstractLogic) -> tuple[AbstractLogic, tuple[int, ...]]:
@@ -316,18 +360,11 @@ def quotient_logic(logic: AbstractLogic) -> tuple[AbstractLogic, tuple[int, ...]
     the representatives.  The projection is a normal, stable and
     surjective logic map; the duality module's analyzer confirms that.
     """
-    n = logic.universe_size
-    column_to_rep: dict[frozenset[ExprSet], int] = {}
-    rep_of: list[int] = []
-    for a in range(n):
-        col = logic.theories_with(a)
-        if col not in column_to_rep:
-            column_to_rep[col] = a
-        rep_of.append(column_to_rep[col])
-
-    reps = sorted(set(rep_of))
-    new_index = {rep: i for i, rep in enumerate(reps)}
-    projection = tuple(new_index[rep_of[a]] for a in range(n))
+    projection = logic._index.class_of
+    reps: list[int] = []
+    for a, c in enumerate(projection):
+        if c == len(reps):
+            reps.append(a)
 
     names = tuple(logic.expr_names[rep] for rep in reps)
     theories = TheoryFamily(

@@ -13,6 +13,7 @@ test suite turns each result into a hard pass/fail.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -224,43 +225,37 @@ def _spectral_spaces(max_points: int = 4) -> tuple[tuple[str, FiniteSpace], ...]
 # acceptance checks
 
 
-def _roundtrip_logic_ok(named: tuple[str, AbstractLogic]) -> tuple[str, bool]:
-    name, logic = named
-    return name, roundtrip_logic(logic).iso_ok
-
-
-def _roundtrip_space_ok(named: tuple[str, AbstractLogic]) -> tuple[str, bool]:
-    name, logic = named
-    return name, roundtrip_space(logic_space(logic).space).iso_ok
-
-
 def _pmap(fn, items, jobs: int | None):
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    """fn over items, in order; with jobs > 1 on a process pool of at most
+    one worker per item and per CPU."""
+    items = list(items)
+    workers = min(jobs or 1, len(items), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
 
 
-def criterion_logic_roundtrip(max_points: int = 4, jobs: int | None = None) -> CriterionResult:
+def criterion_logic_roundtrip(max_points: int = 4) -> CriterionResult:
     """Every upset filter logic returns isomorphic from its spectrum."""
     sizes = [frame.n for _, frame in corpus_frames(max_points)]
     counts = tuple(sizes.count(n) for n in range(1, max_points + 1))
     failures = []
     if counts != POSET_COUNTS[:max_points]:
         failures.append(f"expected poset counts {POSET_COUNTS[:max_points]}")
-    results = _pmap(_roundtrip_logic_ok, _filter_logics(max_points), jobs)
-    bad = sorted(name for name, ok in results if not ok)
+    logics = _filter_logics(max_points)
+    bad = sorted(name for name, logic in logics if not roundtrip_logic(logic).iso_ok)
     if bad:
         failures.append(f"failing: {', '.join(bad)}")
-    return _result(1, "logic-roundtrip", len(results), f"{len(results)} logics, poset counts {counts}", failures)
+    return _result(1, "logic-roundtrip", len(logics), f"{len(logics)} logics, poset counts {counts}", failures)
 
 
-def criterion_space_roundtrip(max_points: int = 4, jobs: int | None = None) -> CriterionResult:
+def criterion_space_roundtrip(max_points: int = 4) -> CriterionResult:
     """Every spectrum returns homeomorphic from its dual logic."""
-    results = _pmap(_roundtrip_space_ok, _filter_logics(max_points), jobs)
-    bad = sorted(name for name, ok in results if not ok)
+    logics = _filter_logics(max_points)
+    bad = sorted(name for name, logic in logics if not roundtrip_space(logic_space(logic).space).iso_ok)
     failures = [f"failing: {', '.join(bad)}"] if bad else []
-    return _result(2, "space-roundtrip", len(results), f"{len(results)} spaces", failures)
+    return _result(2, "space-roundtrip", len(logics), f"{len(logics)} spaces", failures)
 
 
 def criterion_spectrality(max_points: int = 4) -> CriterionResult:
@@ -343,31 +338,44 @@ def criterion_prime_extension(max_points: int = 4, seed: int = 0, samples: int =
     return _result(5, "prime-extension", checked, f"{checked} sampled pairs", failures)
 
 
-def criterion_stability_lemma(max_points: int = 4, seed: int = 0, samples: int = 500) -> CriterionResult:
-    """Stability coincides with join preservation on sampled logic maps."""
+def _stability_pair(task) -> tuple[int, int, str | None]:
+    """Sample maps between one (source, target) pair, from the pair's own
+    seeded generator, up to the first failure: the sample count, the
+    logic-map count and the failure, if any."""
+    seed, samples, (src_name, src), (tgt_name, tgt) = task
+    rng = random.Random((seed, src_name, tgt_name).__repr__())
+    logic_maps = 0
+    for sampled in range(1, samples + 1):
+        mapping = tuple(rng.randrange(tgt.universe_size) for _ in src.exprs)
+        check = stable_iff_disjunction(LogicMap(src, tgt, mapping))
+        if check.stable and not check.is_logic_map:
+            return sampled, logic_maps, f"{src_name}->{tgt_name}: stable non-logic-map {mapping}"
+        if check.is_logic_map:
+            logic_maps += 1
+            if not check.agree:
+                return sampled, logic_maps, f"{src_name}->{tgt_name}: lemma fails at {mapping}"
+    return samples, logic_maps, None
+
+
+def criterion_stability_lemma(
+    max_points: int = 4, seed: int = 0, samples: int = 500, jobs: int | None = None
+) -> CriterionResult:
+    """Stability coincides with join preservation on sampled logic maps.
+
+    Each (source, target) pair is one task for _pmap; its samples depend
+    only on the seed and the two names, so the totals and failures are
+    the same for every job count."""
     small = [
         (name, logic)
         for name, logic in _distributive_logics(max_points)
         if logic.universe_size <= 6
         and logic.connectives is not None and logic.connectives.join is not None
     ]
-    failures = []
-    logic_maps = sampled = 0
-    for src_name, src in small:
-        for tgt_name, tgt in small:
-            rng = random.Random((seed, src_name, tgt_name).__repr__())
-            for _ in range(samples):
-                mapping = tuple(rng.randrange(tgt.universe_size) for _ in src.exprs)
-                check = stable_iff_disjunction(LogicMap(src, tgt, mapping))
-                sampled += 1
-                if check.stable and not check.is_logic_map:
-                    failures.append(f"{src_name}->{tgt_name}: stable non-logic-map {mapping}")
-                    break
-                if check.is_logic_map:
-                    logic_maps += 1
-                    if not check.agree:
-                        failures.append(f"{src_name}->{tgt_name}: lemma fails at {mapping}")
-                        break
+    tasks = [(seed, samples, src, tgt) for src in small for tgt in small]
+    results = _pmap(_stability_pair, tasks, jobs)
+    sampled = sum(n for n, _, _ in results)
+    logic_maps = sum(k for _, k, _ in results)
+    failures = [failure for _, _, failure in results if failure is not None]
     detail = f"{sampled} samples over {len(small)}^2 logic pairs, {logic_maps} logic maps"
     return _result(6, "stability-lemma", logic_maps, detail, failures)
 
@@ -478,13 +486,16 @@ def criterion_degenerate_primes() -> CriterionResult:
 
 
 def run_all(max_points: int = 4, seed: int = 0, jobs: int | None = None) -> tuple[CriterionResult, ...]:
+    # Criterion 6 runs first so that its pool forks before the other
+    # criteria fill this process's caches, which every worker would copy.
+    stability = criterion_stability_lemma(max_points, seed, jobs=jobs)
     return (
-        criterion_logic_roundtrip(max_points, jobs),
-        criterion_space_roundtrip(max_points, jobs),
+        criterion_logic_roundtrip(max_points),
+        criterion_space_roundtrip(max_points),
         criterion_spectrality(max_points),
         criterion_generic_points(max_points),
         criterion_prime_extension(max_points, seed),
-        criterion_stability_lemma(max_points, seed),
+        stability,
         criterion_spectral_distributive(max_points),
         criterion_heyting_agreement(max_points),
         criterion_godel_witness(),

@@ -22,10 +22,8 @@ from .core import (
     ConnectiveTables,
     ExprSet,
     close_under_intersection,
-    logically_equivalent,
     set_key,
     sorted_sets,
-    theory_spectrum,
 )
 from .errors import (
     MissingJoin,
@@ -152,7 +150,7 @@ def sorted_primes(logic: AbstractLogic) -> tuple[ExprSet, ...]:
     Graded so that smaller primes come first; the generic point of a
     chain of primes then takes the lowest index.
     """
-    return tuple(sorted(theory_spectrum(logic).totally_primes, key=lambda t: (len(t), set_key(t))))
+    return logic._index.primes
 
 
 @lru_cache(maxsize=None)
@@ -227,40 +225,61 @@ def theory_preimage_map(m: LogicMap) -> tuple[tuple[ExprSet, ExprSet], ...]:
     return tuple(out)
 
 
+def _fibers(m: LogicMap) -> list[int]:
+    """The source preimage of each target expression, as a bitmask."""
+    fibers = [0] * m.target.universe_size
+    for a, b in enumerate(m.mapping):
+        fibers[b] |= 1 << a
+    return fibers
+
+
+def _pull(fibers: list[int], s: ExprSet) -> int:
+    """The preimage of a target expression set, as a bitmask."""
+    pre = 0
+    for b in s:
+        pre |= fibers[b]
+    return pre
+
+
 def analyze_logic_map(m: LogicMap) -> MapAnalysis:
-    """Classify a map: logic map, stable, normal, surjective up to equivalence."""
+    """Classify a map: logic map, stable, normal, surjective up to equivalence.
+
+    Preimages are bitmasks looked up in the source's index; a failing
+    check reports the first witness in canonical order, as expression
+    sets.
+    """
+    src, tgt = m.source._index, m.target._index
+    fibers = _fibers(m)
     witnesses: list[tuple[str, object]] = []
-    src_theories = set(m.source.theories)
     preimages = []
-    is_logic = True
-    for t in sorted_sets(m.target.theories):
-        pre = m.preimage(t)
+    for t in tgt.theories:
+        pre = _pull(fibers, t)
+        if pre not in src.mask_set:
+            witnesses.append(("is_logic_map", (t, m.preimage(t))))
+            break
         preimages.append(pre)
-        if is_logic and pre not in src_theories:
-            is_logic = False
-            witnesses.append(("is_logic_map", (t, pre)))
+    is_logic = len(preimages) == len(tgt.theories)
 
     stable = is_logic
     if is_logic:
-        src_primes = set(theory_spectrum(m.source).totally_primes)
-        for p in sorted_primes(m.target):
-            if m.preimage(p) not in src_primes:
+        for p in tgt.primes:
+            if _pull(fibers, p) not in src.prime_mask_set:
                 stable = False
                 witnesses.append(("is_stable", p))
                 break
 
-    normal = is_logic and set(preimages) == src_theories
+    reached = set(preimages)
+    normal = is_logic and reached == src.mask_set
     if is_logic and not normal:
-        missed = sorted_sets(src_theories - set(preimages))
-        witnesses.append(("is_normal", missed[0] if missed else None))
+        missed = next(t for t, mask in zip(src.theories, src.masks) if mask not in reached)
+        witnesses.append(("is_normal", missed))
 
-    surjective = True
-    image = [m(a) for a in m.source.exprs]
-    for b in m.target.exprs:
-        if not any(logically_equivalent(m.target, b, h) for h in image):
-            surjective = False
-            witnesses.append(("is_L_surjective", b))
-            break
+    classes = tgt.class_of
+    image = {classes[b] for b in m.mapping}
+    unreached = next((b for b in m.target.exprs if classes[b] not in image), None)
+    surjective = unreached is None
+    if not surjective:
+        witnesses.append(("is_L_surjective", unreached))
 
     return MapAnalysis(
         is_logic_map=is_logic,
@@ -284,18 +303,19 @@ def stable_iff_disjunction(m: LogicMap) -> DisjunctionCheck:
     if m.target.connectives is None or m.target.connectives.join is None:
         raise MissingJoin("target logic has no join table")
     analysis = analyze_logic_map(m)
-    preserves = True
+    f, classes = m.mapping, m.target._index.class_of
+    src_join, tgt_join = m.source.connectives.join, m.target.connectives.join
+    exprs = m.source.exprs
     witness: object | None = None
-    for a in m.source.exprs:
-        for b in m.source.exprs:
-            lhs = m(m.source.connectives.join[a][b])
-            rhs = m.target.connectives.join[m(a)][m(b)]
-            if not logically_equivalent(m.target, lhs, rhs):
-                preserves = False
+    for a in exprs:
+        row, image_row = src_join[a], tgt_join[f[a]]
+        for b in exprs:
+            if classes[f[row[b]]] != classes[image_row[f[b]]]:
                 witness = (a, b)
                 break
-        if not preserves:
+        if witness is not None:
             break
+    preserves = witness is None
     if witness is None and not analysis.is_stable:
         witness = next((w for name, w in analysis.witnesses if name == "is_stable"), None)
     return DisjunctionCheck(

@@ -224,3 +224,64 @@ def oracle_t0(n, basis):
         any((x in u) != (y in u) for u in ops)
         for x in range(n) for y in range(x + 1, n)
     )
+
+
+def oracle_analyze_logic_map(m, src_primes, tgt_primes):
+    """Map analysis by frozenset preimages and mutual consequence.
+
+    ``src_primes`` and ``tgt_primes`` are the totally prime theories of
+    the source and the target.  Returns the fields of
+    duality.MapAnalysis, with the witnesses in its order: the first
+    target theory (in sorted order) whose preimage is no theory, the
+    first prime (smaller first) whose preimage is no prime, the first
+    source theory no preimage reaches, the first target expression
+    equivalent to no image.
+    """
+    src, tgt = m.source, m.target
+    src_theories = set(src.theories.theories)
+    witnesses = []
+    preimages = []
+    is_logic = True
+    for t in sorted(tgt.theories.theories, key=sorted):
+        pre = frozenset(a for a in src.exprs if m.mapping[a] in t)
+        preimages.append(pre)
+        if is_logic and pre not in src_theories:
+            is_logic = False
+            witnesses.append(("is_logic_map", (t, pre)))
+    stable = is_logic
+    if is_logic:
+        for p in sorted(tgt_primes, key=lambda t: (len(t), sorted(t))):
+            if frozenset(a for a in src.exprs if m.mapping[a] in p) not in src_primes:
+                stable = False
+                witnesses.append(("is_stable", p))
+                break
+    normal = is_logic and set(preimages) == src_theories
+    if is_logic and not normal:
+        witnesses.append(("is_normal", min(src_theories - set(preimages), key=sorted)))
+    surjective = True
+    for b in tgt.exprs:
+        if not any(oracle_equivalent(tgt, b, m.mapping[a]) for a in src.exprs):
+            surjective = False
+            witnesses.append(("is_L_surjective", b))
+            break
+    return {
+        "is_logic_map": is_logic,
+        "is_stable": stable,
+        "is_normal": normal,
+        "is_L_surjective": surjective,
+        "is_isomorphism": normal and surjective,
+        "witnesses": tuple(witnesses),
+    }
+
+
+def oracle_preserves_join(m):
+    """The first source pair whose join image is not equivalent to the
+    join of its images, or None."""
+    src_join, tgt_join = m.source.connectives.join, m.target.connectives.join
+    for a in m.source.exprs:
+        for b in m.source.exprs:
+            lhs = m.mapping[src_join[a][b]]
+            rhs = tgt_join[m.mapping[a]][m.mapping[b]]
+            if not oracle_equivalent(m.target, lhs, rhs):
+                return (a, b)
+    return None

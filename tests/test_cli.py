@@ -1,9 +1,14 @@
 """Exit codes, output shapes, and determinism of the command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from logictop import corpus
 from logictop.cli import run_cli
 from logictop.corpus import discrete_two, l3, l22, sierpinski, v_frame
 from logictop.documents import Document, emit_document
@@ -215,13 +220,73 @@ def test_corpus_max_points_outside_the_enumeration_bound_exits_2(points, capsys)
     assert "--max-points must be in 1..5" in capsys.readouterr().err
 
 
-def test_corpus_deterministic_across_jobs(capsys, monkeypatch):
-    run_cli(["corpus", "--max-points", "2", "--jobs", "1"])
-    sequential = capsys.readouterr().out
-    monkeypatch.setenv("WORKBENCH_JOBS", "3")
-    run_cli(["corpus", "--max-points", "2"])
-    parallel = capsys.readouterr().out
-    assert sequential == parallel
+def test_corpus_under_python_O_matches_the_golden_output():
+    # no invariant may rest on assert, which -O strips
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env.pop("WORKBENCH_JOBS", None)
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "logictop.cli", "corpus", "--max-points", "2"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == CORPUS_2_TEXT
+
+
+def test_corpus_deterministic_across_jobs(capsys):
+    # --jobs 2 fans criterion 6's logic pairs out to a process pool
+    for fmt in ("text", "json"):
+        outputs = []
+        for jobs in ("1", "2"):
+            code = run_cli(["corpus", "--max-points", "3", "--format", fmt, "--jobs", jobs])
+            outputs.append((code, capsys.readouterr().out))
+        assert outputs[0] == outputs[1], fmt
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_corpus_jobs_must_be_a_positive_integer(source, value, capsys, monkeypatch):
+    argv = ["corpus", "--max-points", "1"]
+    if source == "flag":
+        argv += ["--jobs", value]
+    else:
+        monkeypatch.setenv("WORKBENCH_JOBS", value)
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert "must be a positive integer" in err and repr(value) in err
+
+
+def test_pool_is_bounded_by_items_and_cpus(capsys, monkeypatch):
+    requested = []
+
+    class InlinePool:
+        """Records the worker count asked for and runs the items in process."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(corpus, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(corpus.os, "cpu_count", lambda: 3)
+    assert corpus._pmap(abs, [-1, -2], jobs=8) == [1, 2]
+    assert corpus._pmap(abs, [-1] * 5, jobs=8) == [1] * 5
+    assert corpus._pmap(abs, [-1] * 5, jobs=1) == [1] * 5
+    assert requested == [2, 3]
+    monkeypatch.setenv("WORKBENCH_JOBS", "64")
+    assert run_cli(["corpus", "--max-points", "2"]) == 0
+    assert capsys.readouterr().out == CORPUS_2_TEXT
+    assert requested == [2, 3, 3]
+    monkeypatch.setattr(corpus.os, "cpu_count", lambda: None)
+    assert corpus._pmap(abs, [-1] * 5, jobs=8) == [1] * 5
+    assert requested == [2, 3, 3]
 
 
 def test_corpus_json_format(capsys):

@@ -1,10 +1,22 @@
 """The two dual constructions and the comparison maps between them."""
 
-import pytest
+import dataclasses
 
-from logictop.core import AbstractLogic, close_under_intersection
-from logictop.corpus import discrete_two
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from logictop.builders import RANDOM_LOGIC_BOUND, random_logic
+from logictop.core import (
+    AbstractLogic,
+    ConnectiveTables,
+    TheoryFamily,
+    close_under_intersection,
+    quotient_logic,
+    theory_spectrum,
+)
+from logictop.corpus import corpus_logics, discrete_two
 from logictop.duality import (
+    DisjunctionCheck,
     LogicMap,
     PointMap,
     analyze_logic_map,
@@ -24,7 +36,7 @@ from logictop.duality import (
 from logictop.errors import NotDistributive, NotLogicMap, NotSpectralMap, NotStable
 from logictop.topology import FiniteSpace
 
-from oracles import oracle_extent
+from oracles import oracle_analyze_logic_map, oracle_extent, oracle_preserves_join
 
 
 def test_logic_space_of_chain_is_sierpinski(chain3_logic):
@@ -291,3 +303,82 @@ def test_duality_functors_flip_composition(chain_space):
     hf, hg, hgf = dual_logic_map(f), dual_logic_map(g), dual_logic_map(gf)
     composed = tuple(hf.mapping[hg.mapping[a]] for a in hgf.source.exprs)
     assert composed == hgf.mapping
+
+
+_corpus_logics = st.sampled_from([logic for _, logic in corpus_logics(4)])
+_small_logics = st.sampled_from([logic for _, logic in corpus_logics(2)])
+_logics = st.one_of(
+    st.builds(random_logic, st.integers(1, RANDOM_LOGIC_BOUND), st.integers(0, 2**32)),
+    _corpus_logics,
+)
+
+
+def _with_copy(logic, b):
+    """The logic plus one more expression, a copy of b: it lies in the
+    theories b lies in, and the join and meet tables read it as b."""
+    n = logic.universe_size
+    family = TheoryFamily(n + 1, frozenset(t | {n} if b in t else t for t in logic.theories.theories))
+    read = (*range(n), b)
+
+    def extend(table):
+        return tuple(tuple(table[read[x]][read[y]] for y in range(n + 1)) for x in range(n + 1))
+
+    c = logic.connectives
+    tables = ConnectiveTables(join=extend(c.join), meet=None if c.meet is None else extend(c.meet))
+    return AbstractLogic((*logic.expr_names, f"{logic.expr_names[b]}'"), family, tables)
+
+
+@st.composite
+def _random_mapping(draw, source, target):
+    image = st.integers(0, target.universe_size - 1)
+    n = source.universe_size
+    return LogicMap(source, target, tuple(draw(st.lists(image, min_size=n, max_size=n))))
+
+
+@st.composite
+def _logic_maps(draw):
+    """Random mappings, which are mostly not logic maps, plus identities,
+    quotient projections and copy embeddings, which are.  Random mappings
+    between logics of at most four expressions are often logic maps,
+    stable or not.  A copy embedding sends b to its copy in a target with
+    joins, so it preserves joins only up to equivalence."""
+    kind = draw(st.sampled_from(("random", "small", "identity", "quotient", "copy")))
+    if kind == "small":
+        return draw(_random_mapping(draw(_small_logics), draw(_small_logics)))
+    if kind == "copy":
+        source = draw(_corpus_logics)
+        b = draw(st.integers(0, source.universe_size - 1))
+        target = _with_copy(source, b)
+        if draw(st.booleans()):
+            return draw(_random_mapping(source, target))
+        return LogicMap(source, target, tuple(target.universe_size - 1 if a == b else a for a in source.exprs))
+    source = draw(_logics)
+    if kind == "identity":
+        return LogicMap(source, source, tuple(source.exprs))
+    if kind == "quotient":
+        target, projection = quotient_logic(source)
+        return LogicMap(source, target, projection)
+    return draw(_random_mapping(source, draw(_logics)))
+
+
+def _has_join(logic):
+    return logic.connectives is not None and logic.connectives.join is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_logic_maps())
+def test_map_analysis_matches_the_frozenset_oracle(m):
+    expected = oracle_analyze_logic_map(
+        m, theory_spectrum(m.source).totally_primes, theory_spectrum(m.target).totally_primes
+    )
+    assert dataclasses.asdict(analyze_logic_map(m)) == expected
+    if _has_join(m.source) and _has_join(m.target):
+        pair = oracle_preserves_join(m)
+        stable_witness = next((w for name, w in expected["witnesses"] if name == "is_stable"), None)
+        assert stable_iff_disjunction(m) == DisjunctionCheck(
+            is_logic_map=expected["is_logic_map"],
+            stable=expected["is_stable"],
+            preserves_join=pair is None,
+            agree=expected["is_stable"] == (pair is None),
+            witness=pair if pair is not None else stable_witness,
+        )
