@@ -11,14 +11,15 @@ second, so the bottom sits at index 0 and the top at the last index.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .core import AbstractLogic, ConnectiveTables, close_under_intersection, set_key
+from .core import AbstractLogic, ConnectiveTables, _close, close_under_intersection, set_key
 from .errors import BoundExceeded, NotDistributiveLattice, NotHeyting
-from .topology import FiniteSpace, opens as space_opens
+from .topology import FiniteSpace, PointSet, _arrow, _require_lattice, opens as space_opens, specialization_order
 
 LeqMatrix = tuple[tuple[bool, ...], ...]
 
@@ -246,35 +247,58 @@ def _set_name(names: tuple[str, ...], s: frozenset[int]) -> str:
     return "{" + ",".join(names[i] for i in sorted(s)) + "}"
 
 
+def _set_tables(sets: Sequence[PointSet], upsets: list[tuple[int, PointSet]]):
+    """Join, meet and implication tables of a family of point sets.
+
+    Entries are positions in ``sets``: join is union, meet intersection
+    (a family not closed under both raises BasisNotLattice with the
+    first pair that leaves it), and A -> B collects the points x of the
+    (x, upset of x) pairs whose upset meets A inside B.  The implication
+    table is None when some A -> B lies outside the family.
+    """
+    _require_lattice(sets)
+    index = {s: i for i, s in enumerate(sets)}
+    join = tuple(tuple(index[a | b] for b in sets) for a in sets)
+    meet = tuple(tuple(index[a & b] for b in sets) for a in sets)
+    impl = []
+    for a in sets:
+        row = []
+        for b in sets:
+            arrow = _arrow(upsets, a, b)
+            if arrow not in index:
+                return join, meet, None
+            row.append(index[arrow])
+        impl.append(tuple(row))
+    return join, meet, tuple(impl)
+
+
+def _heyting_of_sets(
+    point_names: tuple[str, ...], family: Iterable[PointSet], upsets: list[tuple[int, PointSet]]
+) -> FiniteLattice:
+    """The Heyting algebra of a union-closed family of point sets holding
+    the empty set, graded: the empty set first, the union of all last.
+
+    Implication is the one of _set_tables; a family that is not closed
+    under intersection raises BasisNotLattice.
+    """
+    elements = _graded_sets(family)
+    m = len(elements)
+    names = tuple(_set_name(point_names, s) for s in elements)
+    leq = tuple(tuple(a <= b for b in elements) for a in elements)
+    join, meet, impl = _set_tables(elements, upsets)
+    return FiniteLattice(names, leq, join, meet, impl=impl, top=m - 1, bottom=0)
+
+
 def heyting_from_upsets(frame: FinitePoset) -> FiniteLattice:
     """The Heyting algebra of upsets of a frame.
 
-    Join is union, meet is intersection, and A -> B collects the points
-    whose upset meets A inside B.
+    The upsets are the unions of principal upsets, the empty union
+    included.  Join is union, meet is intersection, and A -> B collects
+    the points whose upset meets A inside B.
     """
-    n = frame.n
-    universe = frozenset(range(n))
-    upsets = []
-    for mask in range(1 << n):
-        s = frozenset(i for i in range(n) if mask >> i & 1)
-        if all(frame.upset(i) <= s for i in s):
-            upsets.append(s)
-    elements = _graded_sets(upsets)
-    index = {s: i for i, s in enumerate(elements)}
-    m = len(elements)
-    names = tuple(_set_name(frame.element_names, s) for s in elements)
-    leq = tuple(tuple(elements[i] <= elements[j] for j in range(m)) for i in range(m))
-    join = tuple(tuple(index[elements[i] | elements[j]] for j in range(m)) for i in range(m))
-    meet = tuple(tuple(index[elements[i] & elements[j]] for j in range(m)) for i in range(m))
-    impl_sets = [
-        [frozenset(t for t in range(n) if frame.upset(t) & elements[i] <= elements[j]) for j in range(m)]
-        for i in range(m)
-    ]
-    impl = tuple(tuple(index[s] for s in row) for row in impl_sets)
-    return FiniteLattice(
-        names, leq, join, meet,
-        impl=impl, top=index[universe], bottom=index[frozenset()],
-    )
+    upsets = [(x, frame.upset(x)) for x in range(frame.n)]
+    family = _close((frozenset(), *(up for _, up in upsets)), operator.or_)
+    return _heyting_of_sets(frame.element_names, family, upsets)
 
 
 def logic_from_lattice_filters(lattice: FiniteLattice, *, proper: bool = True) -> AbstractLogic:
@@ -314,33 +338,15 @@ def logic_from_lattice_filters(lattice: FiniteLattice, *, proper: bool = True) -
 def open_set_lattice(space: FiniteSpace) -> FiniteLattice:
     """All opens of a finite space as a Heyting algebra.
 
-    Implication is the interior of complement-or: the largest open whose
-    intersection with the antecedent stays inside the consequent.
+    The opens must be closed under intersection, or BasisNotLattice is
+    raised.  A -> B collects the points lying in some open whose
+    specialization upset meets A inside B.
     """
-    ops = _graded_sets(space_opens(space))
-    index = {s: i for i, s in enumerate(ops)}
-    m = len(ops)
-    carrier = space.carrier
-    names = tuple(_set_name(space.point_names, s) for s in ops)
-    leq = tuple(tuple(ops[i] <= ops[j] for j in range(m)) for i in range(m))
-    join = tuple(tuple(index[ops[i] | ops[j]] for j in range(m)) for i in range(m))
-    meet = tuple(tuple(index[ops[i] & ops[j]] for j in range(m)) for i in range(m))
-
-    def interior(s: frozenset[int]) -> frozenset[int]:
-        out = frozenset()
-        for o in ops:
-            if o <= s:
-                out |= o
-        return out
-
-    impl = tuple(
-        tuple(index[interior((carrier - ops[i]) | ops[j])] for j in range(m))
-        for i in range(m)
-    )
-    return FiniteLattice(
-        names, leq, join, meet,
-        impl=impl, top=index[frozenset().union(*ops)], bottom=index[frozenset()],
-    )
+    ops = space_opens(space)
+    order = specialization_order(space)
+    covered = frozenset().union(*ops)
+    upsets = [(x, order.upset(x)) for x in sorted(covered)]
+    return _heyting_of_sets(space.point_names, ops, upsets)
 
 
 def logic_from_topology(space: FiniteSpace) -> AbstractLogic:

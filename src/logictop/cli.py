@@ -1,9 +1,10 @@
 """Command line front end.
 
 Every subcommand reads one JSON document (``--input`` or stdin) and
-writes text, JSON, or DOT (``--output`` or stdout).  Exit codes: 0 on
-success, 1 when a requested verification flag comes back false or a
-precondition fails with a witness, 2 on usage or document errors.
+writes text or JSON (``--output`` or stdout); ``export-dot`` always
+writes DOT.  Exit codes: 0 on success, 1 when a requested verification
+flag comes back false or a precondition fails with a witness, 2 on
+usage or document errors.
 
 Verification flags are the booleans a command exists to check: the
 map analysis fields for ``check-map``, ``iso_ok``/``square_ok`` for
@@ -127,13 +128,14 @@ def _cmd_classify(args) -> int:
 def _cmd_spectrum(args) -> int:
     logic = _expect(_read_document(args), "spectrum", "logic")
     spectrum = theory_spectrum(logic)
-    lines = [
-        f"primes: {_theory_names(logic, spectrum.primes)}",
-        f"totally_primes: {_theory_names(logic, spectrum.totally_primes)}",
-        f"maximals: {_theory_names(logic, spectrum.maximals)}",
-        f"minimal_generators: {_theory_names(logic, spectrum.minimal_generators)}",
-    ]
-    _emit_report(args, spectrum, lines)
+    fields = {
+        "primes": spectrum.primes,
+        "totally_primes": spectrum.totally_primes,
+        "maximals": spectrum.maximals,
+        "minimal_generators": spectrum.minimal_generators,
+    }
+    lines = [f"{name}: {_theory_names(logic, theories)}" for name, theories in fields.items()]
+    _emit_report(args, fields, lines)
     return 0
 
 
@@ -274,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", metavar="PATH", help="document to read (default: stdin)")
     common.add_argument("--output", metavar="PATH", help="where to write (default: stdout)")
-    common.add_argument("--format", choices=("json", "text", "dot"), default="text")
+    common.add_argument("--format", choices=("json", "text"), default="text")
 
     parser = argparse.ArgumentParser(
         prog="logictop",

@@ -12,17 +12,14 @@ Every public operation accepts any iterable of indices and normalizes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import EmptyGeneratorSet, NotTheories
 
 ExprSet = frozenset[int]
-
-
-def exprset(members: Iterable[int]) -> ExprSet:
-    return frozenset(members)
 
 
 def set_key(s: Iterable[int]) -> tuple[int, ...]:
@@ -212,38 +209,50 @@ class LogicIndex:
 class TheorySpectrum:
     """The primality hierarchy of a theory family.
 
-    ``minimal_generators`` equals ``totally_primes``: finite families are
-    trivially chain-closed, so the totally prime theories form the least
-    generator set.
+    On a finite family the prime and totally prime theories coincide,
+    and, since finite families are trivially chain-closed, they form
+    the least generator set; ``totally_primes`` and
+    ``minimal_generators`` read the one stored set.
     """
 
     primes: frozenset[ExprSet]
-    totally_primes: frozenset[ExprSet]
     maximals: frozenset[ExprSet]
-    minimal_generators: frozenset[ExprSet]
+
+    @property
+    def totally_primes(self) -> frozenset[ExprSet]:
+        return self.primes
+
+    @property
+    def minimal_generators(self) -> frozenset[ExprSet]:
+        return self.primes
+
+
+def _close(seed: Iterable[ExprSet], op: Callable[[ExprSet, ExprSet], ExprSet]) -> frozenset[ExprSet]:
+    """Smallest family containing seed and closed under a commutative,
+    idempotent binary set operation (``operator.and_`` or ``operator.or_``).
+
+    Each member is combined with every earlier member, new results
+    joining the end of the list, so every pair of the final family is
+    tried exactly once.  On a finite family, closing under the binary operation
+    already closes under every non-empty subfamily.
+    """
+    seen = set(seed)
+    family = list(seen)
+    for i, a in enumerate(family):
+        for b in family[:i]:
+            c = op(a, b)
+            if c not in seen:
+                seen.add(c)
+                family.append(c)
+    return frozenset(seen)
 
 
 def close_under_intersection(universe_size: int, generators: Iterable[Iterable[int]]) -> TheoryFamily:
-    """Smallest intersection-closed family containing the generators.
-
-    Pairwise fixpoint: on a finite family, closing under binary
-    intersections already closes under all non-empty subfamilies.
-    """
+    """Smallest intersection-closed family containing the generators."""
     gens = [_check_universe(universe_size, g, "generator") for g in generators]
     if not gens:
         raise EmptyGeneratorSet("no generators given")
-    family = set(gens)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(family)
-        for i, a in enumerate(snapshot):
-            for b in snapshot[i + 1:]:
-                c = a & b
-                if c not in family:
-                    family.add(c)
-                    changed = True
-    return TheoryFamily(universe_size, frozenset(family))
+    return TheoryFamily(universe_size, _close(gens, operator.and_))
 
 
 def is_consistent(logic: AbstractLogic, A: Iterable[int]) -> bool:
@@ -301,18 +310,13 @@ def theory_spectrum(logic: AbstractLogic) -> TheorySpectrum:
     """Primes, totally primes, maximal theories, and the least generator set.
 
     On a finite family every intersecting subfamily is finite, so the
-    prime and totally prime notions coincide; both fields are populated
-    from the same criterion and the collapse is part of the contract.
+    prime and totally prime notions coincide; the spectrum stores one
+    set for both, and the collapse is part of the contract.
     """
     ths = logic.theories.theories
     primes = frozenset(t for t in ths if _is_prime(t, ths))
     maximals = frozenset(t for t in ths if not any(t < u for u in ths))
-    return TheorySpectrum(
-        primes=primes,
-        totally_primes=primes,
-        maximals=maximals,
-        minimal_generators=primes,
-    )
+    return TheorySpectrum(primes=primes, maximals=maximals)
 
 
 def is_generator_set(logic: AbstractLogic, G: Iterable[Iterable[int]]) -> bool:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .builders import FiniteLattice, FinitePoset
 from .core import AbstractLogic, ConnectiveTables, TheoryFamily
@@ -48,15 +49,7 @@ def parse_document(text: str) -> Document:
 
 
 def emit_document(doc: Document) -> str:
-    emitters = {
-        "logic": _logic_to_obj,
-        "poset": _poset_to_obj,
-        "lattice": _lattice_to_obj,
-        "space": _space_to_obj,
-        "logic_map": _logic_map_to_obj,
-        "point_map": _point_map_to_obj,
-    }
-    obj = emitters[doc.kind](doc.value)
+    obj = _FORMATS[doc.kind][1](doc.value)
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
@@ -231,26 +224,17 @@ def _parse_endpoint(obj, path: str, kind: str):
     return doc.value
 
 
-def _parse_logic_map(obj: dict, path: str) -> LogicMap:
+def _parse_map(kind: str, obj: dict, path: str) -> LogicMap | PointMap:
+    endpoint, cls, size = _MAPS[kind]
     _as_object(obj, path, ("kind", "source", "target", "map"))
-    source = _parse_endpoint(_require(obj, "source", path), f"{path}/source", "logic")
-    target = _parse_endpoint(_require(obj, "target", path), f"{path}/target", "logic")
+    source = _parse_endpoint(_require(obj, "source", path), f"{path}/source", endpoint)
+    target = _parse_endpoint(_require(obj, "target", path), f"{path}/target", endpoint)
     row = _as_list(_require(obj, "map", path), f"{path}/map")
-    if len(row) != source.universe_size:
-        _fail(f"{path}/map", f"expected {source.universe_size} entries")
-    mapping = tuple(_as_index(x, f"{path}/map/{j}", target.universe_size) for j, x in enumerate(row))
-    return LogicMap(source, target, mapping)
-
-
-def _parse_point_map(obj: dict, path: str) -> PointMap:
-    _as_object(obj, path, ("kind", "source", "target", "map"))
-    source = _parse_endpoint(_require(obj, "source", path), f"{path}/source", "space")
-    target = _parse_endpoint(_require(obj, "target", path), f"{path}/target", "space")
-    row = _as_list(_require(obj, "map", path), f"{path}/map")
-    if len(row) != source.n_points:
-        _fail(f"{path}/map", f"expected {source.n_points} entries")
-    mapping = tuple(_as_index(x, f"{path}/map/{j}", target.n_points) for j, x in enumerate(row))
-    return PointMap(source, target, mapping)
+    n = getattr(source, size)
+    if len(row) != n:
+        _fail(f"{path}/map", f"expected {n} entries")
+    mapping = tuple(_as_index(x, f"{path}/map/{j}", getattr(target, size)) for j, x in enumerate(row))
+    return cls(source, target, mapping)
 
 
 def _document_from_obj(obj, path: str) -> Document:
@@ -259,15 +243,7 @@ def _document_from_obj(obj, path: str) -> Document:
     kind = obj.get("kind")
     if kind not in KINDS:
         _fail(f"{path}/kind", f"expected one of {', '.join(KINDS)}")
-    parsers = {
-        "logic": _parse_logic,
-        "poset": _parse_poset,
-        "lattice": _parse_lattice,
-        "space": _parse_space,
-        "logic_map": _parse_logic_map,
-        "point_map": _parse_point_map,
-    }
-    return Document(kind, parsers[kind](obj, path))
+    return Document(kind, _FORMATS[kind][0](obj, path))
 
 
 # emission
@@ -333,19 +309,27 @@ def _space_to_obj(space: FiniteSpace) -> dict:
     }
 
 
-def _logic_map_to_obj(m: LogicMap) -> dict:
+def _map_to_obj(kind: str, m: LogicMap | PointMap) -> dict:
+    endpoint_to_obj = _FORMATS[_MAPS[kind][0]][1]
     return {
-        "kind": "logic_map",
-        "source": _logic_to_obj(m.source),
-        "target": _logic_to_obj(m.target),
+        "kind": kind,
+        "source": endpoint_to_obj(m.source),
+        "target": endpoint_to_obj(m.target),
         "map": list(m.mapping),
     }
 
 
-def _point_map_to_obj(m: PointMap) -> dict:
-    return {
-        "kind": "point_map",
-        "source": _space_to_obj(m.source),
-        "target": _space_to_obj(m.target),
-        "map": list(m.mapping),
-    }
+# map kind: (endpoint kind, map class, endpoint size attribute)
+_MAPS = {
+    "logic_map": ("logic", LogicMap, "universe_size"),
+    "point_map": ("space", PointMap, "n_points"),
+}
+
+# kind: (parser, emitter)
+_FORMATS = {
+    "logic": (_parse_logic, _logic_to_obj),
+    "poset": (_parse_poset, _poset_to_obj),
+    "lattice": (_parse_lattice, _lattice_to_obj),
+    "space": (_parse_space, _space_to_obj),
+    **{kind: (partial(_parse_map, kind), partial(_map_to_obj, kind)) for kind in _MAPS},
+}

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .builders import _set_tables
 from .connectives import _table, verify_connectives
 from .core import (
     AbstractLogic,
@@ -36,11 +37,10 @@ from .errors import (
 from .topology import (
     FiniteSpace,
     PointSet,
-    has_implication,
-    implication_open,
     is_distributive_space,
     opens,
     point_filter,
+    specialization_order,
 )
 
 
@@ -193,17 +193,12 @@ def space_logic(space: FiniteSpace) -> AbstractLogic:
     if not verdict.distributive:
         raise NotDistributiveSpace(f"not a distributive space: {verdict.witness}")
     n = len(space.basis)
-    index = {u: i for i, u in enumerate(space.basis)}
     generators = [point_filter(space, x) for x in range(space.n_points)]
     theories = close_under_intersection(n, generators)
-    join = tuple(tuple(index[space.basis[i] | space.basis[j]] for j in range(n)) for i in range(n))
-    meet = tuple(tuple(index[space.basis[i] & space.basis[j]] for j in range(n)) for i in range(n))
-    impl = None
-    if has_implication(space)[0]:
-        impl = tuple(
-            tuple(index[implication_open(space, space.basis[i], space.basis[j])] for j in range(n))
-            for i in range(n)
-        )
+    order = specialization_order(space)
+    upsets = [(x, order.upset(x)) for x in range(space.n_points)]
+    join, meet, impl = _set_tables(space.basis, upsets)
+    index = {u: i for i, u in enumerate(space.basis)}
     top = index.get(space.carrier)
     bottom = index.get(frozenset())
     neg = None

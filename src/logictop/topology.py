@@ -14,11 +14,12 @@ checks compare the two routes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .core import set_key, sorted_sets
+from .core import _close, set_key, sorted_sets
 from .errors import (
     BasisNotLattice,
     NoImplication,
@@ -129,18 +130,7 @@ class DistributiveSpaceVerdict:
 @lru_cache(maxsize=None)
 def opens(space: FiniteSpace) -> frozenset[PointSet]:
     """All unions of basis elements, including the empty union."""
-    out = {frozenset()} | set(space.basis)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(out)
-        for i, a in enumerate(snapshot):
-            for b in snapshot[i + 1:]:
-                u = a | b
-                if u not in out:
-                    out.add(u)
-                    changed = True
-    return frozenset(out)
+    return _close((frozenset(), *space.basis), operator.or_)
 
 
 def closed_sets(space: FiniteSpace) -> frozenset[PointSet]:
@@ -159,9 +149,19 @@ def closure(space: FiniteSpace, A: Iterable[int]) -> PointSet:
     return out
 
 
+def _t0_witness(space: FiniteSpace) -> tuple[int, int] | None:
+    """The first two points lying in the same basic opens, if any."""
+    seen: dict[frozenset[int], int] = {}
+    for x in range(space.n_points):
+        profile = point_filter(space, x)
+        if profile in seen:
+            return seen[profile], x
+        seen[profile] = x
+    return None
+
+
 def is_t0(space: FiniteSpace) -> bool:
-    profiles = [point_filter(space, x) for x in range(space.n_points)]
-    return len(set(profiles)) == space.n_points
+    return _t0_witness(space) is None
 
 
 def point_filter(space: FiniteSpace, x: int) -> frozenset[int]:
@@ -204,8 +204,9 @@ def specialization_order(space: FiniteSpace) -> SpecializationOrder:
     return SpecializationOrder(space.point_names, matrix)
 
 
-def _sorted_basis(space: FiniteSpace) -> list[PointSet]:
-    return sorted_sets(space.basis)
+def _arrow(upsets: Iterable[tuple[int, PointSet]], u: PointSet, v: PointSet) -> PointSet:
+    """The points x, among (x, upset of x) pairs, whose upset meets u only inside v."""
+    return frozenset(x for x, up in upsets if up & u <= v)
 
 
 def implication_open(space: FiniteSpace, U: Iterable[int], V: Iterable[int]) -> PointSet:
@@ -221,7 +222,7 @@ def implication_open(space: FiniteSpace, U: Iterable[int], V: Iterable[int]) -> 
     if v not in space.basis:
         raise NotBasic(f"V={set_key(v)} is not basic", witness=v)
     order = specialization_order(space)
-    return frozenset(x for x in range(space.n_points) if order.upset(x) & u <= v)
+    return _arrow(((x, order.upset(x)) for x in range(space.n_points)), u, v)
 
 
 def has_implication(space: FiniteSpace) -> tuple[bool, tuple[PointSet, PointSet] | None]:
@@ -231,24 +232,26 @@ def has_implication(space: FiniteSpace) -> tuple[bool, tuple[PointSet, PointSet]
     the empty open loses implications that come out empty.
     """
     basic = set(space.basis)
-    for u in _sorted_basis(space):
-        for v in _sorted_basis(space):
+    ordered = sorted_sets(space.basis)
+    for u in ordered:
+        for v in ordered:
             if implication_open(space, u, v) not in basic:
                 return False, (u, v)
     return True, None
 
 
-def _lattice_violation(space: FiniteSpace) -> tuple[PointSet, PointSet] | None:
-    basic = set(space.basis)
-    for u in _sorted_basis(space):
-        for v in _sorted_basis(space):
-            if u | v not in basic or u & v not in basic:
+def _lattice_violation(sets: Sequence[PointSet]) -> tuple[PointSet, PointSet] | None:
+    """The first pair, in list order, whose union or intersection leaves the list."""
+    members = set(sets)
+    for u in sets:
+        for v in sets:
+            if u | v not in members or u & v not in members:
                 return (u, v)
     return None
 
 
-def _require_lattice(space: FiniteSpace) -> None:
-    bad = _lattice_violation(space)
+def _require_lattice(sets: Sequence[PointSet]) -> None:
+    bad = _lattice_violation(sets)
     if bad is not None:
         raise BasisNotLattice(
             f"basis not closed under union/intersection at {set_key(bad[0])}, {set_key(bad[1])}",
@@ -266,7 +269,7 @@ def prime_filters_on_basis(space: FiniteSpace) -> tuple[frozenset[int], ...]:
     open (the whole lattice) is admitted, matching the point filter of a
     point lying in every basic open.
     """
-    _require_lattice(space)
+    _require_lattice(sorted_sets(space.basis))
     empty = frozenset()
     out = set()
     basis = space.basis
@@ -300,7 +303,7 @@ def is_distributive_space(space: FiniteSpace) -> DistributiveSpaceVerdict:
     extra = opens(space) - set(space.basis) - {frozenset()}
     if extra:
         return DistributiveSpaceVerdict(False, bounded, ("open-not-basic", sorted_sets(extra)[0]))
-    bad = _lattice_violation(space)
+    bad = _lattice_violation(sorted_sets(space.basis))
     if bad is not None:
         return DistributiveSpaceVerdict(False, bounded, ("basis-not-lattice", bad))
     filters = set(prime_filters_on_basis(space))
@@ -316,10 +319,11 @@ def check_adjunction(space: FiniteSpace) -> tuple[bool, tuple | None]:
     ok, witness = has_implication(space)
     if not ok:
         raise NoImplication(f"implication leaves the basis at {witness}", witness=witness)
-    for u in _sorted_basis(space):
-        for v in _sorted_basis(space):
+    ordered = sorted_sets(space.basis)
+    for u in ordered:
+        for v in ordered:
             arrow = implication_open(space, u, v)
-            for w in _sorted_basis(space):
+            for w in ordered:
                 if (w <= arrow) != (w & u <= v):
                     return False, (u, v, w)
     return True, None
@@ -331,15 +335,10 @@ def analyze_space(space: FiniteSpace) -> SpaceReport:
     n = space.n_points
     ops = opens(space)
 
-    t0 = is_t0(space)
+    twins = _t0_witness(space)
+    t0 = twins is None
     if not t0:
-        profiles: dict[frozenset[int], int] = {}
-        for x in range(n):
-            p = point_filter(space, x)
-            if p in profiles:
-                witnesses.append(("is_T0", (profiles[p], x)))
-                break
-            profiles[p] = x
+        witnesses.append(("is_T0", twins))
 
     uncovered = space.uncovered
     covers = not uncovered
@@ -420,7 +419,7 @@ def is_heyting_basis(space: FiniteSpace) -> bool:
     the specialization order is made, so agreement with has_implication
     is a genuine cross-check rather than a tautology.
     """
-    _require_lattice(space)
+    _require_lattice(sorted_sets(space.basis))
     for u in space.basis:
         for v in space.basis:
             candidates = [w for w in space.basis if w & u <= v]

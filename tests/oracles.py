@@ -79,6 +79,12 @@ def oracle_opens(n, basis):
     return frozenset(out)
 
 
+def oracle_open_implication(ops, a, b):
+    """A -> B on a family of opens as the interior of (complement of A)
+    or B: the union of every open W inside it, that is, W & A <= B."""
+    return frozenset().union(*(w for w in ops if w & a <= b))
+
+
 def oracle_join_condition(logic):
     """The join table must mirror membership-or on every totally prime theory."""
     c = logic.connectives

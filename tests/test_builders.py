@@ -17,9 +17,17 @@ from logictop.builders import (
 )
 from logictop.corpus import POSET_COUNTS, antichain, chain, corpus_frames, discrete_two, indiscrete_two, sierpinski, v_frame
 from logictop.core import sorted_sets
-from logictop.errors import BoundExceeded, NotDistributiveLattice, NotHeyting
+from logictop.errors import BasisNotLattice, BoundExceeded, NotDistributiveLattice, NotHeyting
+from logictop.topology import FiniteSpace
 
-from oracles import canonical_form, oracle_poset_count, oracle_upsets, order_isomorphic
+from oracles import (
+    canonical_form,
+    oracle_open_implication,
+    oracle_opens,
+    oracle_poset_count,
+    oracle_upsets,
+    order_isomorphic,
+)
 
 
 def test_poset_validation():
@@ -141,6 +149,30 @@ def test_open_set_lattice_of_sierpinski_is_chain():
 def test_open_set_lattices_are_heyting(small_spaces):
     for name, space in small_spaces:
         assert open_set_lattice(space).is_heyting, name
+
+
+def test_upset_algebra_is_the_open_set_lattice_of_the_alexandrov_space():
+    for name, frame in corpus_frames(4):
+        alexandrov = FiniteSpace(frame.element_names, tuple(frame.upset(x) for x in range(frame.n)))
+        assert heyting_from_upsets(frame) == open_set_lattice(alexandrov), name
+
+
+def test_open_set_implication_matches_the_interior_oracle(small_spaces):
+    # the upset reading over covered points against int((X - A) | B)
+    for name, space in small_spaces:
+        ops = oracle_opens(space.n_points, space.basis)
+        elements = sorted(ops, key=lambda s: (len(s), sorted(s)))
+        impl = open_set_lattice(space).impl
+        for i, a in enumerate(elements):
+            for j, b in enumerate(elements):
+                assert elements[impl[i][j]] == oracle_open_implication(ops, a, b), (name, a, b)
+
+
+def test_open_set_lattice_needs_intersection_closed_opens():
+    space = FiniteSpace(("a", "b", "c"), ({0, 1}, {1, 2}))
+    with pytest.raises(BasisNotLattice) as err:
+        open_set_lattice(space)
+    assert err.value.witness == (frozenset({0, 1}), frozenset({1, 2}))
 
 
 def test_logic_from_topology_matches_filter_route(chain3_logic):

@@ -59,6 +59,27 @@ def test_spectrum_lists_primes(docs, capsys):
     assert "primes: {a,top} {b,top}" in out
 
 
+L22_SPECTRUM_TEXT = """\
+primes: {a,top} {b,top}
+totally_primes: {a,top} {b,top}
+maximals: {a,top} {b,top}
+minimal_generators: {a,top} {b,top}
+"""
+
+L22_SPECTRUM_JSON = json.dumps(
+    {key: [[1, 3], [2, 3]] for key in ("primes", "totally_primes", "maximals", "minimal_generators")},
+    indent=2,
+) + "\n"
+
+
+def test_spectrum_output_is_pinned(docs, capsys):
+    # all four printed fields, in this order, in both formats
+    assert run_cli(["spectrum", "--input", str(docs / "l22.json")]) == 0
+    assert capsys.readouterr().out == L22_SPECTRUM_TEXT
+    assert run_cli(["spectrum", "--input", str(docs / "l22.json"), "--format", "json"]) == 0
+    assert capsys.readouterr().out == L22_SPECTRUM_JSON
+
+
 def test_space_emits_a_space_document(docs, capsys):
     code = run_cli(["space", "--input", str(docs / "l3.json")])
     assert code == 0
@@ -184,6 +205,7 @@ def test_deeply_nested_input_exits_2(capsys, monkeypatch):
 def test_usage_error_exits_2(capsys):
     assert run_cli(["no-such-command"]) == 2
     assert run_cli([]) == 2
+    assert run_cli(["classify", "--format", "dot"]) == 2
 
 
 def test_domain_error_exits_1(docs, capsys):

@@ -73,6 +73,7 @@ def test_t0_and_sobriety_coincide_on_finite_spaces(small_spaces):
 def test_indiscrete_pair_is_neither_t0_nor_sober():
     report = analyze_space(indiscrete_two())
     assert not report.is_T0 and not report.is_sober
+    assert ("is_T0", (0, 1)) in report.witnesses
     assert not report.is_spectral
 
 
