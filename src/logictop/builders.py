@@ -17,9 +17,16 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
-from .core import AbstractLogic, ConnectiveTables, _close, close_under_intersection, set_key
+from .core import AbstractLogic, ConnectiveTables, _close, _mask, close_under_intersection, set_key
 from .errors import BoundExceeded, NotDistributiveLattice, NotHeyting
-from .topology import FiniteSpace, PointSet, _arrow, _require_lattice, opens as space_opens, specialization_order
+from .topology import (
+    FiniteSpace,
+    PointSet,
+    _arrow_table,
+    _lattice_violation,
+    _require_lattice,
+    opens as space_opens,
+)
 
 LeqMatrix = tuple[tuple[bool, ...], ...]
 
@@ -247,33 +254,27 @@ def _set_name(names: tuple[str, ...], s: frozenset[int]) -> str:
     return "{" + ",".join(names[i] for i in sorted(s)) + "}"
 
 
-def _set_tables(sets: Sequence[PointSet], upsets: list[tuple[int, PointSet]]):
+def _set_tables(sets: Sequence[PointSet], upsets: Sequence[tuple[int, int]]):
     """Join, meet and implication tables of a family of point sets.
 
     Entries are positions in ``sets``: join is union, meet intersection
     (a family not closed under both raises BasisNotLattice with the
-    first pair that leaves it), and A -> B collects the points x of the
-    (x, upset of x) pairs whose upset meets A inside B.  The implication
-    table is None when some A -> B lies outside the family.
+    first pair that leaves it), and A -> B collects the points of the
+    (point bit, upset mask) pairs whose upset meets A inside B.  The
+    implication table is None when some A -> B lies outside the family.
     """
-    _require_lattice(sets)
-    index = {s: i for i, s in enumerate(sets)}
-    join = tuple(tuple(index[a | b] for b in sets) for a in sets)
-    meet = tuple(tuple(index[a & b] for b in sets) for a in sets)
-    impl = []
-    for a in sets:
-        row = []
-        for b in sets:
-            arrow = _arrow(upsets, a, b)
-            if arrow not in index:
-                return join, meet, None
-            row.append(index[arrow])
-        impl.append(tuple(row))
-    return join, meet, tuple(impl)
+    masks = [_mask(s) for s in sets]
+    _require_lattice(_lattice_violation(sets, masks))
+    index = {m: i for i, m in enumerate(masks)}
+    join = tuple(tuple(index[a | b] for b in masks) for a in masks)
+    meet = tuple(tuple(index[a & b] for b in masks) for a in masks)
+    arrows, _ = _arrow_table(masks, upsets, index)
+    impl = None if arrows is None else tuple(tuple(index[arrow] for arrow in row) for row in arrows)
+    return join, meet, impl
 
 
 def _heyting_of_sets(
-    point_names: tuple[str, ...], family: Iterable[PointSet], upsets: list[tuple[int, PointSet]]
+    point_names: tuple[str, ...], family: Iterable[PointSet], upsets: Sequence[tuple[int, int]]
 ) -> FiniteLattice:
     """The Heyting algebra of a union-closed family of point sets holding
     the empty set, graded: the empty set first, the union of all last.
@@ -296,8 +297,9 @@ def heyting_from_upsets(frame: FinitePoset) -> FiniteLattice:
     included.  Join is union, meet is intersection, and A -> B collects
     the points whose upset meets A inside B.
     """
-    upsets = [(x, frame.upset(x)) for x in range(frame.n)]
-    family = _close((frozenset(), *(up for _, up in upsets)), operator.or_)
+    principal = [frame.upset(x) for x in range(frame.n)]
+    family = _close((frozenset(), *principal), operator.or_)
+    upsets = [(1 << x, _mask(up)) for x, up in enumerate(principal)]
     return _heyting_of_sets(frame.element_names, family, upsets)
 
 
@@ -343,9 +345,8 @@ def open_set_lattice(space: FiniteSpace) -> FiniteLattice:
     specialization upset meets A inside B.
     """
     ops = space_opens(space)
-    order = specialization_order(space)
-    covered = frozenset().union(*ops)
-    upsets = [(x, order.upset(x)) for x in sorted(covered)]
+    covered = _mask(frozenset().union(*ops))
+    upsets = [(bit, up) for bit, up in space._index.upsets if bit & covered]
     return _heyting_of_sets(space.point_names, ops, upsets)
 
 

@@ -44,11 +44,14 @@ class _UsageError(Exception):
 
 
 def _read_document(args) -> Document:
-    if args.input is None:
-        text = sys.stdin.read()
-    else:
-        with open(args.input, encoding="utf-8") as fh:
-            text = fh.read()
+    try:
+        if args.input is None:
+            text = sys.stdin.read()
+        else:
+            with open(args.input, encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"input is not UTF-8: {e}") from None
     return parse_document(text)
 
 

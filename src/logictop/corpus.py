@@ -34,7 +34,14 @@ from .core import (
     sorted_sets,
     theory_spectrum,
 )
-from .duality import logic_space, roundtrip_logic, roundtrip_space, stable_iff_disjunction, LogicMap
+from .duality import (
+    LogicMap,
+    analyze_logic_map,
+    logic_space,
+    roundtrip_logic,
+    roundtrip_space,
+    stable_iff_disjunction,
+)
 from .errors import PreconditionViolated
 from .topology import (
     FiniteSpace,
@@ -341,18 +348,20 @@ def criterion_prime_extension(max_points: int = 4, seed: int = 0, samples: int =
 def _stability_pair(task) -> tuple[int, int, str | None]:
     """Sample maps between one (source, target) pair, from the pair's own
     seeded generator, up to the first failure: the sample count, the
-    logic-map count and the failure, if any."""
+    logic-map count and the failure, if any.  Only logic maps go on to
+    the join scan of stable_iff_disjunction."""
     seed, samples, (src_name, src), (tgt_name, tgt) = task
     rng = random.Random((seed, src_name, tgt_name).__repr__())
     logic_maps = 0
     for sampled in range(1, samples + 1):
         mapping = tuple(rng.randrange(tgt.universe_size) for _ in src.exprs)
-        check = stable_iff_disjunction(LogicMap(src, tgt, mapping))
-        if check.stable and not check.is_logic_map:
+        m = LogicMap(src, tgt, mapping)
+        analysis = analyze_logic_map(m)
+        if analysis.is_stable and not analysis.is_logic_map:
             return sampled, logic_maps, f"{src_name}->{tgt_name}: stable non-logic-map {mapping}"
-        if check.is_logic_map:
+        if analysis.is_logic_map:
             logic_maps += 1
-            if not check.agree:
+            if not stable_iff_disjunction(m).agree:
                 return sampled, logic_maps, f"{src_name}->{tgt_name}: lemma fails at {mapping}"
     return samples, logic_maps, None
 

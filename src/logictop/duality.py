@@ -40,7 +40,6 @@ from .topology import (
     is_distributive_space,
     opens,
     point_filter,
-    specialization_order,
 )
 
 
@@ -195,9 +194,7 @@ def space_logic(space: FiniteSpace) -> AbstractLogic:
     n = len(space.basis)
     generators = [point_filter(space, x) for x in range(space.n_points)]
     theories = close_under_intersection(n, generators)
-    order = specialization_order(space)
-    upsets = [(x, order.upset(x)) for x in range(space.n_points)]
-    join, meet, impl = _set_tables(space.basis, upsets)
+    join, meet, impl = _set_tables(space.basis, space._index.upsets)
     index = {u: i for i, u in enumerate(space.basis)}
     top = index.get(space.carrier)
     bottom = index.get(frozenset())

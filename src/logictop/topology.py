@@ -10,16 +10,20 @@ Finite spaces are Alexandrov: the opens are precisely the upsets of the
 specialization order.  The analyses still compute everything from the
 definitions rather than from that shortcut, because several acceptance
 checks compare the two routes.
+
+Each space compiles what the analyses scan once, lazily, into a
+SpaceIndex of int bitmasks (bit x for point x); the readers scan the
+masks and hand point sets back as frozensets.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Sequence
+from functools import cached_property, lru_cache
+from typing import Container, Iterable, Sequence
 
-from .core import _close, set_key, sorted_sets
+from .core import _close, _mask, set_key, sorted_sets
 from .errors import (
     BasisNotLattice,
     NoImplication,
@@ -83,6 +87,106 @@ class FiniteSpace:
     def point_index(self, name: str) -> int:
         return self.point_names.index(name)
 
+    @cached_property
+    def _index(self) -> SpaceIndex:
+        return SpaceIndex.of(self)
+
+
+def _members(mask: int) -> PointSet:
+    """A bitmask as a point set: x is a member when bit x is set."""
+    return frozenset(x for x in range(mask.bit_length()) if mask >> x & 1)
+
+
+def _arrow(upsets: Iterable[tuple[int, int]], a: int, b: int) -> int:
+    """A -> B on bitmasks: the bits of the (point bit, upset mask) pairs
+    whose upset meets a only inside b."""
+    outside = a & ~b
+    arrow = 0
+    for bit, up in upsets:
+        if not up & outside:
+            arrow |= bit
+    return arrow
+
+
+def _arrow_table(
+    masks: Sequence[int], upsets: Sequence[tuple[int, int]], members: Container[int]
+) -> tuple[tuple[tuple[int, ...], ...] | None, tuple[int, int] | None]:
+    """Every arrow of the masks, row by row, while it stays in members.
+
+    Returns the table of arrow masks and None, or None and the positions
+    (i, j) of the first pair whose arrow leaves members.
+    """
+    rows = []
+    for i, a in enumerate(masks):
+        row = []
+        for j, b in enumerate(masks):
+            arrow = _arrow(upsets, a, b)
+            if arrow not in members:
+                return None, (i, j)
+            row.append(arrow)
+        rows.append(tuple(row))
+    return tuple(rows), None
+
+
+@dataclass(frozen=True)
+class SpaceIndex:
+    """A space's basis, specialization upsets, opens and implication, compiled once.
+
+    Built lazily, once per FiniteSpace object (its ``_index``).  Point
+    sets are int bitmasks, bit x for point x; ``carrier`` has every
+    point's bit.  ``basis`` follows sorted_sets order, so scanning it
+    finds the same first witness as scanning the sorted frozensets;
+    ``masks`` holds it as bitmasks and ``mask_set`` answers membership.
+    ``upsets`` pairs each point's bit with its specialization upset;
+    ``opens`` and ``closed`` are the opens and their complements.
+    ``lattice_violation`` is the first basic pair whose union or
+    intersection is not basic, and ``implication_witness`` the first
+    whose arrow is not basic.  The arrow table itself is not kept: it
+    grows with the square of the basis and only check_adjunction reads
+    it again.
+    """
+
+    carrier: int
+    basis: tuple[PointSet, ...]
+    masks: tuple[int, ...]
+    mask_set: frozenset[int]
+    upsets: tuple[tuple[int, int], ...]
+    opens: frozenset[int]
+    closed: frozenset[int]
+    lattice_violation: tuple[PointSet, PointSet] | None
+    implication_witness: tuple[PointSet, PointSet] | None
+
+    @classmethod
+    def of(cls, space: FiniteSpace) -> SpaceIndex:
+        carrier = (1 << space.n_points) - 1
+        basis = tuple(sorted_sets(space.basis))
+        masks = tuple(_mask(u) for u in basis)
+        mask_set = frozenset(masks)
+        order = specialization_order(space)
+        upsets = tuple((1 << x, _mask(order.upset(x))) for x in range(space.n_points))
+        open_masks = frozenset(_mask(o) for o in opens(space))
+        _, bad = _arrow_table(masks, upsets, mask_set)
+        return cls(
+            carrier=carrier,
+            basis=basis,
+            masks=masks,
+            mask_set=mask_set,
+            upsets=upsets,
+            opens=open_masks,
+            closed=frozenset(carrier & ~o for o in open_masks),
+            lattice_violation=_lattice_violation(basis, masks),
+            implication_witness=None if bad is None else (basis[bad[0]], basis[bad[1]]),
+        )
+
+    def closure(self, a: int) -> int:
+        """The smallest closed superset of a: the carrier minus every
+        basic open that misses a."""
+        missing = 0
+        for u in self.masks:
+            if not u & a:
+                missing |= u
+        return self.carrier & ~missing
+
 
 @dataclass(frozen=True)
 class SpecializationOrder:
@@ -134,7 +238,7 @@ def opens(space: FiniteSpace) -> frozenset[PointSet]:
 
 
 def closed_sets(space: FiniteSpace) -> frozenset[PointSet]:
-    return frozenset(space.carrier - o for o in opens(space))
+    return frozenset(_members(c) for c in space._index.closed)
 
 
 def closure(space: FiniteSpace, A: Iterable[int]) -> PointSet:
@@ -142,11 +246,7 @@ def closure(space: FiniteSpace, A: Iterable[int]) -> PointSet:
     a = frozenset(A)
     if not a <= space.carrier:
         raise ValueError(f"points {set_key(a - space.carrier)} outside the carrier")
-    out = space.carrier
-    for c in closed_sets(space):
-        if a <= c and c < out:
-            out = c
-    return out
+    return _members(space._index.closure(_mask(a)))
 
 
 def _t0_witness(space: FiniteSpace) -> tuple[int, int] | None:
@@ -171,24 +271,26 @@ def point_filter(space: FiniteSpace, x: int) -> frozenset[int]:
 
 def irreducible_closed_sets(space: FiniteSpace) -> tuple[PointSet, ...]:
     """Non-empty closed sets that are not unions of two smaller closed sets."""
-    cls = closed_sets(space)
+    cls = space._index.closed
     out = []
     for f in cls:
         if not f:
             continue
-        parts = [c for c in cls if c <= f and c != f]
+        parts = [c for c in cls if not c & ~f and c != f]
         if any(c1 | c2 == f for c1 in parts for c2 in parts):
             continue
-        out.append(f)
+        out.append(_members(f))
     return tuple(sorted_sets(out))
 
 
 def generic_point(space: FiniteSpace, F: Iterable[int]) -> tuple[int | None, bool]:
     """A point whose closure is F, if any, with a uniqueness flag."""
     f = frozenset(F)
-    if f not in closed_sets(space) or not f:
+    index = space._index
+    target = _mask(f) if f <= space.carrier else None
+    if not f or target not in index.closed:
         raise NotClosed(f"{set_key(f)} is not a non-empty closed set", witness=f)
-    candidates = [y for y in sorted(f) if closure(space, {y}) == f]
+    candidates = [y for y in sorted(f) if index.closure(1 << y) == target]
     if not candidates:
         return None, False
     return candidates[0], len(candidates) == 1
@@ -204,11 +306,6 @@ def specialization_order(space: FiniteSpace) -> SpecializationOrder:
     return SpecializationOrder(space.point_names, matrix)
 
 
-def _arrow(upsets: Iterable[tuple[int, PointSet]], u: PointSet, v: PointSet) -> PointSet:
-    """The points x, among (x, upset of x) pairs, whose upset meets u only inside v."""
-    return frozenset(x for x, up in upsets if up & u <= v)
-
-
 def implication_open(space: FiniteSpace, U: Iterable[int], V: Iterable[int]) -> PointSet:
     """The set of points x whose upset meets U only inside V.
 
@@ -221,8 +318,7 @@ def implication_open(space: FiniteSpace, U: Iterable[int], V: Iterable[int]) -> 
         raise NotBasic(f"U={set_key(u)} is not basic", witness=u)
     if v not in space.basis:
         raise NotBasic(f"V={set_key(v)} is not basic", witness=v)
-    order = specialization_order(space)
-    return _arrow(((x, order.upset(x)) for x in range(space.n_points)), u, v)
+    return _members(_arrow(space._index.upsets, _mask(u), _mask(v)))
 
 
 def has_implication(space: FiniteSpace) -> tuple[bool, tuple[PointSet, PointSet] | None]:
@@ -231,27 +327,25 @@ def has_implication(space: FiniteSpace) -> tuple[bool, tuple[PointSet, PointSet]
     The empty set only counts when the basis lists it; a basis without
     the empty open loses implications that come out empty.
     """
-    basic = set(space.basis)
-    ordered = sorted_sets(space.basis)
-    for u in ordered:
-        for v in ordered:
-            if implication_open(space, u, v) not in basic:
-                return False, (u, v)
-    return True, None
+    witness = space._index.implication_witness
+    return witness is None, witness
 
 
-def _lattice_violation(sets: Sequence[PointSet]) -> tuple[PointSet, PointSet] | None:
-    """The first pair, in list order, whose union or intersection leaves the list."""
-    members = set(sets)
-    for u in sets:
-        for v in sets:
-            if u | v not in members or u & v not in members:
+def _lattice_violation(
+    sets: Sequence[PointSet], masks: Sequence[int]
+) -> tuple[PointSet, PointSet] | None:
+    """The first pair, in list order, whose union or intersection leaves
+    the list; ``masks`` holds the sets as bitmasks, in the same order."""
+    members = set(masks)
+    for u, mu in zip(sets, masks):
+        for v, mv in zip(sets, masks):
+            if mu | mv not in members or mu & mv not in members:
                 return (u, v)
     return None
 
 
-def _require_lattice(sets: Sequence[PointSet]) -> None:
-    bad = _lattice_violation(sets)
+def _require_lattice(bad: tuple[PointSet, PointSet] | None) -> None:
+    """Raise BasisNotLattice for a lattice violation, if there is one."""
     if bad is not None:
         raise BasisNotLattice(
             f"basis not closed under union/intersection at {set_key(bad[0])}, {set_key(bad[1])}",
@@ -269,20 +363,17 @@ def prime_filters_on_basis(space: FiniteSpace) -> tuple[frozenset[int], ...]:
     open (the whole lattice) is admitted, matching the point filter of a
     point lying in every basic open.
     """
-    _require_lattice(sorted_sets(space.basis))
-    empty = frozenset()
+    index = space._index
+    _require_lattice(index.lattice_violation)
+    masks = [_mask(u) for u in space.basis]
     out = set()
-    basis = space.basis
-    for g in basis:
-        if g == empty:
+    for g in masks:
+        if not g:
             continue  # its upset contains the empty open, never proper
-        members = frozenset(i for i, u in enumerate(basis) if g <= u)
-        prime = all(
-            not (g <= u | v) or (g <= u) or (g <= v)
-            for u in basis for v in basis
-        )
-        if prime:
-            out.add(members)
+        outside = [u for u in masks if g & ~u]
+        if any(not g & ~(u | v) for u in outside for v in outside):
+            continue  # g lies below a join of two opens it does not lie below
+        out.add(frozenset(i for i, u in enumerate(masks) if not g & ~u))
     return tuple(sorted(out, key=set_key))
 
 
@@ -295,15 +386,17 @@ def is_distributive_space(space: FiniteSpace) -> DistributiveSpaceVerdict:
     basis are exactly the point filters.  Bounded means the basis lists
     both the empty set and the carrier.
     """
-    bounded = frozenset() in space.basis and space.carrier in space.basis
+    index = space._index
+    bounded = 0 in index.mask_set and index.carrier in index.mask_set
     if space.uncovered:
         return DistributiveSpaceVerdict(False, bounded, ("carrier-not-covered", None))
     if not is_t0(space):
         return DistributiveSpaceVerdict(False, bounded, ("not-T0", None))
-    extra = opens(space) - set(space.basis) - {frozenset()}
+    extra = index.opens - index.mask_set - {0}
     if extra:
-        return DistributiveSpaceVerdict(False, bounded, ("open-not-basic", sorted_sets(extra)[0]))
-    bad = _lattice_violation(sorted_sets(space.basis))
+        first = sorted_sets(map(_members, extra))[0]
+        return DistributiveSpaceVerdict(False, bounded, ("open-not-basic", first))
+    bad = index.lattice_violation
     if bad is not None:
         return DistributiveSpaceVerdict(False, bounded, ("basis-not-lattice", bad))
     filters = set(prime_filters_on_basis(space))
@@ -319,13 +412,14 @@ def check_adjunction(space: FiniteSpace) -> tuple[bool, tuple | None]:
     ok, witness = has_implication(space)
     if not ok:
         raise NoImplication(f"implication leaves the basis at {witness}", witness=witness)
-    ordered = sorted_sets(space.basis)
-    for u in ordered:
-        for v in ordered:
-            arrow = implication_open(space, u, v)
-            for w in ordered:
-                if (w <= arrow) != (w & u <= v):
-                    return False, (u, v, w)
+    index = space._index
+    masks = index.masks
+    for i, u in enumerate(masks):
+        for j, v in enumerate(masks):
+            arrow, outside = _arrow(index.upsets, u, v), u & ~v
+            for k, w in enumerate(masks):
+                if (not w & ~arrow) != (not w & outside):
+                    return False, (index.basis[i], index.basis[j], index.basis[k])
     return True, None
 
 
@@ -333,7 +427,8 @@ def analyze_space(space: FiniteSpace) -> SpaceReport:
     """Every flag of the space report, each from its definition."""
     witnesses: list[tuple[str, object]] = []
     n = space.n_points
-    ops = opens(space)
+    index = space._index
+    ops = index.opens
 
     twins = _t0_witness(space)
     t0 = twins is None
@@ -345,7 +440,7 @@ def analyze_space(space: FiniteSpace) -> SpaceReport:
     if not covers:
         witnesses.append(("covers_carrier", min(uncovered)))
 
-    compact = space.carrier in ops
+    compact = index.carrier in ops
 
     sober = True
     for f in irreducible_closed_sets(space):
@@ -355,14 +450,15 @@ def analyze_space(space: FiniteSpace) -> SpaceReport:
             witnesses.append(("is_sober", f))
             break
 
-    basis_is_all_opens = set(space.basis) == ops
-    inter_closed = all(u & v in ops for u in space.basis for v in space.basis)
+    basis_is_all_opens = index.mask_set == ops
+    inter_closed = all(u & v in ops for u in index.masks for v in index.masks)
     spectral = covers and t0 and sober and basis_is_all_opens
 
     hausdorff = True
+    around = [[u for u in ops if u >> x & 1] for x in range(n)]
     for x in range(n):
         for y in range(x + 1, n):
-            if not any(x in u and y in v and not (u & v) for u in ops for v in ops):
+            if not any(not u & v for u in around[x] for v in around[y]):
                 hausdorff = False
                 if spectral:
                     witnesses.append(("is_boolean", (x, y)))
@@ -417,14 +513,21 @@ def is_heyting_basis(space: FiniteSpace) -> bool:
     basic W with W and U intersecting inside V, and the question is
     whether a greatest candidate exists in the lattice.  No appeal to
     the specialization order is made, so agreement with has_implication
-    is a genuine cross-check rather than a tautology.
+    is a genuine cross-check rather than a tautology.  A greatest
+    candidate exists exactly when the union of the candidates (their
+    join in the lattice) is basic; with no candidate that union is the
+    empty set, which is then not basic.
     """
-    _require_lattice(sorted_sets(space.basis))
-    for u in space.basis:
-        for v in space.basis:
-            candidates = [w for w in space.basis if w & u <= v]
-            if not candidates:
-                return False
-            if not any(all(c <= w for c in candidates) for w in candidates):
+    index = space._index
+    _require_lattice(index.lattice_violation)
+    masks = index.masks
+    for u in masks:
+        for v in masks:
+            outside = u & ~v
+            join = 0
+            for w in masks:
+                if not w & outside:
+                    join |= w
+            if join not in index.mask_set:
                 return False
     return True

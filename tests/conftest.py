@@ -49,5 +49,12 @@ def small_spaces():
 
 
 @pytest.fixture(scope="session")
+def wide_spaces():
+    """Every corpus space: the spectra of all distributive corpus logics
+    up to five frame points plus the hand-built spaces."""
+    return corpus_spaces(5)
+
+
+@pytest.fixture(scope="session")
 def quartet():
     return degenerate_quartet()

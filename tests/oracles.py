@@ -71,7 +71,18 @@ def oracle_generates(theories, candidate):
     )
 
 
+def point_sets(n):
+    """Every subset of range(n)."""
+    return [frozenset(x for x in range(n) if mask >> x & 1) for mask in range(1 << n)]
+
+
 def oracle_opens(n, basis):
+    """Pointwise: U is open when it is the union of the basic opens inside it."""
+    basis = [frozenset(b) for b in basis]
+    return frozenset(u for u in point_sets(n) if frozenset().union(*(b for b in basis if b <= u)) == u)
+
+
+def oracle_opens_by_unions(n, basis):
     """Unions of every subset of the basis, plus the empty union."""
     out = {frozenset()}
     for sub in subfamilies(basis):
@@ -83,6 +94,180 @@ def oracle_open_implication(ops, a, b):
     """A -> B on a family of opens as the interior of (complement of A)
     or B: the union of every open W inside it, that is, W & A <= B."""
     return frozenset().union(*(w for w in ops if w & a <= b))
+
+
+def oracle_closure(n, ops, a):
+    """The intersection of every closed set (complement of an open) holding a."""
+    carrier = frozenset(range(n))
+    return intersect_all([carrier - o for o in ops if frozenset(a) <= carrier - o])
+
+
+def oracle_specialization_upsets(n, basis):
+    """For each point x, the points lying in every basic open around x."""
+    basis = [frozenset(b) for b in basis]
+    return [frozenset(y for y in range(n) if all(y in b for b in basis if x in b)) for x in range(n)]
+
+
+def oracle_implication(upsets, u, v):
+    """U -> V pointwise: the points x whose upset meets U only inside V."""
+    return frozenset(x for x, up in enumerate(upsets) if up & u <= v)
+
+
+def oracle_has_implication(n, basis):
+    """Whether every U -> V of basic opens is basic, with the first
+    failing pair in sorted order."""
+    upsets = oracle_specialization_upsets(n, basis)
+    ordered = sorted((frozenset(b) for b in basis), key=sorted)
+    for u in ordered:
+        for v in ordered:
+            if oracle_implication(upsets, u, v) not in ordered:
+                return False, (u, v)
+    return True, None
+
+
+def oracle_adjunction(n, basis):
+    """W inside U -> V exactly when W meets U inside V, with the first
+    failing basic triple in sorted order."""
+    upsets = oracle_specialization_upsets(n, basis)
+    ordered = sorted((frozenset(b) for b in basis), key=sorted)
+    for u in ordered:
+        for v in ordered:
+            arrow = oracle_implication(upsets, u, v)
+            for w in ordered:
+                if (w <= arrow) != (w & u <= v):
+                    return False, (u, v, w)
+    return True, None
+
+
+def _point_filter(basis, x):
+    return frozenset(i for i, b in enumerate(basis) if x in b)
+
+
+def _t0_witness(n, basis):
+    seen = {}
+    for x in range(n):
+        profile = _point_filter(basis, x)
+        if profile in seen:
+            return seen[profile], x
+        seen[profile] = x
+    return None
+
+
+def _irreducible_closed_sets(closeds):
+    """Non-empty closed sets that are no union of two smaller ones, sorted."""
+    out = []
+    for f in closeds:
+        parts = [c for c in closeds if c < f]
+        if f and not any(c1 | c2 == f for c1 in parts for c2 in parts):
+            out.append(f)
+    return sorted(out, key=sorted)
+
+
+def oracle_analyze_space(n, basis):
+    """The fields of topology.SpaceReport from the definitions, over
+    frozensets and the oracle opens, witnesses in the report's order."""
+    basis = [frozenset(b) for b in basis]
+    carrier = frozenset(range(n))
+    ops = oracle_opens(n, basis)
+    witnesses = []
+    twins = _t0_witness(n, basis)
+    if twins is not None:
+        witnesses.append(("is_T0", twins))
+    uncovered = carrier.difference(*basis)
+    if uncovered:
+        witnesses.append(("covers_carrier", min(uncovered)))
+    sober = True
+    for f in _irreducible_closed_sets({carrier - o for o in ops}):
+        if len([y for y in f if oracle_closure(n, ops, {y}) == f]) != 1:
+            sober = False
+            witnesses.append(("is_sober", f))
+            break
+    basis_is_all_opens = set(basis) == ops
+    spectral = not uncovered and twins is None and sober and basis_is_all_opens
+    apart = next(
+        ((x, y) for x in range(n) for y in range(x + 1, n)
+         if not any(x in u and y in v and not u & v for u in ops for v in ops)),
+        None,
+    )
+    if apart is not None and spectral:
+        witnesses.append(("is_boolean", apart))
+    impl_ok, impl_witness = oracle_has_implication(n, basis)
+    if not impl_ok:
+        witnesses.append(("has_implication", impl_witness))
+    return {
+        "is_T0": twins is None,
+        "covers_carrier": not uncovered,
+        "is_compact": carrier in ops,
+        "is_sober": sober,
+        "is_spectral": spectral,
+        "is_boolean": spectral and apart is None,
+        "has_implication": impl_ok,
+        "basis_is_all_opens": basis_is_all_opens,
+        "basis_intersection_closed": all(u & v in ops for u in basis for v in basis),
+        "witnesses": tuple(witnesses),
+    }
+
+
+def oracle_lattice_violation(basis):
+    """The first pair of basic opens, in sorted order, whose union or
+    intersection is not basic, or None."""
+    ordered = sorted((frozenset(b) for b in basis), key=sorted)
+    for u in ordered:
+        for v in ordered:
+            if u | v not in ordered or u & v not in ordered:
+                return (u, v)
+    return None
+
+
+def oracle_prime_filters(basis):
+    """The join-prime principal filters of a basis lattice, as sets of
+    basis indices, sorted; properness is avoiding the empty open."""
+    basis = [frozenset(b) for b in basis]
+    filters = {
+        frozenset(i for i, u in enumerate(basis) if g <= u)
+        for g in basis
+        if g and all(not g <= u | v or g <= u or g <= v for u in basis for v in basis)
+    }
+    return tuple(sorted(filters, key=sorted))
+
+
+def oracle_is_heyting_basis(basis):
+    """Whether, for all basic U, V, the basic W meeting U inside V have a greatest member."""
+    basis = [frozenset(b) for b in basis]
+    for u in basis:
+        for v in basis:
+            candidates = [w for w in basis if w & u <= v]
+            if not any(all(c <= w for c in candidates) for w in candidates):
+                return False
+    return True
+
+
+def oracle_is_distributive_space(n, basis):
+    """The fields of topology.DistributiveSpaceVerdict from the
+    definitions: T0, covering, every non-empty open basic, the sorted
+    basis a lattice, prime filters on it exactly the point filters."""
+    basis = [frozenset(b) for b in basis]
+    carrier = frozenset(range(n))
+    bounded = frozenset() in basis and carrier in basis
+
+    def verdict(distributive, witness):
+        return {"distributive": distributive, "bounded": bounded, "witness": witness}
+
+    if carrier.difference(*basis):
+        return verdict(False, ("carrier-not-covered", None))
+    if _t0_witness(n, basis) is not None:
+        return verdict(False, ("not-T0", None))
+    extra = oracle_opens(n, basis) - set(basis) - {frozenset()}
+    if extra:
+        return verdict(False, ("open-not-basic", min(extra, key=sorted)))
+    bad = oracle_lattice_violation(basis)
+    if bad is not None:
+        return verdict(False, ("basis-not-lattice", bad))
+    filters = set(oracle_prime_filters(basis))
+    points = {_point_filter(basis, x) for x in range(n)}
+    if filters != points:
+        return verdict(False, ("filter-point-mismatch", min(filters ^ points, key=sorted)))
+    return verdict(True, None)
 
 
 def oracle_join_condition(logic):

@@ -157,9 +157,9 @@ def test_upset_algebra_is_the_open_set_lattice_of_the_alexandrov_space():
         assert heyting_from_upsets(frame) == open_set_lattice(alexandrov), name
 
 
-def test_open_set_implication_matches_the_interior_oracle(small_spaces):
+def test_open_set_implication_matches_the_interior_oracle(wide_spaces):
     # the upset reading over covered points against int((X - A) | B)
-    for name, space in small_spaces:
+    for name, space in wide_spaces:
         ops = oracle_opens(space.n_points, space.basis)
         elements = sorted(ops, key=lambda s: (len(s), sorted(s)))
         impl = open_set_lattice(space).impl

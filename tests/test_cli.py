@@ -202,6 +202,21 @@ def test_deeply_nested_input_exits_2(capsys, monkeypatch):
     assert "nested too deeply" in capsys.readouterr().err
 
 
+def test_non_utf8_stdin_exits_2(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8"))
+    assert run_cli(["classify"]) == 2
+    assert "error: input is not UTF-8" in capsys.readouterr().err
+
+
+def test_non_utf8_input_file_exits_2(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    assert run_cli(["classify", "--input", str(binary)]) == 2
+    assert "error: input is not UTF-8" in capsys.readouterr().err
+
+
 def test_usage_error_exits_2(capsys):
     assert run_cli(["no-such-command"]) == 2
     assert run_cli([]) == 2

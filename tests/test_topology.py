@@ -1,6 +1,9 @@
 """Finite spaces: opens, separation, sobriety, implication, filters."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logictop.corpus import discrete_two, indiscrete_two, one_point, lv3
 from logictop.duality import logic_space
@@ -25,7 +28,23 @@ from logictop.topology import (
     specialization_order,
 )
 
-from oracles import oracle_opens, oracle_t0
+from oracles import (
+    oracle_adjunction,
+    oracle_analyze_space,
+    oracle_closure,
+    oracle_has_implication,
+    oracle_implication,
+    oracle_is_distributive_space,
+    oracle_is_heyting_basis,
+    oracle_lattice_violation,
+    oracle_open_implication,
+    oracle_opens,
+    oracle_opens_by_unions,
+    oracle_prime_filters,
+    oracle_specialization_upsets,
+    oracle_t0,
+    point_sets,
+)
 
 
 def test_space_validation():
@@ -37,9 +56,19 @@ def test_space_validation():
         FiniteSpace(("a",), (frozenset(), frozenset()))
 
 
-def test_opens_match_union_oracle(small_spaces):
-    for name, space in small_spaces:
+def test_opens_match_union_oracle(wide_spaces):
+    for name, space in wide_spaces:
         assert opens(space) == oracle_opens(space.n_points, space.basis), name
+
+
+def test_pointwise_opens_oracle_matches_the_unions_of_subfamilies(small_spaces):
+    checked = 0
+    for name, space in small_spaces:
+        if len(space.basis) <= 10:
+            checked += 1
+            n, basis = space.n_points, space.basis
+            assert oracle_opens(n, basis) == oracle_opens_by_unions(n, basis), name
+    assert checked
 
 
 def test_closed_sets_are_complements(chain_space):
@@ -104,9 +133,9 @@ def test_specialization_of_vframe_spectrum(vframe_logic):
     assert order.is_antisymmetric
 
 
-def test_specialization_antisymmetric_iff_t0(small_spaces):
-    assert any(not is_t0(space) for _, space in small_spaces)
-    for name, space in small_spaces:
+def test_specialization_antisymmetric_iff_t0(wide_spaces):
+    assert any(not is_t0(space) for _, space in wide_spaces)
+    for name, space in wide_spaces:
         antisymmetric = specialization_order(space).is_antisymmetric
         assert antisymmetric == is_t0(space) == oracle_t0(space.n_points, space.basis), name
 
@@ -247,3 +276,69 @@ def test_heyting_readings_split_without_covering(quartet):
     assert frozenset().union(*space.basis) != space.carrier
     assert is_heyting_basis(space)
     assert not has_implication(space)[0]
+
+
+def _assert_matches_the_oracles(space, label):
+    """Every verdict and witness the space index feeds, against the
+    frozenset oracles."""
+    n, basis = space.n_points, space.basis
+    ops = oracle_opens(n, basis)
+    impl = oracle_has_implication(n, basis)
+    assert has_implication(space) == impl, label
+    if impl[0]:
+        assert check_adjunction(space) == oracle_adjunction(n, basis), label
+    else:
+        with pytest.raises(NoImplication):
+            check_adjunction(space)
+    upsets = oracle_specialization_upsets(n, basis)
+    covered = frozenset().union(*basis)
+    opens_meet = all(u & v in ops for u in ops for v in ops)
+    for u in basis:
+        for v in basis:
+            arrow = implication_open(space, u, v)
+            assert arrow == oracle_implication(upsets, u, v), (label, u, v)
+            if opens_meet:
+                # with opens closed under intersection, the upset and the
+                # interior readings agree off the uncovered points
+                assert arrow & covered == oracle_open_implication(ops, u, v), (label, u, v)
+    for a in point_sets(n):
+        assert closure(space, a) == oracle_closure(n, ops, a), (label, a)
+    assert dataclasses.asdict(analyze_space(space)) == oracle_analyze_space(n, basis), label
+    assert dataclasses.asdict(is_distributive_space(space)) == oracle_is_distributive_space(n, basis), label
+    bad = oracle_lattice_violation(basis)
+    if bad is None:
+        assert prime_filters_on_basis(space) == oracle_prime_filters(basis), label
+        assert is_heyting_basis(space) == oracle_is_heyting_basis(basis), label
+    else:
+        for reader in (prime_filters_on_basis, is_heyting_basis):
+            with pytest.raises(BasisNotLattice) as err:
+                reader(space)
+            assert err.value.witness == bad, label
+
+
+def test_space_index_matches_the_frozenset_oracles_on_the_wide_corpus(wide_spaces):
+    spaces = list(wide_spaces)
+    spaces += [(f"constructible({name})", constructible_topology(space))
+               for name, space in wide_spaces if analyze_space(space).is_spectral]
+    # the verdicts read only the point count and the basis; refinements repeat the discrete spaces
+    distinct = {(space.n_points, space.basis): (name, space) for name, space in spaces}
+    for name, space in distinct.values():
+        _assert_matches_the_oracles(space, name)
+
+
+@st.composite
+def _random_spaces(draw):
+    """A random basis on up to five points, or the opens it generates
+    (union-closed, often a lattice), in a drawn order."""
+    n = draw(st.integers(0, 5))
+    points = st.frozensets(st.integers(0, n - 1), max_size=n) if n else st.just(frozenset())
+    basis = draw(st.lists(points, unique=True, max_size=10))
+    if draw(st.booleans()):
+        basis = draw(st.permutations(sorted(oracle_opens(n, basis), key=sorted)))
+    return FiniteSpace(tuple(f"p{x}" for x in range(n)), tuple(basis))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_spaces())
+def test_space_index_matches_the_frozenset_oracles(space):
+    _assert_matches_the_oracles(space, space.basis)
