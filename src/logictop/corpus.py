@@ -312,7 +312,10 @@ def criterion_generic_points(max_points: int = 4) -> CriterionResult:
 
 def criterion_prime_extension(max_points: int = 4, seed: int = 0, samples: int = 1000) -> CriterionResult:
     """Random admissible (theory, join-closed set) pairs extend to primes,
-    cross-checked against the enumerated primes."""
+    cross-checked against the enumerated primes.
+
+    Every draw counts, but each distinct closure and each distinct
+    (theory, closure) pair of a logic is computed once."""
     failures = []
     checked = 0
     for name, logic in _distributive_logics(max_points):
@@ -322,48 +325,82 @@ def criterion_prime_extension(max_points: int = 4, seed: int = 0, samples: int =
             continue
         rng = random.Random((seed, name).__repr__())
         theories = sorted_sets(logic.theories)
+        rests = [sorted(set(logic.exprs) - t) for t in theories]
         primes = theory_spectrum(logic).primes
+        closures: dict[frozenset[int], frozenset[int]] = {}
+        verdicts: dict[tuple[frozenset[int], frozenset[int]], str | None] = {}
         for _ in range(samples):
-            t = theories[rng.randrange(len(theories))]
-            rest = sorted(set(logic.exprs) - t)
+            i = rng.randrange(len(theories))
+            t, rest = theories[i], rests[i]
             if not rest:
                 continue
             b = frozenset(rng.sample(rest, rng.randint(1, len(rest))))
-            s = disjunctive_closure(logic, b)
+            s = closures.get(b)
+            if s is None:
+                s = closures[b] = disjunctive_closure(logic, b)
             if s & t:
                 continue
             checked += 1
-            try:
-                p = prime_extension(logic, t, s)
-            except PreconditionViolated:
-                failures.append(f"{name}: precondition rejected a valid pair")
-                continue
-            oracle = {q for q in primes if t <= q and not (q & s)}
-            if not oracle or p not in oracle or not (t <= p) or (p & s):
-                failures.append(f"{name}: extension disagrees with enumeration")
-                break
+            if (t, s) not in verdicts:
+                verdicts[t, s] = _extension_failure(logic, primes, t, s)
+            failure = verdicts[t, s]
+            # A rejection is reported on every draw; a disagreement ends
+            # this logic's draws.
+            if failure is not None:
+                failures.append(f"{name}: {failure}")
+                if failure != _REJECTED:
+                    break
     return _result(5, "prime-extension", checked, f"{checked} sampled pairs", failures)
+
+
+_REJECTED = "precondition rejected a valid pair"
+
+
+def _extension_failure(logic: AbstractLogic, primes, t: frozenset[int], s: frozenset[int]) -> str | None:
+    """Why the prime extension of t avoiding s fails criterion 5, or None."""
+    try:
+        p = prime_extension(logic, t, s)
+    except PreconditionViolated:
+        return _REJECTED
+    oracle = {q for q in primes if t <= q and not (q & s)}
+    if not oracle or p not in oracle or not (t <= p) or (p & s):
+        return "extension disagrees with enumeration"
+    return None
 
 
 def _stability_pair(task) -> tuple[int, int, str | None]:
     """Sample maps between one (source, target) pair, from the pair's own
     seeded generator, up to the first failure: the sample count, the
-    logic-map count and the failure, if any.  Only logic maps go on to
-    the join scan of stable_iff_disjunction."""
+    logic-map count and the failure, if any.  Every draw counts, but each
+    distinct mapping is analysed once; only logic maps go on to the join
+    scan of stable_iff_disjunction."""
     seed, samples, (src_name, src), (tgt_name, tgt) = task
     rng = random.Random((seed, src_name, tgt_name).__repr__())
+    width, images = src.universe_size, tgt.universe_size
+    verdicts: dict[tuple[int, ...], tuple[bool, bool, bool]] = {}
     logic_maps = 0
     for sampled in range(1, samples + 1):
-        mapping = tuple(rng.randrange(tgt.universe_size) for _ in src.exprs)
-        m = LogicMap(src, tgt, mapping)
-        analysis = analyze_logic_map(m)
-        if analysis.is_stable and not analysis.is_logic_map:
+        mapping = tuple(rng.randrange(images) for _ in range(width))
+        verdict = verdicts.get(mapping)
+        if verdict is None:
+            verdict = verdicts[mapping] = _map_verdict(src, tgt, mapping)
+        is_stable, is_logic_map, agree = verdict
+        if is_stable and not is_logic_map:
             return sampled, logic_maps, f"{src_name}->{tgt_name}: stable non-logic-map {mapping}"
-        if analysis.is_logic_map:
+        if is_logic_map:
             logic_maps += 1
-            if not stable_iff_disjunction(m).agree:
+            if not agree:
                 return sampled, logic_maps, f"{src_name}->{tgt_name}: lemma fails at {mapping}"
     return samples, logic_maps, None
+
+
+def _map_verdict(src: AbstractLogic, tgt: AbstractLogic, mapping: tuple[int, ...]) -> tuple[bool, bool, bool]:
+    """(is_stable, is_logic_map, agree) for one mapping; agree is the
+    lemma's verdict on a logic map and False on anything else."""
+    m = LogicMap(src, tgt, mapping)
+    analysis = analyze_logic_map(m)
+    agree = analysis.is_logic_map and stable_iff_disjunction(m).agree
+    return analysis.is_stable, analysis.is_logic_map, agree
 
 
 def criterion_stability_lemma(

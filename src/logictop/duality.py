@@ -13,6 +13,7 @@ rather than up to isomorphism.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,6 +44,23 @@ from .topology import (
 )
 
 
+def _images(mapping, n_source: int, n_target: int, what: str) -> tuple[int, ...]:
+    """The mapping as a tuple of integer images, one per source element,
+    each in range(n_target); a bad image raises ValueError naming its position."""
+    images = []
+    for a, b in enumerate(mapping):
+        try:
+            images.append(operator.index(b))
+        except TypeError:
+            raise ValueError(f"image {b!r} of {what} {a} is not an integer") from None
+    if len(images) != n_source:
+        raise ValueError(f"one image per source {what}")
+    for a, b in enumerate(images):
+        if not 0 <= b < n_target:
+            raise ValueError(f"image {b} of {what} {a} out of range")
+    return tuple(images)
+
+
 @dataclass(frozen=True)
 class LogicMap:
     """An expression translation between two logics."""
@@ -52,12 +70,8 @@ class LogicMap:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "mapping", tuple(int(v) for v in self.mapping))
-        if len(self.mapping) != self.source.universe_size:
-            raise ValueError("one image per source expression")
-        for a, b in enumerate(self.mapping):
-            if not 0 <= b < self.target.universe_size:
-                raise ValueError(f"image {b} of expression {a} out of range")
+        images = _images(self.mapping, self.source.universe_size, self.target.universe_size, "expression")
+        object.__setattr__(self, "mapping", images)
 
     def __call__(self, a: int) -> int:
         return self.mapping[a]
@@ -75,12 +89,8 @@ class PointMap:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "mapping", tuple(int(v) for v in self.mapping))
-        if len(self.mapping) != self.source.n_points:
-            raise ValueError("one image per source point")
-        for x, y in enumerate(self.mapping):
-            if not 0 <= y < self.target.n_points:
-                raise ValueError(f"image {y} of point {x} out of range")
+        images = _images(self.mapping, self.source.n_points, self.target.n_points, "point")
+        object.__setattr__(self, "mapping", images)
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]

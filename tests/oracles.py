@@ -5,7 +5,11 @@ in full, conditions are checked by quantifying over whole power sets.
 Tests compare the package's cleverer code against these.
 """
 
+import random
 from itertools import chain, combinations, permutations
+
+from logictop import corpus
+from logictop.errors import PreconditionViolated
 
 
 def subfamilies(family):
@@ -476,3 +480,61 @@ def oracle_preserves_join(m):
             if not oracle_equivalent(m.target, lhs, rhs):
                 return (a, b)
     return None
+
+
+# Criteria 5 and 6 as they read before their draws were memoized: every
+# draw is checked afresh.  The library functions are looked up on the
+# corpus module at call time, so a test that patches one there patches
+# both readings.
+
+
+def oracle_stability_pair(task):
+    """Criterion 6 on one (source, target) pair: (samples, logic maps, failure)."""
+    seed, samples, (src_name, src), (tgt_name, tgt) = task
+    rng = random.Random((seed, src_name, tgt_name).__repr__())
+    logic_maps = 0
+    for sampled in range(1, samples + 1):
+        mapping = tuple(rng.randrange(tgt.universe_size) for _ in src.exprs)
+        m = corpus.LogicMap(src, tgt, mapping)
+        analysis = corpus.analyze_logic_map(m)
+        if analysis.is_stable and not analysis.is_logic_map:
+            return sampled, logic_maps, f"{src_name}->{tgt_name}: stable non-logic-map {mapping}"
+        if analysis.is_logic_map:
+            logic_maps += 1
+            if not corpus.stable_iff_disjunction(m).agree:
+                return sampled, logic_maps, f"{src_name}->{tgt_name}: lemma fails at {mapping}"
+    return samples, logic_maps, None
+
+
+def oracle_prime_extension_criterion(max_points=4, seed=0, samples=1000):
+    """Criterion 5: (checked pairs, every failure line)."""
+    failures = []
+    checked = 0
+    for name, logic in corpus._distributive_logics(max_points):
+        if logic.universe_size > 10:
+            continue
+        if logic.connectives is None or logic.connectives.join is None:
+            continue
+        rng = random.Random((seed, name).__repr__())
+        theories = corpus.sorted_sets(logic.theories)
+        primes = corpus.theory_spectrum(logic).primes
+        for _ in range(samples):
+            t = theories[rng.randrange(len(theories))]
+            rest = sorted(set(logic.exprs) - t)
+            if not rest:
+                continue
+            b = frozenset(rng.sample(rest, rng.randint(1, len(rest))))
+            s = corpus.disjunctive_closure(logic, b)
+            if s & t:
+                continue
+            checked += 1
+            try:
+                p = corpus.prime_extension(logic, t, s)
+            except PreconditionViolated:
+                failures.append(f"{name}: precondition rejected a valid pair")
+                continue
+            oracle = {q for q in primes if t <= q and not (q & s)}
+            if not oracle or p not in oracle or not (t <= p) or (p & s):
+                failures.append(f"{name}: extension disagrees with enumeration")
+                break
+    return checked, failures

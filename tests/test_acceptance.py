@@ -3,6 +3,9 @@
 Each criterion function returns a CriterionResult; the tests print the
 same line the ``corpus`` subcommand would and then assert on it, so a
 failure shows the offending instances directly in the pytest output.
+Each line must also equal, byte for byte, the line that
+``logictop corpus --max-points 4 --seed 0`` prints: a change that keeps
+every criterion passing but alters what it checked or counted fails here.
 """
 
 from logictop.corpus import (
@@ -19,11 +22,26 @@ from logictop.corpus import (
     criterion_stability_lemma,
 )
 
+EXPECTED_LINES = {
+    1: "criterion 1 logic-roundtrip: pass (24 logics, poset counts (1, 2, 5, 16))",
+    2: "criterion 2 space-roundtrip: pass (24 spaces)",
+    3: "criterion 3 spectrality: pass (25 bounded logics, 25 spectral)",
+    4: "criterion 4 generic-points: pass (95 irreducible closed sets)",
+    5: "criterion 5 prime-extension: pass (21604 sampled pairs)",
+    6: "criterion 6 stability-lemma: pass (112500 samples over 15^2 logic pairs, 9126 logic maps)",
+    7: "criterion 7 spectral-distributive: pass (27 spectral spaces)",
+    8: "criterion 8 heyting-agreement: pass (30 covering spaces, 2 non-covering skipped)",
+    9: "criterion 9 godel-witness: pass (V-frame witness (1, 2, 4, 3); Boolean algebras up to 16 elements clean)",
+    10: "criterion 10 constructible-topology: pass (27 spectral spaces refined)",
+    11: "criterion 11 degenerate-primes: pass (4 logics, all flag combinations)",
+}
+
 
 def _settle(result):
     line = f"criterion {result.number} {result.name}: {'pass' if result.passed else 'FAIL'} ({result.detail})"
     print(line)
     assert result.passed, line
+    assert line == EXPECTED_LINES[result.number]
 
 
 def test_criterion_01_every_small_logic_survives_the_roundtrip():

@@ -382,3 +382,18 @@ def test_map_analysis_matches_the_frozenset_oracle(m):
             agree=expected["is_stable"] == (pair is None),
             witness=pair if pair is not None else stable_witness,
         )
+
+
+def test_logic_map_rejects_images_that_are_not_integers(chain3_logic):
+    for images, bad in (((0.9, 1, 2), "0.9 of expression 0"), ((0, 1.5, 2), "1.5 of expression 1"),
+                        ((0, 1, "2"), "'2' of expression 2")):
+        with pytest.raises(ValueError, match=f"image {bad} is not an integer"):
+            LogicMap(chain3_logic, chain3_logic, images)
+    assert LogicMap(chain3_logic, chain3_logic, [0, 1, 2]).mapping == (0, 1, 2)
+
+
+def test_point_map_rejects_images_that_are_not_integers(chain_space):
+    for images, bad in (((0.9, 1), "0.9 of point 0"), ((0, "1"), "'1' of point 1")):
+        with pytest.raises(ValueError, match=f"image {bad} is not an integer"):
+            PointMap(chain_space, chain_space, images)
+    assert PointMap(chain_space, chain_space, [1, 0]).mapping == (1, 0)
