@@ -31,20 +31,39 @@ from .topology import (
 LeqMatrix = tuple[tuple[bool, ...], ...]
 
 
-def _check_order(leq: LeqMatrix) -> None:
+def _bitrows(rows: Iterable[Sequence[bool]]) -> list[int]:
+    """Each row of a boolean matrix as a bitmask: bit j is set when row[j]."""
+    return [sum(1 << j for j, v in enumerate(row) if v) for row in rows]
+
+
+def _lowest(mask: int) -> int:
+    """The index of the lowest set bit of a non-zero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _check_order(leq: LeqMatrix) -> tuple[list[int], list[int]]:
+    """Raise ValueError on the first failure of a partial order, scanning
+    i, then j above i (antisymmetry before transitivity), then k; return
+    the up and down masks of a valid order."""
     n = len(leq)
     if any(len(row) != n for row in leq):
         raise ValueError("order matrix must be square")
-    for i in range(n):
-        if not leq[i][i]:
+    up, down = _bitrows(leq), _bitrows(zip(*leq))
+    for i, above in enumerate(up):
+        bit = 1 << i
+        if not above & bit:
             raise ValueError(f"order not reflexive at {i}")
-        for j in range(n):
-            if i != j and leq[i][j] and leq[j][i]:
+        both = above & down[i] & ~bit
+        rest = above
+        while rest:
+            j = _lowest(rest)
+            rest &= rest - 1
+            if both >> j & 1:
                 raise ValueError(f"order not antisymmetric at {i},{j}")
-            if leq[i][j]:
-                for k in range(n):
-                    if leq[j][k] and not leq[i][k]:
-                        raise ValueError(f"order not transitive at {i},{j},{k}")
+            beyond = up[j] & ~above
+            if beyond:
+                raise ValueError(f"order not transitive at {i},{j},{_lowest(beyond)}")
+    return up, down
 
 
 def cover_edges(matrix: LeqMatrix) -> tuple[tuple[int, int], ...]:
@@ -141,17 +160,17 @@ class FiniteLattice:
 
     def __post_init__(self):
         object.__setattr__(self, "element_names", tuple(str(s) for s in self.element_names))
-        object.__setattr__(self, "leq", tuple(tuple(bool(v) for v in row) for row in self.leq))
-        object.__setattr__(self, "join", tuple(tuple(int(v) for v in row) for row in self.join))
-        object.__setattr__(self, "meet", tuple(tuple(int(v) for v in row) for row in self.meet))
+        object.__setattr__(self, "leq", tuple(tuple(map(bool, row)) for row in self.leq))
+        object.__setattr__(self, "join", tuple(tuple(map(int, row)) for row in self.join))
+        object.__setattr__(self, "meet", tuple(tuple(map(int, row)) for row in self.meet))
         if self.impl is not None:
-            object.__setattr__(self, "impl", tuple(tuple(int(v) for v in row) for row in self.impl))
+            object.__setattr__(self, "impl", tuple(tuple(map(int, row)) for row in self.impl))
         if len(set(self.element_names)) != len(self.element_names):
             raise ValueError("element names must be distinct")
         n = self.n
         if len(self.leq) != n:
             raise ValueError("one matrix row per element")
-        _check_order(self.leq)
+        up, down = _check_order(self.leq)
         for table, name in ((self.join, "join"), (self.meet, "meet"), (self.impl, "impl")):
             if table is None:
                 continue
@@ -161,18 +180,21 @@ class FiniteLattice:
                 for v in row:
                     if not 0 <= v < n:
                         raise ValueError(f"{name} value {v} out of range")
-        leq = self.leq
+        join, meet = self.join, self.meet
         for a in range(n):
+            up_a, down_a = up[a], down[a]
             for b in range(n):
-                j, m = self.join[a][b], self.meet[a][b]
-                if not (leq[a][j] and leq[b][j]):
+                uppers, j = up_a & up[b], join[a][b]
+                if not uppers >> j & 1:
                     raise ValueError(f"join({a},{b}) is not an upper bound")
-                if any(leq[a][c] and leq[b][c] and not leq[j][c] for c in range(n)):
+                if uppers & ~up[j]:
                     raise ValueError(f"join({a},{b}) is not least")
-                if not (leq[m][a] and leq[m][b]):
+                lowers, m = down_a & down[b], meet[a][b]
+                if not lowers >> m & 1:
                     raise ValueError(f"meet({a},{b}) is not a lower bound")
-                if any(leq[c][a] and leq[c][b] and not leq[c][m] for c in range(n)):
+                if lowers & ~down[m]:
                     raise ValueError(f"meet({a},{b}) is not greatest")
+        leq = self.leq
         if self.top is not None and any(not leq[i][self.top] for i in range(n)):
             raise ValueError("declared top is not greatest")
         if self.bottom is not None and any(not leq[self.bottom][i] for i in range(n)):
@@ -233,14 +255,31 @@ class FiniteLattice:
 
     @property
     def is_heyting(self) -> bool:
-        """Implication and bottom present, and the adjunction actually holds."""
+        """Implication and bottom present, and the adjunction actually holds.
+
+        z <= x -> y exactly when z & x <= y, and since z & x <= x that is
+        z & x <= x & y.  So for each x the z allowed on the right depend
+        only on w = x & y: those whose meet with x lies below w, which
+        must be the down set of x -> y.
+        """
         if self.impl is None or self.bottom is None:
             return False
-        n = self.n
-        return all(
-            self.leq[z][self.impl[x][y]] == self.leq[self.meet[z][x]][y]
-            for x in range(n) for y in range(n) for z in range(n)
-        )
+        down = _bitrows(zip(*self.leq))
+        for x in range(self.n):
+            by_meet: dict[int, int] = {}
+            for z, c in enumerate(row[x] for row in self.meet):
+                by_meet[c] = by_meet.get(c, 0) | 1 << z
+            below: dict[int, int] = {}
+            for y, w in enumerate(self.meet[x]):
+                if w not in below:
+                    allowed, rest = 0, down[w]
+                    while rest:
+                        allowed |= by_meet.get(_lowest(rest), 0)
+                        rest &= rest - 1
+                    below[w] = allowed
+                if below[w] != down[self.impl[x][y]]:
+                    return False
+        return True
 
     def poset(self) -> FinitePoset:
         return FinitePoset(self.element_names, self.leq)

@@ -311,10 +311,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parsing leaves no state in it, and --jobs falls
+# back to WORKBENCH_JOBS at each call, not here.
+_PARSER = _build_parser()
+
+
 def run_cli(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:

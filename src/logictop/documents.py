@@ -99,12 +99,20 @@ def _as_index(v, path: str, n: int) -> int:
     return v
 
 
+def _as_indices(items: list, path: str, n: int) -> list:
+    """A row of indices, checked as a whole; a row holding a bad entry is
+    walked again with _as_index, which reports the first one."""
+    if all(type(x) is int and 0 <= x < n for x in items):
+        return items
+    return [_as_index(x, f"{path}/{j}", n) for j, x in enumerate(items)]
+
+
 def _as_index_sets(v, path: str, n: int) -> list[frozenset[int]]:
     rows = _as_list(v, path)
     out = []
     for i, row in enumerate(rows):
-        items = _as_list(row, f"{path}/{i}")
-        out.append(frozenset(_as_index(x, f"{path}/{i}/{j}", n) for j, x in enumerate(items)))
+        row_path = f"{path}/{i}"
+        out.append(frozenset(_as_indices(_as_list(row, row_path), row_path, n)))
     return out
 
 
@@ -117,7 +125,7 @@ def _as_table(v, path: str, n: int) -> tuple[tuple[int, ...], ...]:
         items = _as_list(row, f"{path}/{i}")
         if len(items) != n:
             _fail(f"{path}/{i}", f"expected {n} entries")
-        out.append(tuple(_as_index(x, f"{path}/{i}/{j}", n) for j, x in enumerate(items)))
+        out.append(tuple(_as_indices(items, f"{path}/{i}", n)))
     return tuple(out)
 
 
@@ -161,7 +169,7 @@ def _parse_logic(obj: dict, path: str) -> AbstractLogic:
             row = _as_list(c["neg"], f"{cp}/neg")
             if len(row) != n:
                 _fail(f"{cp}/neg", f"expected {n} entries")
-            kwargs["neg"] = tuple(_as_index(x, f"{cp}/neg/{j}", n) for j, x in enumerate(row))
+            kwargs["neg"] = tuple(_as_indices(row, f"{cp}/neg", n))
         for key in ("top", "bottom"):
             if key in c:
                 kwargs[key] = _as_index(c[key], f"{cp}/{key}", n)
@@ -233,7 +241,7 @@ def _parse_map(kind: str, obj: dict, path: str) -> LogicMap | PointMap:
     n = getattr(source, size)
     if len(row) != n:
         _fail(f"{path}/map", f"expected {n} entries")
-    mapping = tuple(_as_index(x, f"{path}/map/{j}", getattr(target, size)) for j, x in enumerate(row))
+    mapping = tuple(_as_indices(row, f"{path}/map", getattr(target, size)))
     return cls(source, target, mapping)
 
 

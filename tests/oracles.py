@@ -385,6 +385,72 @@ def oracle_upsets(leq):
     return out
 
 
+def oracle_order_error(leq):
+    """The first failure of a partial order, scanning i, then j (antisymmetry
+    before transitivity), then k in index order; None for a valid order."""
+    n = len(leq)
+    if any(len(row) != n for row in leq):
+        return "order matrix must be square"
+    for i in range(n):
+        if not leq[i][i]:
+            return f"order not reflexive at {i}"
+        for j in range(n):
+            if i != j and leq[i][j] and leq[j][i]:
+                return f"order not antisymmetric at {i},{j}"
+            if leq[i][j]:
+                for k in range(n):
+                    if leq[j][k] and not leq[i][k]:
+                        return f"order not transitive at {i},{j},{k}"
+    return None
+
+
+def oracle_lattice_error(leq, join, meet, impl=None, top=None, bottom=None):
+    """The first failure of a lattice on distinct elements, one order row
+    each: the order, then the table shapes and ranges, then each (a, b)
+    against every c for the bound conditions, then the declared bounds."""
+    n = len(leq)
+    error = oracle_order_error(leq)
+    if error is not None:
+        return error
+    for table, name in ((join, "join"), (meet, "meet"), (impl, "impl")):
+        if table is None:
+            continue
+        if len(table) != n or any(len(row) != n for row in table):
+            return f"{name} table must be {n}x{n}"
+        for row in table:
+            for v in row:
+                if not 0 <= v < n:
+                    return f"{name} value {v} out of range"
+    for a in range(n):
+        for b in range(n):
+            j, m = join[a][b], meet[a][b]
+            if not (leq[a][j] and leq[b][j]):
+                return f"join({a},{b}) is not an upper bound"
+            if any(leq[a][c] and leq[b][c] and not leq[j][c] for c in range(n)):
+                return f"join({a},{b}) is not least"
+            if not (leq[m][a] and leq[m][b]):
+                return f"meet({a},{b}) is not a lower bound"
+            if any(leq[c][a] and leq[c][b] and not leq[c][m] for c in range(n)):
+                return f"meet({a},{b}) is not greatest"
+    if top is not None and any(not leq[i][top] for i in range(n)):
+        return "declared top is not greatest"
+    if bottom is not None and any(not leq[bottom][i] for i in range(n)):
+        return "declared bottom is not least"
+    return None
+
+
+def oracle_is_heyting(lattice):
+    """Implication and bottom present, and z <= x -> y exactly when
+    z & x <= y, for every x, y and z."""
+    if lattice.impl is None or lattice.bottom is None:
+        return False
+    n = lattice.n
+    return all(
+        lattice.leq[z][lattice.impl[x][y]] == lattice.leq[lattice.meet[z][x]][y]
+        for x in range(n) for y in range(n) for z in range(n)
+    )
+
+
 def order_isomorphic(leq_a, leq_b):
     n = len(leq_a)
     if n != len(leq_b):

@@ -1,6 +1,7 @@
 """Posets, lattices, upset algebras, and the poset enumerator."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logictop.builders import (
     FiniteLattice,
@@ -24,6 +25,9 @@ from oracles import (
     canonical_form,
     oracle_open_implication,
     oracle_opens,
+    oracle_is_heyting,
+    oracle_lattice_error,
+    oracle_order_error,
     oracle_poset_count,
     oracle_upsets,
     order_isomorphic,
@@ -279,3 +283,57 @@ def test_frame_recovery_up_to_order_isomorphism(vframe):
         space = logic_space(logic).space
         order = specialization_order(space)
         assert order_isomorphic(order.matrix, frame.leq)
+
+
+_TABLES = ("leq", "join", "meet", "impl")
+
+
+@st.composite
+def _upset_algebra_edits(draw):
+    """The upset algebra of a corpus frame, as its table fields, with zero
+    to three entries changed: a flipped order entry, or a join, meet or
+    implication entry set to any index or to one past the last."""
+    _, frame = draw(st.sampled_from(corpus_frames(5)))
+    algebra = heyting_from_upsets(frame)
+    n = algebra.n
+    tables = {name: [list(row) for row in getattr(algebra, name)] for name in _TABLES}
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(_TABLES))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        row = tables[name]
+        row[i][j] = not row[i][j] if name == "leq" else draw(st.integers(0, n))
+    fields = {name: tuple(tuple(row) for row in table) for name, table in tables.items()}
+    return algebra.element_names, dict(fields, top=algebra.top, bottom=algebra.bottom)
+
+
+def _error_text(build):
+    try:
+        return None, build()
+    except ValueError as e:
+        return str(e), None
+
+
+def test_order_check_names_the_first_witness_in_loop_order():
+    t, f = True, False
+    for leq in (
+        ((t, t, f), (t, t, t), (f, f, t)),  # 0,1 fail antisymmetry and transitivity; the first wins
+        ((t, t, f), (f, t, t), (f, f, t)),
+        ((t, f, f), (f, f, f), (t, t, t)),
+        ((t, f, t), (t, t, f), (f, f, t)),
+        ((t, t), (t,)),
+    ):
+        with pytest.raises(ValueError) as err:
+            FinitePoset(("a", "b", "c")[:len(leq)], leq)
+        assert str(err.value) == oracle_order_error(leq)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_upset_algebra_edits())
+def test_order_and_lattice_checks_match_the_loop_oracles(drawn):
+    names, fields = drawn
+    leq = fields["leq"]
+    assert _error_text(lambda: FinitePoset(names, leq))[0] == oracle_order_error(leq)
+    error, lattice = _error_text(lambda: FiniteLattice(names, **fields))
+    assert error == oracle_lattice_error(**fields)
+    if lattice is not None:
+        assert lattice.is_heyting == oracle_is_heyting(lattice)

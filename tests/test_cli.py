@@ -1,5 +1,6 @@
 """Exit codes, output shapes, and determinism of the command line."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from logictop import corpus
+from logictop import cli, corpus
 from logictop.cli import run_cli
 from logictop.corpus import discrete_two, l3, l22, sierpinski, v_frame
 from logictop.documents import Document, emit_document
@@ -332,3 +333,81 @@ def test_corpus_json_format(capsys):
     results = json.loads(capsys.readouterr().out)
     assert [r["number"] for r in results] == list(range(1, 12))
     assert all(r["passed"] for r in results)
+
+
+SUBCOMMANDS = (
+    "classify", "spectrum", "space", "dualize", "roundtrip",
+    "check-map", "corpus", "godel-witness", "export-dot",
+)
+
+
+def test_the_reused_parser_answers_as_a_fresh_one(docs, capsys, monkeypatch):
+    # (WORKBENCH_JOBS, argv): usage errors, help, documents in both formats,
+    # and the same corpus call before and after WORKBENCH_JOBS changes
+    steps = [(None, ["corpus", "--jobs", "0"]), (None, ["corpus", "--max-points", "x"]),
+             (None, ["--help"]), (None, ["check-map", "--help"])]
+    for fmt in ("text", "json"):
+        steps += [(None, ["classify", "--input", str(docs / "l3.json"), "--format", fmt]),
+                  (None, ["check-map", "--input", str(docs / "bad_map.json"), "--format", fmt])]
+    steps += [("1", ["corpus", "--max-points", "1"]), ("0", ["corpus", "--max-points", "1"])]
+
+    def answer(argv):
+        code = run_cli(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    codes = []
+    for jobs, argv in steps:
+        if jobs is None:
+            monkeypatch.delenv("WORKBENCH_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("WORKBENCH_JOBS", jobs)
+        reused = answer(argv)
+        with monkeypatch.context() as fresh:
+            fresh.setattr(cli, "_PARSER", cli._build_parser())
+            assert answer(argv) == reused, argv
+        codes.append(reused[0])
+    assert codes == [2, 2, 0, 0, 0, 1, 0, 1, 0, 2]
+
+
+def test_run_cli_builds_no_parser(docs, capsys, monkeypatch):
+    built = []
+    construct = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in (["classify", "--input", str(docs / "l3.json")], ["--help"], ["corpus", "--jobs", "0"],
+                 ["no-such-command"]):
+        run_cli(argv)
+    capsys.readouterr()
+    assert built == []
+
+
+def test_help_under_python_O():
+    # the parser is built at import, which -O must not change
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from logictop.cli import run_cli\n"
+        "answers = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        answers.append((run_cli(argv), out.getvalue()))\n"
+        "print(json.dumps(answers))\n"
+    )
+    argvs = [["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    answers = json.loads(done.stdout)
+    for argv, (code, out) in zip(argvs, answers, strict=True):
+        usage = " ".join(["usage: logictop", *argv[:-1], "[-h]"])
+        assert code == 0, argv
+        assert out.startswith(usage), (argv, out)

@@ -1,10 +1,16 @@
 """JSON document layer: canonical emission, strict parsing, error paths."""
 
+import contextlib
+import io
 import json
+import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logictop.builders import FinitePoset, heyting_from_upsets
+from logictop.cli import run_cli
 from logictop.corpus import discrete_two, l3, l22, lv3, sierpinski, v_frame
 from logictop.documents import Document, emit_document, parse_document
 from logictop.dot import export_dot
@@ -163,3 +169,77 @@ def test_dot_export_of_sierpinski(chain_space):
 def test_dot_export_rejects_other_types(chain3_logic):
     with pytest.raises(TypeError):
         export_dot(chain3_logic)
+
+
+def _index_rows(obj):
+    """Every index row of a document object: (JSON path, row, index bound)."""
+    if obj["kind"] == "space":
+        return [(f"/basis/{i}", row, len(obj["points"])) for i, row in enumerate(obj["basis"])]
+    if obj["kind"] in ("logic_map", "point_map"):
+        target = obj["target"]
+        return [("/map", obj["map"], len(target["exprs"] if "exprs" in target else target["points"]))]
+    n = len(obj["exprs"])
+    rows = [(f"/theories/{i}", row, n) for i, row in enumerate(obj["theories"])]
+    connectives = obj.get("connectives", {})
+    for key in ("join", "meet", "impl"):
+        rows += [(f"/connectives/{key}/{i}", row, n) for i, row in enumerate(connectives.get(key, ()))]
+    if "neg" in connectives:
+        rows.append(("/connectives/neg", connectives["neg"], n))
+    return rows
+
+
+_VALID = [
+    json.loads(emit_document(doc))
+    for doc in (
+        Document("logic", l3()),
+        Document("logic", lv3()),
+        Document("logic", l22()),
+        Document("space", sierpinski()),
+        Document("space", discrete_two()),
+        Document("logic_map", LogicMap(l22(), l3(), (0, 1, 1, 2))),
+        Document("point_map", PointMap(discrete_two(), sierpinski(), (1, 1))),
+    )
+]
+# "n" stands for the row's index bound, the first index out of range
+_BAD = (True, 1.5, "0", -1, "n", None)
+
+
+def _expected_error(value, n):
+    if type(value) is not int:
+        return "expected an integer"
+    return f"index {value} out of range 0..{n - 1}"
+
+
+@st.composite
+def _bad_entries(draw):
+    """A valid document with one or two entries of one index row replaced
+    by bad values; returns the document text and the first bad entry's
+    path and message."""
+    obj = json.loads(json.dumps(draw(st.sampled_from(_VALID))))
+    path, row, n = draw(st.sampled_from([r for r in _index_rows(obj) if r[1]]))
+    positions = sorted(draw(st.sets(st.integers(0, len(row) - 1), min_size=1, max_size=2)))
+    values = [n if v == "n" else v for v in (draw(st.sampled_from(_BAD)) for _ in positions)]
+    for j, v in zip(positions, values):
+        row[j] = v
+    return json.dumps(obj), f"{path}/{positions[0]}", _expected_error(values[0], n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bad_entries())
+def test_a_bad_index_reports_its_path_and_message(drawn):
+    text, path, message = drawn
+    with pytest.raises(SchemaError) as err:
+        parse_document(text)
+    assert (err.value.path, str(err.value)) == (path, f"{path}: {message}")
+    stderr = io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), contextlib.redirect_stderr(stderr):
+        assert run_cli(["roundtrip"]) == 2
+    assert stderr.getvalue() == f"error: {path}: {message}\n"
+
+
+def test_the_first_of_two_bad_entries_is_reported():
+    obj = json.loads(emit_document(Document("logic", l3())))
+    obj["connectives"]["join"][2][1:] = [True, -1]
+    with pytest.raises(SchemaError) as err:
+        parse_document(json.dumps(obj))
+    assert str(err.value) == "/connectives/join/2/1: expected an integer"
