@@ -242,11 +242,24 @@ class FiniteLattice:
         return len(self.element_names)
 
     def distributivity_witness(self) -> tuple[int, int, int] | None:
-        for a in range(self.n):
-            for b in range(self.n):
-                for c in range(self.n):
-                    if self.meet[a][self.join[b][c]] != self.join[self.meet[a][b]][self.meet[a][c]]:
-                        return (a, b, c)
+        """The first (a, b, c) with a & (b | c) != (a & b) | (a & c).
+
+        For each (a, b) the c-row is compared whole: a & (b | c) over c
+        is row a of meet picked at row b of join, and (a & b) | (a & c)
+        is row a & b of join picked at row a of meet.  Only a failing
+        row is scanned for its c.
+        """
+        if not self.n:
+            return None
+        join, meet = self.join, self.meet
+        by_join = [operator.itemgetter(*row) for row in join]
+        for a, meet_a in enumerate(meet):
+            pick_a = operator.itemgetter(*meet_a)
+            for b, ab in enumerate(meet_a):
+                if by_join[b](meet_a) != pick_a(join[ab]):
+                    for c in range(self.n):
+                        if meet_a[join[b][c]] != join[ab][meet_a[c]]:
+                            return (a, b, c)
         return None
 
     @property

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain
 from typing import Iterable
 
 from .core import (
@@ -18,7 +19,6 @@ from .core import (
     ExprSet,
     _check_universe,
     consequence,
-    is_consistent,
     set_key,
     sorted_sets,
     theory_spectrum,
@@ -92,45 +92,67 @@ def _table(logic: AbstractLogic, name: str):
     return getattr(logic.connectives, name)
 
 
-def _check_binary(logic: AbstractLogic, name: str, holds) -> ConditionCheck:
-    """a op b lies in each totally prime t exactly when holds(a in t, b in t)."""
+def _first_miss(actual: list, expected: list) -> int | None:
+    """The first position where two rows of equal length differ, or None."""
+    if actual == expected:
+        return None
+    return list(map(operator.ne, actual, expected)).index(True)
+
+
+def _join_rows(t: ExprSet, member: list[bool]):
+    # a join b lies in t exactly when a or b does: all of row a when a is in t
+    return map((member, [True] * len(member)).__getitem__, member)
+
+
+def _meet_rows(t: ExprSet, member: list[bool]):
+    # a meet b lies in t exactly when a and b do: none of row a unless a is in t
+    return map(([False] * len(member), member).__getitem__, member)
+
+
+def _impl_rows(logic: AbstractLogic, tps: list[ExprSet], t: ExprSet, member: list[bool]):
+    # a->b lies in t exactly when every totally prime extension of t
+    # containing a also contains b: b lies in the intersection of those
+    # extensions (every expression when there is none)
+    above = [u for u in tps if t <= u]
+    full = logic.full_set
+    for a in logic.exprs:
+        common = full.intersection(*(u for u in above if a in u))
+        yield list(map(common.__contains__, logic.exprs))
+
+
+def _check_table(logic: AbstractLogic, name: str, tps: list[ExprSet], rows) -> ConditionCheck:
+    """table[a][b] lies in each totally prime t exactly when row a of
+    rows(t, member) holds True at b, where member[x] says whether x lies
+    in t.  Each t compares the whole table at once; the first differing
+    entry, in (a, b) order, is the witness."""
     table = _table(logic, name)
     if table is None:
         return ConditionCheck(name, None)
-    for t in _tp_sorted(logic):
-        for a in logic.exprs:
-            for b in logic.exprs:
-                if (table[a][b] in t) != holds(a in t, b in t):
-                    return ConditionCheck(name, False, (t, a, b))
+    n = logic.universe_size
+    entries = list(chain.from_iterable(table))
+    for t in tps:
+        member = list(map(t.__contains__, logic.exprs))
+        k = _first_miss(list(map(member.__getitem__, entries)),
+                        list(chain.from_iterable(rows(t, member))))
+        if k is not None:
+            return ConditionCheck(name, False, (t, *divmod(k, n)))
     return ConditionCheck(name, True)
 
 
-def _check_neg(logic: AbstractLogic) -> ConditionCheck:
-    # negation of a holds in t exactly when t together with a is inconsistent
+def _check_neg(logic: AbstractLogic, tps: list[ExprSet]) -> ConditionCheck:
+    # negation of a holds in t exactly when t together with a is
+    # inconsistent: when a lies in no theory above t
     neg = _table(logic, "neg")
     if neg is None:
         return ConditionCheck("neg", None)
-    for t in _tp_sorted(logic):
-        for a in logic.exprs:
-            if (neg[a] in t) != (not is_consistent(logic, t | {a})):
-                return ConditionCheck("neg", False, (t, a))
-    return ConditionCheck("neg", True)
-
-
-def _check_impl(logic: AbstractLogic) -> ConditionCheck:
-    # a->b holds in t exactly when every totally prime extension of t
-    # containing a also contains b
-    impl = _table(logic, "impl")
-    if impl is None:
-        return ConditionCheck("impl", None)
-    tps = _tp_sorted(logic)
+    theories = logic.theories.theories
     for t in tps:
-        for a in logic.exprs:
-            for b in logic.exprs:
-                entails = all(b in u for u in tps if t <= u and a in u)
-                if (impl[a][b] in t) != entails:
-                    return ConditionCheck("impl", False, (t, a, b))
-    return ConditionCheck("impl", True)
+        member = list(map(t.__contains__, logic.exprs))
+        outside = logic.full_set.difference(*(u for u in theories if t <= u))
+        a = _first_miss(list(map(member.__getitem__, neg)), list(map(outside.__contains__, logic.exprs)))
+        if a is not None:
+            return ConditionCheck("neg", False, (t, a))
+    return ConditionCheck("neg", True)
 
 
 def _check_bound(logic: AbstractLogic, name: str, inside: bool) -> ConditionCheck:
@@ -154,11 +176,12 @@ def verify_connectives(logic: AbstractLogic) -> ClassificationReport:
     totally prime theories coinciding).  An absent connective never
     upgrades a verdict.
     """
+    tps = _tp_sorted(logic)
     checks = (
-        _check_binary(logic, "join", operator.or_),
-        _check_binary(logic, "meet", operator.and_),
-        _check_neg(logic),
-        _check_impl(logic),
+        _check_table(logic, "join", tps, _join_rows),
+        _check_table(logic, "meet", tps, _meet_rows),
+        _check_neg(logic, tps),
+        _check_table(logic, "impl", tps, partial(_impl_rows, logic, tps)),
         _check_bound(logic, "top", True),
         _check_bound(logic, "bottom", False),
     )
@@ -184,7 +207,7 @@ def verify_connectives(logic: AbstractLogic) -> ClassificationReport:
         classification=label,
         maximals_equal_totally_primes=mtp,
         has_valid_formula=bool(consequence(logic, frozenset())),
-        has_inconsistent_formula=any(not is_consistent(logic, {a}) for a in logic.exprs),
+        has_inconsistent_formula=bool(logic.full_set.difference(*logic.theories.theories)),
     )
 
 

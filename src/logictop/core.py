@@ -15,6 +15,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from .errors import EmptyGeneratorSet, NotTheories
@@ -30,6 +31,20 @@ def set_key(s: Iterable[int]) -> tuple[int, ...]:
 def sorted_sets(sets: Iterable[ExprSet]) -> list[ExprSet]:
     """Deterministic enumeration order used for witnesses and emission."""
     return sorted(sets, key=set_key)
+
+
+def _indices_below(rows, n: int) -> bool:
+    """Every entry of every row is an int (bool excluded) in range(n).
+
+    Checked with C builtins: the types over all entries, the range over
+    the distinct values.  ``rows`` is iterated twice.  A False answer
+    only sends the caller to its entry-by-entry walk, which names the
+    first bad entry.
+    """
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        return False
+    values = set(chain.from_iterable(rows))
+    return not values or (min(values) >= 0 and max(values) < n)
 
 
 def _check_universe(universe_size: int, s: Iterable[int], what: str) -> ExprSet:
@@ -53,14 +68,22 @@ class TheoryFamily:
     theories: frozenset[ExprSet]
 
     def __post_init__(self):
-        fixed = frozenset(frozenset(t) for t in self.theories)
+        fixed = frozenset(map(frozenset, self.theories))
         object.__setattr__(self, "theories", fixed)
         if not fixed:
             raise ValueError("theory family must be non-empty")
-        for t in fixed:
-            _check_universe(self.universe_size, t, "theory")
-        for a in fixed:
-            for b in fixed:
+        if not _indices_below(fixed, self.universe_size):
+            for t in fixed:
+                _check_universe(self.universe_size, t, "theory")
+        # one theory at a time on bitmasks; a failing row is scanned again
+        # in the family's own order, which names the same first missing pair
+        members = tuple(fixed)
+        masks = tuple(map(_mask, members))
+        present = frozenset(masks)
+        for a, mask in zip(members, masks):
+            if present.issuperset(map(mask.__and__, masks)):
+                continue
+            for b in members:
                 if a & b not in fixed:
                     raise ValueError(f"family not intersection-closed: {set_key(a)} ∩ {set_key(b)} missing")
 
@@ -91,11 +114,11 @@ class ConnectiveTables:
     bottom: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "join", tuple(tuple(row) for row in self.join))
+        object.__setattr__(self, "join", tuple(map(tuple, self.join)))
         if self.meet is not None:
-            object.__setattr__(self, "meet", tuple(tuple(row) for row in self.meet))
+            object.__setattr__(self, "meet", tuple(map(tuple, self.meet)))
         if self.impl is not None:
-            object.__setattr__(self, "impl", tuple(tuple(row) for row in self.impl))
+            object.__setattr__(self, "impl", tuple(map(tuple, self.impl)))
         if self.neg is not None:
             object.__setattr__(self, "neg", tuple(self.neg))
 
@@ -104,14 +127,16 @@ class ConnectiveTables:
             table = getattr(self, name)
             if table is None:
                 continue
-            if len(table) != n or any(len(row) != n for row in table):
+            if len(table) != n or not set(map(len, table)) <= {n}:
                 raise ValueError(f"{name} table is not {n}x{n}")
+            if _indices_below(table, n):
+                continue
             for row in table:
                 for v in row:
                     if not 0 <= v < n:
                         raise ValueError(f"{name} table entry {v} outside universe")
         if self.neg is not None:
-            if len(self.neg) != n or any(not 0 <= v < n for v in self.neg):
+            if len(self.neg) != n or (not _indices_below((self.neg,), n) and any(not 0 <= v < n for v in self.neg)):
                 raise ValueError("neg table malformed")
         for name in ("top", "bottom"):
             v = getattr(self, name)
@@ -128,7 +153,7 @@ class AbstractLogic:
     connectives: ConnectiveTables | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "expr_names", tuple(str(s) for s in self.expr_names))
+        object.__setattr__(self, "expr_names", tuple(map(str, self.expr_names)))
         n = len(self.expr_names)
         if n != self.theories.universe_size:
             raise ValueError(f"{n} expression names for universe of size {self.theories.universe_size}")
@@ -164,7 +189,7 @@ class AbstractLogic:
 
 def _mask(s: ExprSet) -> int:
     """An expression set as an int bitmask: bit a is set when a is a member."""
-    return sum(1 << a for a in s)
+    return sum(map((1).__lshift__, s))
 
 
 @dataclass(frozen=True)

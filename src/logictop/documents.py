@@ -19,9 +19,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from functools import partial
+from json.encoder import encode_basestring
 
 from .builders import FiniteLattice, FinitePoset
-from .core import AbstractLogic, ConnectiveTables, TheoryFamily
+from .core import AbstractLogic, ConnectiveTables, TheoryFamily, _indices_below
 from .duality import LogicMap, PointMap
 from .errors import ParseError, SchemaError
 from .topology import FiniteSpace
@@ -49,8 +50,9 @@ def parse_document(text: str) -> Document:
 
 
 def emit_document(doc: Document) -> str:
-    obj = _FORMATS[doc.kind][1](doc.value)
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    """The document's canonical text: exactly
+    ``json.dumps(obj, indent=2, ensure_ascii=False)`` plus a newline."""
+    return _encode(_FORMATS[doc.kind][1](doc.value), "\n") + "\n"
 
 
 # parsing
@@ -102,13 +104,23 @@ def _as_index(v, path: str, n: int) -> int:
 def _as_indices(items: list, path: str, n: int) -> list:
     """A row of indices, checked as a whole; a row holding a bad entry is
     walked again with _as_index, which reports the first one."""
-    if all(type(x) is int and 0 <= x < n for x in items):
+    if _indices_below((items,), n):
         return items
     return [_as_index(x, f"{path}/{j}", n) for j, x in enumerate(items)]
 
 
+def _rows_below(rows: list, n: int, width: int | None = None) -> bool:
+    """Every row is a list (of ``width`` entries when given) and every
+    entry an index below n, checked for the whole table with C builtins."""
+    return (set(map(type, rows)) <= {list}
+            and (width is None or set(map(len, rows)) <= {width})
+            and _indices_below(rows, n))
+
+
 def _as_index_sets(v, path: str, n: int) -> list[frozenset[int]]:
     rows = _as_list(v, path)
+    if _rows_below(rows, n):
+        return list(map(frozenset, rows))
     out = []
     for i, row in enumerate(rows):
         row_path = f"{path}/{i}"
@@ -120,6 +132,8 @@ def _as_table(v, path: str, n: int) -> tuple[tuple[int, ...], ...]:
     rows = _as_list(v, path)
     if len(rows) != n:
         _fail(path, f"expected {n} rows")
+    if _rows_below(rows, n, n):
+        return tuple(map(tuple, rows))
     out = []
     for i, row in enumerate(rows):
         items = _as_list(row, f"{path}/{i}")
@@ -219,6 +233,8 @@ def _parse_space(obj: dict, path: str) -> FiniteSpace:
     basis_names = ()
     if "basis_names" in obj:
         basis_names = _as_names(obj["basis_names"], f"{path}/basis_names")
+        if basis_names and len(basis_names) != len(sets):
+            _fail(f"{path}/basis_names", "one display name per basis element")
     try:
         return FiniteSpace(names, tuple(sets), basis_names)
     except ValueError as e:
@@ -255,6 +271,37 @@ def _document_from_obj(obj, path: str) -> Document:
 
 
 # emission
+
+
+def _encode(obj, newline: str) -> str:
+    """json.dumps(obj, indent=2, ensure_ascii=False) for the document
+    shapes: dicts with string keys, lists, ints and strings.
+
+    ``newline`` is a line break plus the indentation of the line obj
+    starts on.  Rows of ints or of strings are joined in one pass; any
+    other scalar goes to json.dumps, so True still reads true.
+    """
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring(obj)
+    if kind is int:
+        return str(obj)
+    if kind is dict or kind is list:
+        if not obj:
+            return "{}" if kind is dict else "[]"
+        inner = newline + "  "
+        if kind is dict:
+            items = [f"{encode_basestring(k)}: {_encode(v, inner)}" for k, v in obj.items()]
+            return "{" + inner + ("," + inner).join(items) + newline + "}"
+        types = set(map(type, obj))
+        if types == {int}:
+            items = map(str, obj)
+        elif types == {str}:
+            items = map(encode_basestring, obj)
+        else:
+            items = [_encode(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(obj)
 
 
 def _order_pairs(names: tuple[str, ...], leq) -> list[list[str]]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .builders import _set_tables
-from .connectives import _table, verify_connectives
+from .connectives import _first_miss, _table, verify_connectives
 from .core import (
     AbstractLogic,
     ConnectiveTables,
@@ -390,7 +390,13 @@ def point_filter_embedding(space: FiniteSpace) -> PointMap:
 
 
 def _connective_squares(m: LogicMap) -> list[tuple[str, bool, object]]:
-    """Exact commutation of each connective present on both sides of m."""
+    """Exact commutation of each connective present on both sides of m.
+
+    Row a of a square compares left[a] sent through m with the row
+    right[m(a)] picked at the images of the expressions; only the first
+    failing row is scanned for its b.
+    """
+    f = m.mapping
     squares: list[tuple[str, bool, object]] = []
     for name in ("join", "meet", "impl"):
         left = _table(m.source, name)
@@ -398,23 +404,22 @@ def _connective_squares(m: LogicMap) -> list[tuple[str, bool, object]]:
         if left is None or right is None:
             continue
         ok, witness = True, None
-        for a in m.source.exprs:
-            for b in m.source.exprs:
-                if m(left[a][b]) != right[m(a)][m(b)]:
-                    ok, witness = False, (a, b)
-                    break
-            if not ok:
+        for a, row in enumerate(left):
+            picked = right[f[a]]
+            b = _first_miss(list(map(f.__getitem__, row)), list(map(picked.__getitem__, f)))
+            if b is not None:
+                ok, witness = False, (a, b)
                 break
         squares.append((name, ok, witness))
     left_neg, right_neg = _table(m.source, "neg"), _table(m.target, "neg")
     if left_neg is not None and right_neg is not None:
-        bad = [a for a in m.source.exprs if m(left_neg[a]) != right_neg[m(a)]]
-        squares.append(("neg", not bad, bad[0] if bad else None))
+        a = _first_miss(list(map(f.__getitem__, left_neg)), list(map(right_neg.__getitem__, f)))
+        squares.append(("neg", a is None, a))
     for name in ("top", "bottom"):
         left = _table(m.source, name)
         right = _table(m.target, name)
         if left is not None and right is not None:
-            squares.append((name, m(left) == right, None if m(left) == right else left))
+            squares.append((name, f[left] == right, None if f[left] == right else left))
     return squares
 
 

@@ -5,10 +5,13 @@ in full, conditions are checked by quantifying over whole power sets.
 Tests compare the package's cleverer code against these.
 """
 
+import json
 import random
 from itertools import chain, combinations, permutations
 
 from logictop import corpus
+from logictop.core import is_consistent, sorted_sets, theory_spectrum
+from logictop.documents import _FORMATS
 from logictop.errors import PreconditionViolated
 
 
@@ -604,3 +607,124 @@ def oracle_prime_extension_criterion(max_points=4, seed=0, samples=1000):
                 failures.append(f"{name}: extension disagrees with enumeration")
                 break
     return checked, failures
+
+
+# The per-entry loops the library ran before its row-wise and whole-table
+# checks.  Each returns what the library reports (verdict and witness, or
+# the error text), in the same scan order, so a fast path that names a
+# different first witness shows up as a mismatch.
+
+
+def oracle_condition_check(logic, name):
+    """One connective condition as (status, witness): None status when the
+    table is absent, else the first failing (t, a[, b]) over the totally
+    prime theories in sorted order, then a, then b."""
+    c = logic.connectives
+    e = None if c is None else getattr(c, name)
+    if e is None:
+        return None, None
+    tps = sorted_sets(theory_spectrum(logic).totally_primes)
+    exprs = logic.exprs
+    if name in ("top", "bottom"):
+        for t in sorted_sets(logic.theories.theories):
+            if (e in t) != (name == "top"):
+                return False, (t,)
+        return True, None
+    if name == "neg":
+        for t in tps:
+            for a in exprs:
+                if (e[a] in t) != (not is_consistent(logic, t | {a})):
+                    return False, (t, a)
+        return True, None
+    for t in tps:
+        for a in exprs:
+            for b in exprs:
+                if name == "join":
+                    holds = a in t or b in t
+                elif name == "meet":
+                    holds = a in t and b in t
+                else:
+                    holds = all(b in u for u in tps if t <= u and a in u)
+                if (e[a][b] in t) != holds:
+                    return False, (t, a, b)
+    return True, None
+
+
+def oracle_family_error(universe_size, theories):
+    """The ValueError text of TheoryFamily(universe_size, theories), or None:
+    the theories' indices one theory at a time, then every ordered pair of
+    theories for a missing intersection, in the family's own order."""
+    fixed = frozenset(frozenset(t) for t in theories)
+    if not fixed:
+        return "theory family must be non-empty"
+    for t in fixed:
+        for i in t:
+            if not isinstance(i, int) or i < 0 or i >= universe_size:
+                return f"theory contains index {i!r} outside universe of size {universe_size}"
+    for a in fixed:
+        for b in fixed:
+            if a & b not in fixed:
+                return f"family not intersection-closed: {tuple(sorted(a))} ∩ {tuple(sorted(b))} missing"
+    return None
+
+
+def oracle_tables_error(tables, n):
+    """The ValueError text of ConnectiveTables.validate(n), or None."""
+    for name in ("join", "meet", "impl"):
+        table = getattr(tables, name)
+        if table is None:
+            continue
+        if len(table) != n or any(len(row) != n for row in table):
+            return f"{name} table is not {n}x{n}"
+        for row in table:
+            for v in row:
+                if not 0 <= v < n:
+                    return f"{name} table entry {v} outside universe"
+    if tables.neg is not None:
+        if len(tables.neg) != n or any(not 0 <= v < n for v in tables.neg):
+            return "neg table malformed"
+    for name in ("top", "bottom"):
+        v = getattr(tables, name)
+        if v is not None and not 0 <= v < n:
+            return f"{name} index {v} outside universe"
+    return None
+
+
+def oracle_distributivity_witness(lattice):
+    """The first (a, b, c) with a & (b | c) != (a & b) | (a & c), or None."""
+    join, meet = lattice.join, lattice.meet
+    for a in range(lattice.n):
+        for b in range(lattice.n):
+            for c in range(lattice.n):
+                if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
+                    return (a, b, c)
+    return None
+
+
+def oracle_connective_squares(m):
+    """(name, ok, witness) for each connective on both sides of m, read
+    through the map one pair at a time: the first failing (a, b), the
+    first failing a for neg, the source index for a bound."""
+    squares = []
+    source, target = m.source.connectives, m.target.connectives
+    for name in ("join", "meet", "impl", "neg", "top", "bottom"):
+        left = None if source is None else getattr(source, name)
+        right = None if target is None else getattr(target, name)
+        if left is None or right is None:
+            continue
+        if name in ("top", "bottom"):
+            ok = m(left) == right
+            squares.append((name, ok, None if ok else left))
+        elif name == "neg":
+            bad = [a for a in m.source.exprs if m(left[a]) != right[m(a)]]
+            squares.append((name, not bad, bad[0] if bad else None))
+        else:
+            witness = next(((a, b) for a in m.source.exprs for b in m.source.exprs
+                            if m(left[a][b]) != right[m(a)][m(b)]), None)
+            squares.append((name, witness is None, witness))
+    return squares
+
+
+def oracle_emit(doc):
+    """A document's canonical text through the standard library encoder."""
+    return json.dumps(_FORMATS[doc.kind][1](doc.value), indent=2, ensure_ascii=False) + "\n"

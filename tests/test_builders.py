@@ -25,6 +25,7 @@ from oracles import (
     canonical_form,
     oracle_open_implication,
     oracle_opens,
+    oracle_distributivity_witness,
     oracle_is_heyting,
     oracle_lattice_error,
     oracle_order_error,
@@ -337,3 +338,40 @@ def test_order_and_lattice_checks_match_the_loop_oracles(drawn):
     assert error == oracle_lattice_error(**fields)
     if lattice is not None:
         assert lattice.is_heyting == oracle_is_heyting(lattice)
+
+
+def _bounded_lattices(max_points):
+    """Each corpus poset of up to max_points points with a new bottom and
+    top added, where that makes a lattice (M3 and N5 among them)."""
+    out = []
+    for _, frame in corpus_frames(max_points):
+        k = frame.n
+        leq = [[True] * (k + 2)]
+        leq += [[False] + list(row) + [True] for row in frame.leq]
+        leq += [[False] * (k + 1) + [True]]
+        try:
+            out.append(FiniteLattice.from_leq(("0",) + frame.element_names + ("1",), leq))
+        except ValueError:
+            pass
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_bounded_lattices(5)), st.randoms(use_true_random=False))
+def test_distributivity_witness_matches_the_loop_oracle(lattice, rng):
+    """Every bounded corpus poset that is a lattice, under a random
+    relabelling, so that the first witness falls at varied positions."""
+    n = lattice.n
+    order = list(range(n))
+    rng.shuffle(order)
+    leq = [[lattice.leq[order[i]][order[j]] for j in range(n)] for i in range(n)]
+    relabelled = FiniteLattice.from_leq([lattice.element_names[i] for i in order], leq)
+    assert relabelled.distributivity_witness() == oracle_distributivity_witness(relabelled)
+
+
+def test_distributivity_witness_on_upset_algebras_and_non_distributive_lattices():
+    lattices = _bounded_lattices(5)
+    assert sum(lattice.distributivity_witness() is not None for lattice in lattices) > 0
+    lattices += [heyting_from_upsets(frame) for _, frame in corpus_frames(4)]
+    for lattice in lattices:
+        assert lattice.distributivity_witness() == oracle_distributivity_witness(lattice)

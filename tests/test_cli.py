@@ -218,6 +218,15 @@ def test_non_utf8_input_file_exits_2(tmp_path, capsys):
     assert "error: input is not UTF-8" in capsys.readouterr().err
 
 
+def test_basis_names_of_the_wrong_length_are_reported_at_their_path(capsys, monkeypatch):
+    import io
+
+    doc = '{"kind": "space", "points": ["x"], "basis": [[0]], "basis_names": ["u", "v"]}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    assert run_cli(["roundtrip"]) == 2
+    assert capsys.readouterr().err == "error: /basis_names: one display name per basis element\n"
+
+
 def test_usage_error_exits_2(capsys):
     assert run_cli(["no-such-command"]) == 2
     assert run_cli([]) == 2

@@ -1,21 +1,28 @@
 """Connective conditions, classification, and the prime machinery."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logictop.connectives import (
     CONDITION_ORDER,
+    ConditionCheck,
     check_degenerate_primes,
     disjunctive_closure,
     join_stable_theories,
     prime_extension,
     verify_connectives,
 )
-from logictop.core import AbstractLogic, close_under_intersection, theory_spectrum
+from logictop.core import AbstractLogic, close_under_intersection, is_consistent, theory_spectrum
 from logictop.corpus import corpus_logics
+from logictop.duality import LogicMap, _connective_squares
 from logictop.errors import MissingJoin, NotDistributive, PreconditionViolated
 
 from oracles import (
     oracle_bottom_condition,
+    oracle_condition_check,
+    oracle_connective_squares,
     oracle_consequence,
     oracle_impl_condition,
     oracle_join_condition,
@@ -178,3 +185,41 @@ def test_prime_extension_rejects_bad_inputs(boolean4_logic):
         prime_extension(boolean4_logic, frozenset({3}), frozenset({1, 2}))  # not join-closed
     with pytest.raises(PreconditionViolated):
         prime_extension(boolean4_logic, frozenset({3}), frozenset({3}))  # overlaps T
+
+
+_EDITABLE = ("join", "meet", "impl", "neg")
+
+
+@st.composite
+def _edited_logics(draw):
+    """A logic of corpus_logics(4) (which ends with the degenerate quartet)
+    and a copy with zero to three of its join, meet, impl or neg entries
+    set to any index."""
+    _, logic = draw(st.sampled_from(corpus_logics(4)))
+    c, n = logic.connectives, logic.universe_size
+    tables = {name: [list(row) for row in getattr(c, name)] if name != "neg" else list(c.neg)
+              for name in _EDITABLE if getattr(c, name) is not None}
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(sorted(tables)))
+        a, value = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if name == "neg":
+            tables[name][a] = value
+        else:
+            tables[name][a][draw(st.integers(0, n - 1))] = value
+    return logic, AbstractLogic(logic.expr_names, logic.theories, replace(c, **tables))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edited_logics(), st.data())
+def test_conditions_and_squares_match_the_loop_oracles(drawn, data):
+    logic, edited = drawn
+    report = verify_connectives(edited)
+    for name in CONDITION_ORDER:
+        assert report.condition(name) == ConditionCheck(name, *oracle_condition_check(edited, name)), name
+    assert report.has_inconsistent_formula == any(not is_consistent(edited, {a}) for a in edited.exprs)
+    n = logic.universe_size
+    identity = tuple(range(n))
+    for source, target in ((edited, logic), (logic, edited)):
+        mapping = data.draw(st.one_of(st.just(identity), st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+        m = LogicMap(source, target, mapping)
+        assert _connective_squares(m) == oracle_connective_squares(m)

@@ -1,9 +1,13 @@
 """Intersection structures, consequence, and the primality hierarchy."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logictop.core import (
     AbstractLogic,
+    ConnectiveTables,
     TheoryFamily,
     close_under_intersection,
     consequence,
@@ -19,15 +23,18 @@ from logictop.core import (
 from logictop.duality import LogicMap, analyze_logic_map
 from logictop.errors import NotTheories
 from logictop.builders import random_logic
+from logictop.corpus import corpus_logics
 
 from oracles import (
     oracle_close,
     oracle_consequence,
     oracle_equivalent,
+    oracle_family_error,
     oracle_generates,
     oracle_is_theory,
     oracle_maximals,
     oracle_primes,
+    oracle_tables_error,
     oracle_totally_primes,
     subfamilies,
 )
@@ -51,6 +58,74 @@ def test_theory_family_rejects_empty_family():
 def test_theory_family_rejects_out_of_range():
     with pytest.raises(ValueError):
         TheoryFamily(2, frozenset({frozenset({5})}))
+
+
+# entries a caller outside the document layer might pass: n stands for
+# the universe size, the first index out of range
+_ODD = (-1, "n", 1.5, 1.0, True, "0", None)
+
+
+def _value(draw, n):
+    value = draw(st.one_of(st.integers(0, max(n - 1, 0)), st.sampled_from(_ODD)))
+    return n if value == "n" else value
+
+
+def _outcome(check):
+    """None, or the (exception name, text) a check raises; an oracle's
+    returned error text reads as a ValueError."""
+    try:
+        text = check()
+    except (ValueError, TypeError) as e:
+        return type(e).__name__, str(e)
+    return None if text is None else ("ValueError", text)
+
+
+@st.composite
+def _edited_families(draw):
+    """The theories of a corpus logic with zero to two dropped, and zero to
+    two extra sets drawn from in-range and odd entries."""
+    _, logic = draw(st.sampled_from(corpus_logics(4)))
+    n = logic.universe_size
+    theories = sorted_sets(logic.theories.theories)
+    for _ in range(draw(st.integers(0, 2))):
+        if theories:
+            theories.pop(draw(st.integers(0, len(theories) - 1)))
+    for _ in range(draw(st.integers(0, 2))):
+        theories.append(frozenset(_value(draw, n) for _ in range(draw(st.integers(0, 3)))))
+    return n, frozenset(theories)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edited_families())
+def test_family_check_matches_the_loop_oracle(drawn):
+    n, theories = drawn
+
+    def build():
+        TheoryFamily(n, theories)
+
+    assert _outcome(build) == _outcome(lambda: oracle_family_error(n, theories))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(corpus_logics(4)), st.data())
+def test_tables_check_matches_the_loop_oracle(named, data):
+    """Zero to two edits of a corpus logic's tables: an entry of join,
+    meet, impl or neg set to an in-range or odd value, or a row cut short."""
+    c, n = named[1].connectives, named[1].universe_size
+    tables = {name: [list(row) for row in getattr(c, name)] for name in ("join", "meet", "impl")
+              if getattr(c, name) is not None}
+    rows = [row for table in tables.values() for row in table]
+    if c.neg is not None:
+        tables["neg"] = list(c.neg)
+        rows.append(tables["neg"])
+    for _ in range(data.draw(st.integers(0, 2))):
+        row = data.draw(st.sampled_from(rows))
+        if data.draw(st.booleans()):
+            row[:] = row[:-1]
+        elif row:
+            row[data.draw(st.integers(0, len(row) - 1))] = _value(data.draw, n)
+    edited = replace(c, **tables)
+    assert _outcome(lambda: edited.validate(n)) == _outcome(lambda: oracle_tables_error(edited, n))
 
 
 def test_close_under_intersection_matches_oracle():

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import sys
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -11,11 +12,25 @@ from hypothesis import given, settings, strategies as st
 
 from logictop.builders import FinitePoset, heyting_from_upsets
 from logictop.cli import run_cli
-from logictop.corpus import discrete_two, l3, l22, lv3, sierpinski, v_frame
-from logictop.documents import Document, emit_document, parse_document
+from logictop.core import AbstractLogic
+from logictop.corpus import (
+    corpus_frames,
+    corpus_logics,
+    corpus_spaces,
+    discrete_two,
+    l3,
+    l22,
+    lv3,
+    sierpinski,
+    v_frame,
+)
+from logictop.documents import Document, _encode, emit_document, parse_document
 from logictop.dot import export_dot
 from logictop.duality import LogicMap, PointMap
 from logictop.errors import ParseError, SchemaError
+from logictop.topology import FiniteSpace
+
+from oracles import oracle_emit
 
 L3_DOC = """
 {
@@ -210,18 +225,46 @@ def _expected_error(value, n):
     return f"index {value} out of range 0..{n - 1}"
 
 
+def _containing_table(obj, path):
+    """The rows of the table (theories, basis, join, meet or impl) holding
+    the row at path, and the width every row of it must have (None for
+    index sets); None when path names a lone row (neg, map)."""
+    parent, _, index = path.rpartition("/")
+    if not index.isdigit():
+        return None
+    rows = obj
+    for key in parent.strip("/").split("/"):
+        rows = rows[key]
+    return rows, (len(rows) if parent.startswith("/connectives") else None)
+
+
 @st.composite
 def _bad_entries(draw):
     """A valid document with one or two entries of one index row replaced
-    by bad values; returns the document text and the first bad entry's
-    path and message."""
+    by bad values, and perhaps another row of the same table cut short or
+    replaced by a non-array; returns the document text and the path and
+    message of the first fault in reading order."""
     obj = json.loads(json.dumps(draw(st.sampled_from(_VALID))))
     path, row, n = draw(st.sampled_from([r for r in _index_rows(obj) if r[1]]))
     positions = sorted(draw(st.sets(st.integers(0, len(row) - 1), min_size=1, max_size=2)))
     values = [n if v == "n" else v for v in (draw(st.sampled_from(_BAD)) for _ in positions)]
     for j, v in zip(positions, values):
         row[j] = v
-    return json.dumps(obj), f"{path}/{positions[0]}", _expected_error(values[0], n)
+    first = (f"{path}/{positions[0]}", _expected_error(values[0], n))
+    rows, width = _containing_table(obj, path) or ([], None)
+    if len(rows) > 1 and draw(st.booleans()):
+        here = int(path.rpartition("/")[2])
+        other = draw(st.sampled_from([i for i in range(len(rows)) if i != here]))
+        other_path = f"{path.rpartition('/')[0]}/{other}"
+        if width is not None and draw(st.booleans()):
+            rows[other] = rows[other][:-1]
+            fault = (other_path, f"expected {width} entries")
+        else:
+            rows[other] = draw(st.sampled_from([7, "row", None, {}]))
+            fault = (other_path, "expected an array")
+        if other < here:
+            first = fault
+    return json.dumps(obj), *first
 
 
 @settings(max_examples=300, deadline=None)
@@ -237,9 +280,83 @@ def test_a_bad_index_reports_its_path_and_message(drawn):
     assert stderr.getvalue() == f"error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize("key, row, message", [
+    ("join", [0, 1], "expected 3 entries"),
+    ("meet", [0, 1, 2, 0], "expected 3 entries"),
+    ("impl", 7, "expected an array"),
+    ("theories", "row", "expected an array"),
+])
+def test_a_lone_malformed_row_reports_its_path(key, row, message):
+    obj = json.loads(emit_document(Document("logic", l3())))
+    table = obj["theories"] if key == "theories" else obj["connectives"][key]
+    table[1] = row
+    path = "/theories/1" if key == "theories" else f"/connectives/{key}/1"
+    with pytest.raises(SchemaError) as err:
+        parse_document(json.dumps(obj))
+    assert str(err.value) == f"{path}: {message}"
+
+
 def test_the_first_of_two_bad_entries_is_reported():
     obj = json.loads(emit_document(Document("logic", l3())))
     obj["connectives"]["join"][2][1:] = [True, -1]
     with pytest.raises(SchemaError) as err:
         parse_document(json.dumps(obj))
     assert str(err.value) == "/connectives/join/2/1: expected an integer"
+
+
+def _corpus_documents():
+    """Every document kind, built from the corpus."""
+    logics = [logic for _, logic in corpus_logics(4)]
+    frames = [frame for _, frame in corpus_frames(4)]
+    spaces = [space for _, space in corpus_spaces(4)]
+    docs = [Document("logic", logic) for logic in logics]
+    docs += [Document("poset", frame) for frame in frames]
+    docs += [Document("lattice", heyting_from_upsets(frame)) for frame in frames]
+    docs += [Document("space", space) for space in spaces]
+    docs += [Document("logic_map", LogicMap(logic, logic, tuple(logic.exprs))) for logic in logics[::5]]
+    docs += [Document("point_map", PointMap(space, space, tuple(range(space.n_points)))) for space in spaces[::5]]
+    return docs
+
+
+def test_emission_matches_the_standard_encoder():
+    for doc in _corpus_documents():
+        assert emit_document(doc) == oracle_emit(doc), doc.kind
+
+
+def _renamed(doc, names):
+    """The document with its element names replaced by the first of names."""
+    value = doc.value
+    if doc.kind == "logic":
+        k = value.universe_size
+        return Document("logic", AbstractLogic(names[:k], value.theories, value.connectives))
+    if doc.kind == "space":
+        k, b = value.n_points, len(value.basis)
+        return Document("space", FiniteSpace(names[:k], value.basis, names[k:k + b]))
+    if doc.kind == "poset":
+        return Document("poset", FinitePoset(names[:value.n], value.leq))
+    if doc.kind == "lattice":
+        return Document("lattice", replace(value, element_names=names[:value.n]))
+    endpoint = _renamed(Document("logic" if doc.kind == "logic_map" else "space", value.source), names).value
+    return Document(doc.kind, type(value)(endpoint, endpoint, value.mapping))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_corpus_documents()), st.lists(st.text(), min_size=64, max_size=64, unique=True))
+def test_emission_of_any_names_matches_the_standard_encoder(doc, names):
+    """Names with quotes, backslashes, control characters and non-ASCII
+    text are escaped exactly as the standard library escapes them."""
+    renamed = _renamed(doc, tuple(names))
+    assert emit_document(renamed) == oracle_emit(renamed)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+def test_the_encoder_writes_any_json_value_as_the_standard_library(value):
+    assert _encode(value, "\n") == json.dumps(value, indent=2, ensure_ascii=False)
