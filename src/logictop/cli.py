@@ -307,7 +307,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help=f"largest poset size feeding the corpus, 1..{POSET_ENUMERATION_BOUND} (default 4)")
     corpus.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     corpus.add_argument("--jobs", default=None, metavar="N",
-                        help="worker processes for criterion 6 (default: WORKBENCH_JOBS or 1)")
+                        help="worker processes for criteria 5 and 6, which run alongside the "
+                             "other criteria (default: WORKBENCH_JOBS or 1)")
     return parser
 
 

@@ -13,11 +13,15 @@ test suite turns each result into a hard pass/fail.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import islice
+from typing import Callable, Iterable, Iterator
 
 from .builders import (
     FinitePoset,
@@ -36,6 +40,8 @@ from .core import (
 )
 from .duality import (
     LogicMap,
+    _fibers,
+    _theory_preimages,
     analyze_logic_map,
     logic_space,
     roundtrip_logic,
@@ -59,6 +65,8 @@ from .topology import (
 )
 
 POSET_COUNTS = (1, 2, 5, 16, 63)  # unlabeled posets on 1..5 points (OEIS A000112)
+EXTENSION_SAMPLES = 1000  # criterion 5's draws per logic
+STABILITY_SAMPLES = 500  # criterion 6's draws per (source, target) pair
 
 
 @dataclass(frozen=True)
@@ -232,15 +240,23 @@ def _spectral_spaces(max_points: int = 4) -> tuple[tuple[str, FiniteSpace], ...]
 # acceptance checks
 
 
-def _pmap(fn, items, jobs: int | None):
-    """fn over items, in order; with jobs > 1 on a process pool of at most
-    one worker per item and per CPU."""
-    items = list(items)
-    workers = min(jobs or 1, len(items), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+@contextmanager
+def _fan_out(jobs: int | None, tasks: list[tuple[Callable, object]]) -> Iterator[Iterator]:
+    """The results of the (fn, arg) tasks, in task order.
+
+    With jobs > 1 the tasks start on a process pool of at most one worker
+    per task and per CPU as the block is entered, and the workers fork
+    there; otherwise each task runs in this process when its result is
+    read.  Either way the block can do other work before it reads the
+    results.
+    """
+    workers = min(jobs or 1, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        yield (fn(arg) for fn, arg in tasks)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, arg) for fn, arg in tasks]
+        yield (future.result() for future in futures)
 
 
 def criterion_logic_roundtrip(max_points: int = 4) -> CriterionResult:
@@ -310,46 +326,76 @@ def criterion_generic_points(max_points: int = 4) -> CriterionResult:
     return _result(4, "generic-points", checked, f"{checked} irreducible closed sets", failures)
 
 
-def criterion_prime_extension(max_points: int = 4, seed: int = 0, samples: int = 1000) -> CriterionResult:
+def _extension_tasks(max_points: int, seed: int, samples: int) -> list[tuple]:
+    """Criterion 5's per-logic tasks: the distributive corpus logics with
+    a join table and at most ten expressions."""
+    return [
+        (seed, samples, (name, logic))
+        for name, logic in _distributive_logics(max_points)
+        if logic.universe_size <= 10
+        and logic.connectives is not None and logic.connectives.join is not None
+    ]
+
+
+def _prime_extension_logic(task) -> tuple[int, list[str]]:
+    """Draw admissible (theory, join-closed set) pairs of one logic from
+    its own seeded generator: the count of checked pairs and the failure
+    lines.
+
+    Every draw counts, but each distinct closure and each distinct
+    (theory, closure) pair is computed once."""
+    seed, samples, (name, logic) = task
+    rng = random.Random((seed, name).__repr__())
+    theories = sorted_sets(logic.theories)
+    rests = [sorted(set(logic.exprs) - t) for t in theories]
+    primes = theory_spectrum(logic).primes
+    closures: dict[frozenset[int], frozenset[int]] = {}
+    verdicts: dict[tuple[frozenset[int], frozenset[int]], str | None] = {}
+    checked = 0
+    failures = []
+    for _ in range(samples):
+        i = rng.randrange(len(theories))
+        t, rest = theories[i], rests[i]
+        if not rest:
+            continue
+        b = frozenset(rng.sample(rest, rng.randint(1, len(rest))))
+        s = closures.get(b)
+        if s is None:
+            s = closures[b] = disjunctive_closure(logic, b)
+        if s & t:
+            continue
+        checked += 1
+        if (t, s) not in verdicts:
+            verdicts[t, s] = _extension_failure(logic, primes, t, s)
+        failure = verdicts[t, s]
+        # A rejection is reported on every draw; a disagreement ends
+        # this logic's draws.
+        if failure is not None:
+            failures.append(f"{name}: {failure}")
+            if failure != _REJECTED:
+                break
+    return checked, failures
+
+
+def criterion_prime_extension(
+    max_points: int = 4,
+    seed: int = 0,
+    samples: int = EXTENSION_SAMPLES,
+    results: Iterable[tuple[int, list[str]]] | None = None,
+) -> CriterionResult:
     """Random admissible (theory, join-closed set) pairs extend to primes,
     cross-checked against the enumerated primes.
 
-    Every draw counts, but each distinct closure and each distinct
-    (theory, closure) pair of a logic is computed once."""
-    failures = []
+    ``results`` are _prime_extension_logic's results on the tasks of
+    _extension_tasks, in task order, when the caller has computed them
+    (run_all does, on its pool); by default they are computed here."""
+    if results is None:
+        results = map(_prime_extension_logic, _extension_tasks(max_points, seed, samples))
     checked = 0
-    for name, logic in _distributive_logics(max_points):
-        if logic.universe_size > 10:
-            continue
-        if logic.connectives is None or logic.connectives.join is None:
-            continue
-        rng = random.Random((seed, name).__repr__())
-        theories = sorted_sets(logic.theories)
-        rests = [sorted(set(logic.exprs) - t) for t in theories]
-        primes = theory_spectrum(logic).primes
-        closures: dict[frozenset[int], frozenset[int]] = {}
-        verdicts: dict[tuple[frozenset[int], frozenset[int]], str | None] = {}
-        for _ in range(samples):
-            i = rng.randrange(len(theories))
-            t, rest = theories[i], rests[i]
-            if not rest:
-                continue
-            b = frozenset(rng.sample(rest, rng.randint(1, len(rest))))
-            s = closures.get(b)
-            if s is None:
-                s = closures[b] = disjunctive_closure(logic, b)
-            if s & t:
-                continue
-            checked += 1
-            if (t, s) not in verdicts:
-                verdicts[t, s] = _extension_failure(logic, primes, t, s)
-            failure = verdicts[t, s]
-            # A rejection is reported on every draw; a disagreement ends
-            # this logic's draws.
-            if failure is not None:
-                failures.append(f"{name}: {failure}")
-                if failure != _REJECTED:
-                    break
+    failures: list[str] = []
+    for n, found in results:
+        checked += n
+        failures += found
     return _result(5, "prime-extension", checked, f"{checked} sampled pairs", failures)
 
 
@@ -372,15 +418,15 @@ def _stability_pair(task) -> tuple[int, int, str | None]:
     """Sample maps between one (source, target) pair, from the pair's own
     seeded generator, up to the first failure: the sample count, the
     logic-map count and the failure, if any.  Every draw counts, but each
-    distinct mapping is analysed once; only logic maps go on to the join
-    scan of stable_iff_disjunction."""
+    distinct mapping is analysed once, and only a logic map is analysed
+    at all: any other draw is neither stable nor a logic map."""
     seed, samples, (src_name, src), (tgt_name, tgt) = task
-    rng = random.Random((seed, src_name, tgt_name).__repr__())
+    draw = random.Random((seed, src_name, tgt_name).__repr__()).randrange
     width, images = src.universe_size, tgt.universe_size
     verdicts: dict[tuple[int, ...], tuple[bool, bool, bool]] = {}
     logic_maps = 0
     for sampled in range(1, samples + 1):
-        mapping = tuple(rng.randrange(images) for _ in range(width))
+        mapping = tuple([draw(images) for _ in range(width)])
         verdict = verdicts.get(mapping)
         if verdict is None:
             verdict = verdicts[mapping] = _map_verdict(src, tgt, mapping)
@@ -396,33 +442,54 @@ def _stability_pair(task) -> tuple[int, int, str | None]:
 
 def _map_verdict(src: AbstractLogic, tgt: AbstractLogic, mapping: tuple[int, ...]) -> tuple[bool, bool, bool]:
     """(is_stable, is_logic_map, agree) for one mapping; agree is the
-    lemma's verdict on a logic map and False on anything else."""
+    lemma's verdict on a logic map and False on anything else.  A mapping
+    that pulls some target theory back to a non-theory is rejected on the
+    indexes' bitmasks, before any LogicMap is built: analyze_logic_map
+    would call it neither a logic map nor stable."""
+    if _theory_preimages(src._index, tgt._index, _fibers(mapping, tgt.universe_size))[1] is not None:
+        return False, False, False
     m = LogicMap(src, tgt, mapping)
     analysis = analyze_logic_map(m)
     agree = analysis.is_logic_map and stable_iff_disjunction(m).agree
     return analysis.is_stable, analysis.is_logic_map, agree
 
 
-def criterion_stability_lemma(
-    max_points: int = 4, seed: int = 0, samples: int = 500, jobs: int | None = None
-) -> CriterionResult:
-    """Stability coincides with join preservation on sampled logic maps.
-
-    Each (source, target) pair is one task for _pmap; its samples depend
-    only on the seed and the two names, so the totals and failures are
-    the same for every job count."""
+def _stability_tasks(max_points: int, seed: int, samples: int) -> list[tuple]:
+    """Criterion 6's (source, target) tasks over the distributive corpus
+    logics with a join table and at most six expressions."""
     small = [
         (name, logic)
         for name, logic in _distributive_logics(max_points)
         if logic.universe_size <= 6
         and logic.connectives is not None and logic.connectives.join is not None
     ]
-    tasks = [(seed, samples, src, tgt) for src in small for tgt in small]
-    results = _pmap(_stability_pair, tasks, jobs)
-    sampled = sum(n for n, _, _ in results)
-    logic_maps = sum(k for _, k, _ in results)
-    failures = [failure for _, _, failure in results if failure is not None]
-    detail = f"{sampled} samples over {len(small)}^2 logic pairs, {logic_maps} logic maps"
+    return [(seed, samples, src, tgt) for src in small for tgt in small]
+
+
+def criterion_stability_lemma(
+    max_points: int = 4,
+    seed: int = 0,
+    samples: int = STABILITY_SAMPLES,
+    results: Iterable[tuple[int, int, str | None]] | None = None,
+) -> CriterionResult:
+    """Stability coincides with join preservation on sampled logic maps.
+
+    Each (source, target) pair is one task of _stability_pair; its
+    samples depend only on the seed and the two names, so the totals and
+    failures do not depend on where the tasks ran.  ``results`` are the
+    tasks' results in task order, when the caller has computed them
+    (run_all does, on its pool); by default they are computed here."""
+    tasks = _stability_tasks(max_points, seed, samples)
+    if results is None:
+        results = map(_stability_pair, tasks)
+    sampled = logic_maps = 0
+    failures = []
+    for n, k, failure in results:
+        sampled += n
+        logic_maps += k
+        if failure is not None:
+            failures.append(failure)
+    detail = f"{sampled} samples over {math.isqrt(len(tasks))}^2 logic pairs, {logic_maps} logic maps"
     return _result(6, "stability-lemma", logic_maps, detail, failures)
 
 
@@ -532,19 +599,28 @@ def criterion_degenerate_primes() -> CriterionResult:
 
 
 def run_all(max_points: int = 4, seed: int = 0, jobs: int | None = None) -> tuple[CriterionResult, ...]:
-    # Criterion 6 runs first so that its pool forks before the other
-    # criteria fill this process's caches, which every worker would copy.
-    stability = criterion_stability_lemma(max_points, seed, jobs=jobs)
-    return (
-        criterion_logic_roundtrip(max_points),
-        criterion_space_roundtrip(max_points),
-        criterion_spectrality(max_points),
-        criterion_generic_points(max_points),
-        criterion_prime_extension(max_points, seed),
-        stability,
-        criterion_spectral_distributive(max_points),
-        criterion_heyting_agreement(max_points),
-        criterion_godel_witness(),
-        criterion_constructible(max_points),
-        criterion_degenerate_primes(),
-    )
+    # The tasks of criteria 5 and 6 go to one pool, which forks before
+    # the other criteria fill this process's caches (every worker would
+    # copy them); this process runs the other criteria while the workers
+    # draw, then assembles 6 and 5 from the results in task order.
+    stability = _stability_tasks(max_points, seed, STABILITY_SAMPLES)
+    extension = _extension_tasks(max_points, seed, EXTENSION_SAMPLES)
+    tasks = [(_stability_pair, task) for task in stability]
+    tasks += [(_prime_extension_logic, task) for task in extension]
+    with _fan_out(jobs, tasks) as results:
+        first = (
+            criterion_logic_roundtrip(max_points),
+            criterion_space_roundtrip(max_points),
+            criterion_spectrality(max_points),
+            criterion_generic_points(max_points),
+        )
+        rest = (
+            criterion_spectral_distributive(max_points),
+            criterion_heyting_agreement(max_points),
+            criterion_godel_witness(),
+            criterion_constructible(max_points),
+            criterion_degenerate_primes(),
+        )
+        stability_lemma = criterion_stability_lemma(max_points, seed, results=islice(results, len(stability)))
+        prime_extension = criterion_prime_extension(max_points, seed, results=results)
+    return first + (prime_extension, stability_lemma) + rest

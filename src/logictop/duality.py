@@ -23,6 +23,7 @@ from .core import (
     AbstractLogic,
     ConnectiveTables,
     ExprSet,
+    LogicIndex,
     close_under_intersection,
     set_key,
     sorted_sets,
@@ -215,22 +216,10 @@ def space_logic(space: FiniteSpace) -> AbstractLogic:
     return AbstractLogic(space.basis_names, theories, tables)
 
 
-def theory_preimage_map(m: LogicMap) -> tuple[tuple[ExprSet, ExprSet], ...]:
-    """Each target theory with its preimage, in canonical target order."""
-    src = set(m.source.theories)
-    out = []
-    for t in sorted_sets(m.target.theories):
-        pre = m.preimage(t)
-        if pre not in src:
-            raise NotLogicMap(f"preimage of {set_key(t)} is not a theory", witness=(t, pre))
-        out.append((t, pre))
-    return tuple(out)
-
-
-def _fibers(m: LogicMap) -> list[int]:
+def _fibers(mapping: tuple[int, ...], n_target: int) -> list[int]:
     """The source preimage of each target expression, as a bitmask."""
-    fibers = [0] * m.target.universe_size
-    for a, b in enumerate(m.mapping):
+    fibers = [0] * n_target
+    for a, b in enumerate(mapping):
         fibers[b] |= 1 << a
     return fibers
 
@@ -243,6 +232,32 @@ def _pull(fibers: list[int], s: ExprSet) -> int:
     return pre
 
 
+def _theory_preimages(src: LogicIndex, tgt: LogicIndex, fibers: list[int]) -> tuple[list[int], ExprSet | None]:
+    """The preimage mask of each target theory, in canonical order, up to
+    the first one that is no source theory; and that target theory, or
+    None when the mapping is a logic map.
+
+    ``fibers`` are the mapping's fibers over the target (see _fibers).
+    """
+    preimages = []
+    for t in tgt.theories:
+        pre = _pull(fibers, t)
+        if pre not in src.mask_set:
+            return preimages, t
+        preimages.append(pre)
+    return preimages, None
+
+
+def theory_preimage_map(m: LogicMap) -> tuple[tuple[ExprSet, ExprSet], ...]:
+    """Each target theory with its preimage, in canonical target order."""
+    src, tgt = m.source._index, m.target._index
+    preimages, bad = _theory_preimages(src, tgt, _fibers(m.mapping, m.target.universe_size))
+    if bad is not None:
+        raise NotLogicMap(f"preimage of {set_key(bad)} is not a theory", witness=(bad, m.preimage(bad)))
+    theory_of = dict(zip(src.masks, src.theories))
+    return tuple((t, theory_of[pre]) for t, pre in zip(tgt.theories, preimages))
+
+
 def analyze_logic_map(m: LogicMap) -> MapAnalysis:
     """Classify a map: logic map, stable, normal, surjective up to equivalence.
 
@@ -251,16 +266,12 @@ def analyze_logic_map(m: LogicMap) -> MapAnalysis:
     sets.
     """
     src, tgt = m.source._index, m.target._index
-    fibers = _fibers(m)
+    fibers = _fibers(m.mapping, m.target.universe_size)
     witnesses: list[tuple[str, object]] = []
-    preimages = []
-    for t in tgt.theories:
-        pre = _pull(fibers, t)
-        if pre not in src.mask_set:
-            witnesses.append(("is_logic_map", (t, m.preimage(t))))
-            break
-        preimages.append(pre)
-    is_logic = len(preimages) == len(tgt.theories)
+    preimages, bad = _theory_preimages(src, tgt, fibers)
+    is_logic = bad is None
+    if not is_logic:
+        witnesses.append(("is_logic_map", (bad, m.preimage(bad))))
 
     stable = is_logic
     if is_logic:

@@ -141,9 +141,11 @@ class SpaceIndex:
     ``opens`` and ``closed`` are the opens and their complements.
     ``lattice_violation`` is the first basic pair whose union or
     intersection is not basic, and ``implication_witness`` the first
-    whose arrow is not basic.  The arrow table itself is not kept: it
-    grows with the square of the basis and only check_adjunction reads
-    it again.
+    whose arrow is not basic.  The witness is found on first reading, so
+    a caller that builds the arrow table itself (space_logic, through
+    _set_tables) does not pay for a second one.  The table is not kept:
+    it grows with the square of the basis and only check_adjunction
+    reads it again.
     """
 
     carrier: int
@@ -154,7 +156,6 @@ class SpaceIndex:
     opens: frozenset[int]
     closed: frozenset[int]
     lattice_violation: tuple[PointSet, PointSet] | None
-    implication_witness: tuple[PointSet, PointSet] | None
 
     @classmethod
     def of(cls, space: FiniteSpace) -> SpaceIndex:
@@ -165,7 +166,6 @@ class SpaceIndex:
         order = specialization_order(space)
         upsets = tuple((1 << x, _mask(order.upset(x))) for x in range(space.n_points))
         open_masks = frozenset(_mask(o) for o in opens(space))
-        _, bad = _arrow_table(masks, upsets, mask_set)
         return cls(
             carrier=carrier,
             basis=basis,
@@ -175,8 +175,12 @@ class SpaceIndex:
             opens=open_masks,
             closed=frozenset(carrier & ~o for o in open_masks),
             lattice_violation=_lattice_violation(basis, masks),
-            implication_witness=None if bad is None else (basis[bad[0]], basis[bad[1]]),
         )
+
+    @cached_property
+    def implication_witness(self) -> tuple[PointSet, PointSet] | None:
+        _, bad = _arrow_table(self.masks, self.upsets, self.mask_set)
+        return None if bad is None else (self.basis[bad[0]], self.basis[bad[1]])
 
     def closure(self, a: int) -> int:
         """The smallest closed superset of a: the carrier minus every

@@ -281,7 +281,7 @@ def test_corpus_under_python_O_matches_the_golden_output():
 
 
 def test_corpus_deterministic_across_jobs(capsys):
-    # --jobs 2 fans criterion 6's logic pairs out to a process pool
+    # --jobs 2 fans criteria 5 and 6 out to a process pool
     for fmt in ("text", "json"):
         outputs = []
         for jobs in ("1", "2"):
@@ -303,37 +303,26 @@ def test_corpus_jobs_must_be_a_positive_integer(source, value, capsys, monkeypat
     assert "must be a positive integer" in err and repr(value) in err
 
 
-def test_pool_is_bounded_by_items_and_cpus(capsys, monkeypatch):
-    requested = []
+def test_pool_is_bounded_by_items_and_cpus(capsys, monkeypatch, inline_pool):
+    def fan_out(jobs, items):
+        with corpus._fan_out(jobs, [(abs, x) for x in items]) as results:
+            return list(results)
 
-    class InlinePool:
-        """Records the worker count asked for and runs the items in process."""
+    def requested():
+        return [workers for workers, _ in inline_pool]
 
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(corpus, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(corpus.os, "cpu_count", lambda: 3)
-    assert corpus._pmap(abs, [-1, -2], jobs=8) == [1, 2]
-    assert corpus._pmap(abs, [-1] * 5, jobs=8) == [1] * 5
-    assert corpus._pmap(abs, [-1] * 5, jobs=1) == [1] * 5
-    assert requested == [2, 3]
+    assert fan_out(8, [-1, -2]) == [1, 2]
+    assert fan_out(8, [-1] * 5) == [1] * 5
+    assert fan_out(1, [-1] * 5) == [1] * 5
+    assert requested() == [2, 3]
     monkeypatch.setenv("WORKBENCH_JOBS", "64")
     assert run_cli(["corpus", "--max-points", "2"]) == 0
     assert capsys.readouterr().out == CORPUS_2_TEXT
-    assert requested == [2, 3, 3]
+    assert requested() == [2, 3, 3]
     monkeypatch.setattr(corpus.os, "cpu_count", lambda: None)
-    assert corpus._pmap(abs, [-1] * 5, jobs=8) == [1] * 5
-    assert requested == [2, 3, 3]
+    assert fan_out(8, [-1] * 5) == [1] * 5
+    assert requested() == [2, 3, 3]
 
 
 def test_corpus_json_format(capsys):

@@ -3,18 +3,31 @@
 The unmemoized loops in oracles.py draw the same instances and check
 every draw afresh; these tests require the same counts and the same
 failures from both, also when a check fails on an instance that is
-drawn more than once.
+drawn more than once.  Criterion 6 rejects a draw that is no logic map
+on bitmasks before any analysis, and run_all runs both criteria's tasks
+on one pool while it checks the other criteria.
 """
 
 import dataclasses
+import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logictop import corpus
-from logictop.errors import PreconditionViolated
+from logictop.core import theory_spectrum
+from logictop.duality import (
+    LogicMap,
+    _fibers,
+    _theory_preimages,
+    analyze_logic_map,
+    stable_iff_disjunction,
+    theory_preimage_map,
+)
+from logictop.errors import NotLogicMap, PreconditionViolated
 
-from oracles import oracle_prime_extension_criterion, oracle_stability_pair
+from oracles import oracle_analyze_logic_map, oracle_prime_extension_criterion, oracle_stability_pair
 
 
 def _stability_tasks(seed, max_points=3):
@@ -117,3 +130,95 @@ def test_prime_extension_criterion_reports_a_faulty_repeated_pair_like_the_oracl
     else:
         assert expected[1]
     assert _library_failures(monkeypatch, 3, 0) == expected
+
+
+def _mask(s):
+    return sum(1 << a for a in s)
+
+
+def _gate(src, tgt, mapping):
+    return _theory_preimages(src._index, tgt._index, _fibers(mapping, tgt.universe_size))
+
+
+def _assert_gate_matches(src, tgt, mapping):
+    """The bitmask logic-map test against analyze_logic_map and the
+    frozenset oracle: the same verdict, the first failing target theory
+    as the witness, and the preimage mask of every target theory of a
+    logic map; criterion 6's verdict is the unrejected one."""
+    preimages, bad = _gate(src, tgt, mapping)
+    m = LogicMap(src, tgt, mapping)
+    expected = oracle_analyze_logic_map(
+        m, theory_spectrum(src).totally_primes, theory_spectrum(tgt).totally_primes
+    )
+    assert (bad is None) == analyze_logic_map(m).is_logic_map == expected["is_logic_map"], mapping
+    if bad is None:
+        pulled = [_mask(a for a in src.exprs if mapping[a] in t) for t in corpus.sorted_sets(tgt.theories)]
+        assert preimages == pulled, mapping
+        assert [_mask(pre) for _, pre in theory_preimage_map(m)] == pulled, mapping
+    else:
+        assert expected["witnesses"][0] == ("is_logic_map", (bad, m.preimage(bad))), mapping
+        with pytest.raises(NotLogicMap) as err:
+            theory_preimage_map(m)
+        assert err.value.witness == (bad, m.preimage(bad)), mapping
+    if all(logic.connectives is not None and logic.connectives.join is not None for logic in (src, tgt)):
+        analysis = analyze_logic_map(m)
+        agree = analysis.is_logic_map and stable_iff_disjunction(m).agree
+        assert corpus._map_verdict(src, tgt, mapping) == (analysis.is_stable, analysis.is_logic_map, agree)
+
+
+def test_logic_map_gate_is_exhaustively_exact_on_small_logics():
+    small = [logic for _, logic in corpus.corpus_logics(3) if logic.universe_size <= 4]
+    assert len(small) >= 8
+    checked = logic_maps = 0
+    for src, tgt in itertools.product(small, repeat=2):
+        for mapping in itertools.product(range(tgt.universe_size), repeat=src.universe_size):
+            _assert_gate_matches(src, tgt, mapping)
+            checked += 1
+            logic_maps += _gate(src, tgt, mapping)[1] is None
+    assert 0 < logic_maps < checked
+
+
+_WIDE = corpus.corpus_logics(4)
+
+
+@st.composite
+def _wide_mappings(draw):
+    """A random mapping between two corpus logics of up to four frame
+    points; the degenerate quartet is among them."""
+    src = draw(st.sampled_from(_WIDE))[1]
+    tgt = draw(st.sampled_from(_WIDE))[1]
+    n = src.universe_size
+    image = st.integers(0, tgt.universe_size - 1)
+    return src, tgt, tuple(draw(st.lists(image, min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wide_mappings())
+def test_logic_map_gate_matches_the_oracle_on_random_mappings(drawn):
+    _assert_gate_matches(*drawn)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_prime_extension_logic_matches_the_oracle_logic_by_logic(monkeypatch, seed):
+    tasks = corpus._extension_tasks(4, seed, corpus.EXTENSION_SAMPLES)
+    assert len(tasks) > 1
+    for task in tasks:
+        monkeypatch.setattr(corpus, "_distributive_logics", lambda max_points: (task[2],))
+        assert corpus._prime_extension_logic(task) == oracle_prime_extension_criterion(4, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_run_all_sends_criteria_5_and_6_through_one_pool(monkeypatch, inline_pool, seed):
+    serial = corpus.run_all(3, seed, jobs=1)
+    assert inline_pool == []
+    monkeypatch.setattr(corpus.os, "cpu_count", lambda: 2)
+    assert corpus.run_all(3, seed, jobs=2) == serial
+    [(workers, submitted)] = inline_pool
+    assert workers == 2
+    stability = corpus._stability_tasks(3, seed, corpus.STABILITY_SAMPLES)
+    extension = corpus._extension_tasks(3, seed, corpus.EXTENSION_SAMPLES)
+    expected = [(corpus._stability_pair, task) for task in stability]
+    expected += [(corpus._prime_extension_logic, task) for task in extension]
+    assert submitted == expected
+    assert [r.number for r in serial] == list(range(1, 12))
+    assert all(r.passed for r in serial)

@@ -14,7 +14,8 @@ from logictop.core import (
     quotient_logic,
     theory_spectrum,
 )
-from logictop.corpus import corpus_logics, discrete_two
+from logictop import builders, topology
+from logictop.corpus import corpus_logics, corpus_spaces, discrete_two
 from logictop.duality import (
     DisjunctionCheck,
     LogicMap,
@@ -34,9 +35,15 @@ from logictop.duality import (
     theory_preimage_map,
 )
 from logictop.errors import NotDistributive, NotLogicMap, NotSpectralMap, NotStable
-from logictop.topology import FiniteSpace
+from logictop.topology import FiniteSpace, analyze_space, has_implication, is_distributive_space
 
-from oracles import oracle_analyze_logic_map, oracle_extent, oracle_preserves_join
+from oracles import (
+    oracle_analyze_logic_map,
+    oracle_analyze_space,
+    oracle_extent,
+    oracle_has_implication,
+    oracle_preserves_join,
+)
 
 
 def test_logic_space_of_chain_is_sierpinski(chain3_logic):
@@ -107,6 +114,42 @@ def test_space_logic_of_one_point_cover():
     logic = space_logic(space)
     assert logic.universe_size == 2
     assert logic.theories.theories == frozenset({frozenset({1})})
+
+
+def _fresh(space):
+    """An equal space with its own, not yet built, index."""
+    return FiniteSpace(space.point_names, space.basis, space.basis_names)
+
+
+def test_space_logic_builds_the_arrow_table_once(monkeypatch, small_spaces):
+    calls = []
+    real = topology._arrow_table
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(topology, "_arrow_table", counting)
+    monkeypatch.setattr(builders, "_arrow_table", counting)
+    built = 0
+    for name, space in small_spaces:
+        if not is_distributive_space(space).distributive:
+            continue
+        calls.clear()
+        space_logic.__wrapped__(_fresh(space))
+        assert len(calls) == 1, name
+        built += 1
+    assert built > 1
+
+
+def test_implication_verdicts_do_not_depend_on_space_logic_running_first(wide_spaces):
+    for name, space in wide_spaces:
+        space = _fresh(space)
+        if is_distributive_space(space).distributive:
+            space_logic.__wrapped__(space)
+        n, basis = space.n_points, space.basis
+        assert has_implication(space) == oracle_has_implication(n, basis), name
+        assert dataclasses.asdict(analyze_space(space)) == oracle_analyze_space(n, basis), name
 
 
 def test_space_logic_back_and_forth_preserves_names(chain3_logic):
