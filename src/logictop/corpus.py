@@ -2,9 +2,9 @@
 
 Instances: the three worked logics (a 3-chain, a 4-element Boolean
 lattice, the V-frame upset logic), every upset filter logic of every
-poset on up to four points, a quartet of hand-built logics realizing
-each combination of having or lacking valid and inconsistent formulas,
-and a few small hand-built spaces.
+poset on up to ``--max-points`` points (at most five), a quartet of
+hand-built logics realizing each combination of having or lacking valid
+and inconsistent formulas, and a few small hand-built spaces.
 
 Each acceptance check returns a CriterionResult rather than asserting,
 so the command line and the test suite share one implementation; the
@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator
 
 from .builders import (
@@ -42,7 +42,6 @@ from .duality import (
     LogicMap,
     _fibers,
     _theory_preimages,
-    analyze_logic_map,
     logic_space,
     roundtrip_logic,
     roundtrip_space,
@@ -414,19 +413,48 @@ def _extension_failure(logic: AbstractLogic, primes, t: frozenset[int], s: froze
     return None
 
 
+def _randrange_block(rng: random.Random, n: int, count: int) -> bytes:
+    """The next ``count`` values of ``rng.randrange(n)``, for 0 < n < 256.
+
+    CPython's randrange(n) takes one 32-bit word per try, keeps its top
+    n.bit_length() bits and tries again while they are >= n; and
+    getrandbits(32 * m) packs m words with the first least significant.
+    So the top byte of each word of such a block, shifted down, with the
+    values >= n deleted, is the stream of randrange(n).  The words drawn
+    after the last value kept are lost: the generator ends ahead of where
+    ``count`` calls to randrange would leave it."""
+    if not 0 < n < 256:
+        raise ValueError(f"randrange block needs 0 < n < 256, got {n}")
+    bits = n.bit_length()
+    keep = bytes(b >> (8 - bits) for b in range(256))
+    reject = bytes(b for b in range(256) if b >> (8 - bits) >= n)
+    values = b""
+    while len(values) < count:
+        # About as many words as the rest needs; a shortfall draws again.
+        words = ((count - len(values)) << bits) // n + 1
+        block = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        values += block[3::4].translate(keep, reject)
+    return values[:count]
+
+
 def _stability_pair(task) -> tuple[int, int, str | None]:
     """Sample maps between one (source, target) pair, from the pair's own
     seeded generator, up to the first failure: the sample count, the
-    logic-map count and the failure, if any.  Every draw counts, but each
-    distinct mapping is analysed once, and only a logic map is analysed
-    at all: any other draw is neither stable nor a logic map."""
+    logic-map count and the failure, if any.  The draws are those of
+    randrange, taken in one block.  Every draw counts, but each distinct
+    mapping is analysed once, and only a logic map is analysed at all:
+    any other draw is neither stable nor a logic map."""
     seed, samples, (src_name, src), (tgt_name, tgt) = task
-    draw = random.Random((seed, src_name, tgt_name).__repr__()).randrange
-    width, images = src.universe_size, tgt.universe_size
+    rng = random.Random((seed, src_name, tgt_name).__repr__())
+    width = src.universe_size
+    if width:
+        draws = iter(_randrange_block(rng, tgt.universe_size, width * samples))
+        mappings = zip(*[draws] * width)
+    else:
+        mappings = repeat((), samples)
     verdicts: dict[tuple[int, ...], tuple[bool, bool, bool]] = {}
     logic_maps = 0
-    for sampled in range(1, samples + 1):
-        mapping = tuple([draw(images) for _ in range(width)])
+    for sampled, mapping in enumerate(mappings, 1):
         verdict = verdicts.get(mapping)
         if verdict is None:
             verdict = verdicts[mapping] = _map_verdict(src, tgt, mapping)
@@ -445,13 +473,13 @@ def _map_verdict(src: AbstractLogic, tgt: AbstractLogic, mapping: tuple[int, ...
     lemma's verdict on a logic map and False on anything else.  A mapping
     that pulls some target theory back to a non-theory is rejected on the
     indexes' bitmasks, before any LogicMap is built: analyze_logic_map
-    would call it neither a logic map nor stable."""
+    would call it neither a logic map nor stable.  Both logics have join
+    tables (_stability_tasks keeps no others), so one DisjunctionCheck
+    carries the whole verdict."""
     if _theory_preimages(src._index, tgt._index, _fibers(mapping, tgt.universe_size))[1] is not None:
         return False, False, False
-    m = LogicMap(src, tgt, mapping)
-    analysis = analyze_logic_map(m)
-    agree = analysis.is_logic_map and stable_iff_disjunction(m).agree
-    return analysis.is_stable, analysis.is_logic_map, agree
+    check = stable_iff_disjunction(LogicMap(src, tgt, mapping))
+    return check.stable, check.is_logic_map, check.is_logic_map and check.agree
 
 
 def _stability_tasks(max_points: int, seed: int, samples: int) -> list[tuple]:

@@ -12,6 +12,7 @@ from itertools import chain, combinations, permutations
 from logictop import corpus
 from logictop.core import is_consistent, sorted_sets, theory_spectrum
 from logictop.documents import _FORMATS
+from logictop.duality import analyze_logic_map
 from logictop.errors import PreconditionViolated
 
 
@@ -565,7 +566,7 @@ def oracle_stability_pair(task):
     for sampled in range(1, samples + 1):
         mapping = tuple(rng.randrange(tgt.universe_size) for _ in src.exprs)
         m = corpus.LogicMap(src, tgt, mapping)
-        analysis = corpus.analyze_logic_map(m)
+        analysis = analyze_logic_map(m)
         if analysis.is_stable and not analysis.is_logic_map:
             return sampled, logic_maps, f"{src_name}->{tgt_name}: stable non-logic-map {mapping}"
         if analysis.is_logic_map:

@@ -6,6 +6,8 @@ failure shows the offending instances directly in the pytest output.
 Each line must also equal, byte for byte, the line that
 ``logictop corpus --max-points 4 --seed 0`` prints: a change that keeps
 every criterion passing but alters what it checked or counted fails here.
+Criterion 6's detail lines at ``--max-points 5``, seeds 0 and 1, are
+pinned as well.
 """
 
 from logictop.corpus import (
@@ -66,6 +68,20 @@ def test_criterion_05_prime_extension_agrees_with_enumeration():
 
 def test_criterion_06_stability_matches_join_preservation():
     _settle(criterion_stability_lemma(max_points=4, seed=0))
+
+
+WIDE_STABILITY_DETAILS = {
+    0: "128000 samples over 16^2 logic pairs, 9647 logic maps",
+    1: "128000 samples over 16^2 logic pairs, 9613 logic maps",
+}
+
+
+def test_criterion_06_wide_corpus_details_are_pinned():
+    # The benchmark's corpus-wide workload reads these lines; a change to
+    # the sampled stream shows here first.
+    for seed, detail in WIDE_STABILITY_DETAILS.items():
+        result = criterion_stability_lemma(max_points=5, seed=seed)
+        assert result.passed and result.detail == detail, (seed, result.detail)
 
 
 def test_criterion_07_spectral_spaces_are_distributive():

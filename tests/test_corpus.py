@@ -4,18 +4,21 @@ The unmemoized loops in oracles.py draw the same instances and check
 every draw afresh; these tests require the same counts and the same
 failures from both, also when a check fails on an instance that is
 drawn more than once.  Criterion 6 rejects a draw that is no logic map
-on bitmasks before any analysis, and run_all runs both criteria's tasks
-on one pool while it checks the other criteria.
+on bitmasks before any analysis, reads each pair's draws from one block
+of generator words that must equal the randrange stream, and run_all
+runs both criteria's tasks on one pool while it checks the other
+criteria.
 """
 
 import dataclasses
 import itertools
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logictop import corpus
+from logictop import corpus, duality
 from logictop.core import theory_spectrum
 from logictop.duality import (
     LogicMap,
@@ -46,6 +49,50 @@ def test_stability_pair_matches_the_unmemoized_oracle(seed):
     assert len(tasks) > 1
     for task in tasks:
         assert corpus._stability_pair(task) == oracle_stability_pair(task)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_randrange_block_is_the_randrange_stream(seed):
+    # At n = 128 and the other powers of two half the words are
+    # rejected, so a count of 3,000 needs a second block.
+    for n in range(1, 256):
+        rng = random.Random(seed)
+        stream = bytes(rng.randrange(n) for _ in range(3000))
+        for count in (0, 1, 7, 3000):
+            assert corpus._randrange_block(random.Random(seed), n, count) == stream[:count], (n, count)
+
+
+@pytest.mark.parametrize("n", [0, 256])
+def test_randrange_block_rejects_a_bound_outside_one_byte(n):
+    with pytest.raises(ValueError):
+        corpus._randrange_block(random.Random(0), n, 0)
+
+
+def test_stability_pair_counts_every_draw_from_an_empty_source():
+    empty = ("empty", corpus._logic((), [()], (), ()))
+    for *_, target in _stability_tasks(0)[:3]:
+        task = (0, 500, empty, target)
+        result = corpus._stability_pair(task)
+        assert result == oracle_stability_pair(task) and result[0] == 500
+
+
+def test_stability_pair_analyses_each_logic_map_once(monkeypatch):
+    calls = Counter()
+    real = duality.analyze_logic_map
+
+    def counting(m):
+        calls[m.mapping] += 1
+        return real(m)
+
+    # Wherever a module binds it, so a second, direct call would count.
+    for module in (corpus, duality):
+        if hasattr(module, "analyze_logic_map"):
+            monkeypatch.setattr(module, "analyze_logic_map", counting)
+    for task in _stability_tasks(0):
+        calls.clear()
+        _, logic_maps, _ = corpus._stability_pair(task)
+        assert len(calls) <= logic_maps
+        assert set(calls.values()) <= {1}, task[2][0] + "->" + task[3][0]
 
 
 def _repeated(monkeypatch, name, key, run):
