@@ -418,16 +418,22 @@ def is_strongly_connected(frame: FinitePoset) -> bool:
     )
 
 
-def _canonical_matrix(matrix: LeqMatrix) -> LeqMatrix:
+def _relabelings(n: int) -> list[operator.itemgetter]:
+    """One getter per permutation p of range(n), in permutations order: it
+    reads the row-major flattening of an n x n matrix relabeled by p."""
+    return [
+        operator.itemgetter(*(p[i] * n + p[j] for i in range(n) for j in range(n)))
+        for p in permutations(range(n))
+    ]
+
+
+def _canonical_matrix(matrix: LeqMatrix, relabelings: list[operator.itemgetter]) -> LeqMatrix:
+    """The lexicographically least relabeling of an n x n matrix, n >= 2,
+    given _relabelings(n)."""
     n = len(matrix)
-    best_enc = None
-    best_perm = None
-    for p in permutations(range(n)):
-        enc = tuple(matrix[p[i]][p[j]] for i in range(n) for j in range(n))
-        if best_enc is None or enc < best_enc:
-            best_enc, best_perm = enc, p
-    p = best_perm
-    return tuple(tuple(matrix[p[i]][p[j]] for j in range(n)) for i in range(n))
+    flat = sum(matrix, ())
+    least = min(get(flat) for get in relabelings)
+    return tuple(least[i:i + n] for i in range(0, n * n, n))
 
 
 POSET_ENUMERATION_BOUND = 5
@@ -445,6 +451,7 @@ def enumerate_posets(n: int, *, max_size: int = POSET_ENUMERATION_BOUND) -> Iter
         raise BoundExceeded(f"poset enumeration supports 1..{max_size}, got {n}")
     mats: set[LeqMatrix] = {((True,),)}
     for size in range(2, n + 1):
+        relabelings = _relabelings(size)
         grown: set[LeqMatrix] = set()
         for leq in mats:
             k = size - 1
@@ -458,7 +465,7 @@ def enumerate_posets(n: int, *, max_size: int = POSET_ENUMERATION_BOUND) -> Iter
                     tuple(leq[i][j] for j in range(k)) + (i in d,)
                     for i in range(k)
                 ) + ((False,) * k + (True,),)
-                grown.add(_canonical_matrix(new))
+                grown.add(_canonical_matrix(new, relabelings))
         mats = grown
     names = tuple(f"x{i}" for i in range(n))
     for leq in sorted(mats):

@@ -208,7 +208,7 @@ def _cmd_check_map(args) -> int:
     payload: object = analysis
     src, tgt = value.source.connectives, value.target.connectives
     if src is not None and src.join is not None and tgt is not None and tgt.join is not None:
-        check = stable_iff_disjunction(value)
+        check = stable_iff_disjunction(value, analysis)
         lines.append(f"preserves_join: {_flag(check.preserves_join)}")
         lines.append(f"stable_iff_disjunction: {_flag(check.agree)}")
         if check.witness is not None:
@@ -225,9 +225,9 @@ def _cmd_check_map(args) -> int:
     return 0 if all(flags) else 1
 
 
-def _jobs(args) -> int:
-    """Worker count from --jobs, else WORKBENCH_JOBS, else 1; anything but
-    a positive integer is a usage error."""
+def _check_jobs(args) -> None:
+    """--jobs, else WORKBENCH_JOBS, must be a positive integer; the value
+    has no effect, since the corpus runs in this process."""
     source, raw = "--jobs", args.jobs
     if raw is None:
         source, raw = "WORKBENCH_JOBS", os.environ.get("WORKBENCH_JOBS", "1")
@@ -237,14 +237,13 @@ def _jobs(args) -> int:
         jobs = 0
     if jobs < 1:
         raise _UsageError(f"{source} must be a positive integer, got {raw!r}")
-    return jobs
 
 
 def _cmd_corpus(args) -> int:
     if not 1 <= args.max_points <= POSET_ENUMERATION_BOUND:
         raise _UsageError(f"--max-points must be in 1..{POSET_ENUMERATION_BOUND}, got {args.max_points}")
-    jobs = _jobs(args)
-    results = run_all(max_points=args.max_points, seed=args.seed, jobs=jobs)
+    _check_jobs(args)
+    results = run_all(max_points=args.max_points, seed=args.seed)
     lines = [
         f"criterion {r.number} {r.name}: {'pass' if r.passed else 'FAIL'} ({r.detail})"
         for r in results
@@ -305,10 +304,10 @@ def _build_parser() -> argparse.ArgumentParser:
     corpus = sub.choices["corpus"]
     corpus.add_argument("--max-points", type=int, default=4, metavar="N",
                         help=f"largest poset size feeding the corpus, 1..{POSET_ENUMERATION_BOUND} (default 4)")
-    corpus.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+    corpus.add_argument("--seed", type=int, default=0, help="criterion 6's sampling seed (default 0)")
     corpus.add_argument("--jobs", default=None, metavar="N",
-                        help="worker processes for criteria 5 and 6, which run alongside the "
-                             "other criteria (default: WORKBENCH_JOBS or 1)")
+                        help="accepted for compatibility and without effect: the corpus runs in one "
+                             "process; must be a positive integer (default: WORKBENCH_JOBS or 1)")
     return parser
 
 

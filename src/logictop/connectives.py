@@ -76,10 +76,6 @@ class ClassificationReport:
     def is_intuitionistic(self) -> bool:
         return self._ok("join", "meet", "neg", "impl")
 
-    @property
-    def is_classical(self) -> bool:
-        return self.is_intuitionistic and self.maximals_equal_totally_primes
-
 
 def _tp_sorted(logic: AbstractLogic) -> list[ExprSet]:
     return sorted_sets(theory_spectrum(logic).totally_primes)

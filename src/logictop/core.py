@@ -47,6 +47,22 @@ def _indices_below(rows, n: int) -> bool:
     return not values or (min(values) >= 0 and max(values) < n)
 
 
+def _compares_below(rows, n: int) -> bool:
+    """Every entry of every row lies in range(n) as ``0 <= v < n`` reads
+    it, so that a bool or an integral float passes as the int it equals.
+
+    Equal entries compare alike, so the range is checked over the
+    distinct values, with C builtins.  A False answer (also for a value
+    that is no int, or cannot be hashed) only sends the caller to its
+    entry-by-entry walk.
+    """
+    try:
+        values = set(chain.from_iterable(rows))
+    except TypeError:
+        return False
+    return not values or (set(map(type, values)) <= {int} and min(values) >= 0 and max(values) < n)
+
+
 def _check_universe(universe_size: int, s: Iterable[int], what: str) -> ExprSet:
     out = frozenset(s)
     for i in out:
@@ -129,14 +145,14 @@ class ConnectiveTables:
                 continue
             if len(table) != n or not set(map(len, table)) <= {n}:
                 raise ValueError(f"{name} table is not {n}x{n}")
-            if _indices_below(table, n):
+            if _compares_below(table, n):
                 continue
             for row in table:
                 for v in row:
                     if not 0 <= v < n:
                         raise ValueError(f"{name} table entry {v} outside universe")
         if self.neg is not None:
-            if len(self.neg) != n or (not _indices_below((self.neg,), n) and any(not 0 <= v < n for v in self.neg)):
+            if len(self.neg) != n or (not _compares_below((self.neg,), n) and any(not 0 <= v < n for v in self.neg)):
                 raise ValueError("neg table malformed")
         for name in ("top", "bottom"):
             v = getattr(self, name)
@@ -178,9 +194,6 @@ class AbstractLogic:
     def is_regular(self) -> bool:
         """True when the full expression set is not itself a theory."""
         return self.full_set not in self.theories
-
-    def expr_index(self, name: str) -> int:
-        return self.expr_names.index(name)
 
     @cached_property
     def _index(self) -> LogicIndex:

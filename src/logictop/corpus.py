@@ -8,20 +8,21 @@ and inconsistent formulas, and a few small hand-built spaces.
 
 Each acceptance check returns a CriterionResult rather than asserting,
 so the command line and the test suite share one implementation; the
-test suite turns each result into a hard pass/fail.
+test suite turns each result into a hard pass/fail.  run_all runs the
+eleven checks in order, in one process.  Only criterion 6 samples: it
+draws seeded mappings between pairs of logics, and the seed reaches it
+alone.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from itertools import islice, repeat
-from typing import Callable, Iterable, Iterator
+from functools import lru_cache, reduce
+from itertools import repeat
+from operator import or_
+from typing import Iterator
 
 from .builders import (
     FinitePoset,
@@ -30,11 +31,12 @@ from .builders import (
     heyting_from_upsets,
     logic_from_lattice_filters,
 )
-from .connectives import check_degenerate_primes, disjunctive_closure, prime_extension, verify_connectives
+from .connectives import check_degenerate_primes, prime_extension, verify_connectives
 from .core import (
     AbstractLogic,
     ConnectiveTables,
     TheoryFamily,
+    _mask,
     sorted_sets,
     theory_spectrum,
 )
@@ -64,7 +66,6 @@ from .topology import (
 )
 
 POSET_COUNTS = (1, 2, 5, 16, 63)  # unlabeled posets on 1..5 points (OEIS A000112)
-EXTENSION_SAMPLES = 1000  # criterion 5's draws per logic
 STABILITY_SAMPLES = 500  # criterion 6's draws per (source, target) pair
 
 
@@ -239,25 +240,6 @@ def _spectral_spaces(max_points: int = 4) -> tuple[tuple[str, FiniteSpace], ...]
 # acceptance checks
 
 
-@contextmanager
-def _fan_out(jobs: int | None, tasks: list[tuple[Callable, object]]) -> Iterator[Iterator]:
-    """The results of the (fn, arg) tasks, in task order.
-
-    With jobs > 1 the tasks start on a process pool of at most one worker
-    per task and per CPU as the block is entered, and the workers fork
-    there; otherwise each task runs in this process when its result is
-    read.  Either way the block can do other work before it reads the
-    results.
-    """
-    workers = min(jobs or 1, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        yield (fn(arg) for fn, arg in tasks)
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, arg) for fn, arg in tasks]
-        yield (future.result() for future in futures)
-
-
 def criterion_logic_roundtrip(max_points: int = 4) -> CriterionResult:
     """Every upset filter logic returns isomorphic from its spectrum."""
     sizes = [frame.n for _, frame in corpus_frames(max_points)]
@@ -325,90 +307,83 @@ def criterion_generic_points(max_points: int = 4) -> CriterionResult:
     return _result(4, "generic-points", checked, f"{checked} irreducible closed sets", failures)
 
 
-def _extension_tasks(max_points: int, seed: int, samples: int) -> list[tuple]:
-    """Criterion 5's per-logic tasks: the distributive corpus logics with
-    a join table and at most ten expressions."""
+def _extension_logics(max_points: int) -> list[tuple[str, AbstractLogic]]:
+    """Criterion 5's logics: the distributive corpus logics with a join
+    table and at most ten expressions."""
     return [
-        (seed, samples, (name, logic))
+        (name, logic)
         for name, logic in _distributive_logics(max_points)
         if logic.universe_size <= 10
         and logic.connectives is not None and logic.connectives.join is not None
     ]
 
 
-def _prime_extension_logic(task) -> tuple[int, list[str]]:
-    """Draw admissible (theory, join-closed set) pairs of one logic from
-    its own seeded generator: the count of checked pairs and the failure
-    lines.
+def _join_close(joins, mask: int, members: list[int], x: int, t: int) -> tuple[int, list[int]] | None:
+    """The closure of the join-closed set (mask, members) with x added,
+    as a bitmask and its members; None as soon as it meets the bitmask t.
+    ``joins[y][z]`` has the bits of y join z and z join y."""
+    members = list(members)
+    pending = 1 << x
+    while pending:
+        if pending & t:
+            return None
+        bit = pending & -pending
+        mask |= bit
+        y = bit.bit_length() - 1
+        members.append(y)
+        pending = (pending | reduce(or_, map(joins[y].__getitem__, members))) & ~mask
+    return mask, members
 
-    Every draw counts, but each distinct closure and each distinct
-    (theory, closure) pair is computed once."""
-    seed, samples, (name, logic) = task
-    rng = random.Random((seed, name).__repr__())
-    theories = sorted_sets(logic.theories)
-    rests = [sorted(set(logic.exprs) - t) for t in theories]
-    primes = theory_spectrum(logic).primes
-    closures: dict[frozenset[int], frozenset[int]] = {}
-    verdicts: dict[tuple[frozenset[int], frozenset[int]], str | None] = {}
+
+def _extension_pairs(logic: AbstractLogic) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
+    """Criterion 5's admissible pairs of one logic: every theory t, in
+    sorted_sets order, with every non-empty join-closed set s disjoint
+    from it.  The sets grow on bitmasks from the closures of single
+    expressions outside t, one outside expression at a time; a set that
+    meets t is dropped at once, since every set above it meets t too."""
+    join = logic.connectives.join
+    joins = [[1 << join[y][z] | 1 << join[z][y] for z in logic.exprs] for y in logic.exprs]
+    for t in sorted_sets(logic.theories):
+        t_mask = _mask(t)
+        outside = [a for a in logic.exprs if a not in t]
+        found: dict[int, list[int]] = {}
+        frontier: list[tuple[int, list[int]]] = [(0, [])]
+        while frontier:
+            mask, members = frontier.pop()
+            for x in outside:
+                if mask >> x & 1:
+                    continue
+                grown = _join_close(joins, mask, members, x, t_mask)
+                if grown is not None and grown[0] not in found:
+                    found[grown[0]] = grown[1]
+                    frontier.append(grown)
+        for members in found.values():
+            yield t, frozenset(members)
+
+
+def criterion_prime_extension(max_points: int = 4) -> CriterionResult:
+    """Every admissible (theory, join-closed set) pair extends to a prime,
+    cross-checked against the enumerated primes."""
     checked = 0
     failures = []
-    for _ in range(samples):
-        i = rng.randrange(len(theories))
-        t, rest = theories[i], rests[i]
-        if not rest:
-            continue
-        b = frozenset(rng.sample(rest, rng.randint(1, len(rest))))
-        s = closures.get(b)
-        if s is None:
-            s = closures[b] = disjunctive_closure(logic, b)
-        if s & t:
-            continue
-        checked += 1
-        if (t, s) not in verdicts:
-            verdicts[t, s] = _extension_failure(logic, primes, t, s)
-        failure = verdicts[t, s]
-        # A rejection is reported on every draw; a disagreement ends
-        # this logic's draws.
-        if failure is not None:
-            failures.append(f"{name}: {failure}")
-            if failure != _REJECTED:
-                break
-    return checked, failures
-
-
-def criterion_prime_extension(
-    max_points: int = 4,
-    seed: int = 0,
-    samples: int = EXTENSION_SAMPLES,
-    results: Iterable[tuple[int, list[str]]] | None = None,
-) -> CriterionResult:
-    """Random admissible (theory, join-closed set) pairs extend to primes,
-    cross-checked against the enumerated primes.
-
-    ``results`` are _prime_extension_logic's results on the tasks of
-    _extension_tasks, in task order, when the caller has computed them
-    (run_all does, on its pool); by default they are computed here."""
-    if results is None:
-        results = map(_prime_extension_logic, _extension_tasks(max_points, seed, samples))
-    checked = 0
-    failures: list[str] = []
-    for n, found in results:
-        checked += n
-        failures += found
-    return _result(5, "prime-extension", checked, f"{checked} sampled pairs", failures)
-
-
-_REJECTED = "precondition rejected a valid pair"
+    for name, logic in _extension_logics(max_points):
+        primes = theory_spectrum(logic).primes
+        for t, s in _extension_pairs(logic):
+            checked += 1
+            failure = _extension_failure(logic, primes, t, s)
+            if failure is not None:
+                failures.append(f"{name}: {failure}")
+    return _result(5, "prime-extension", checked, f"{checked} admissible pairs", failures)
 
 
 def _extension_failure(logic: AbstractLogic, primes, t: frozenset[int], s: frozenset[int]) -> str | None:
-    """Why the prime extension of t avoiding s fails criterion 5, or None."""
+    """Why the prime extension of t avoiding s fails criterion 5, or None:
+    it must be one of the enumerated primes above t that miss s."""
     try:
         p = prime_extension(logic, t, s)
     except PreconditionViolated:
-        return _REJECTED
-    oracle = {q for q in primes if t <= q and not (q & s)}
-    if not oracle or p not in oracle or not (t <= p) or (p & s):
+        return "precondition rejected a valid pair"
+    if p not in primes or not t <= p or p & s:
         return "extension disagrees with enumeration"
     return None
 
@@ -495,24 +470,16 @@ def _stability_tasks(max_points: int, seed: int, samples: int) -> list[tuple]:
 
 
 def criterion_stability_lemma(
-    max_points: int = 4,
-    seed: int = 0,
-    samples: int = STABILITY_SAMPLES,
-    results: Iterable[tuple[int, int, str | None]] | None = None,
+    max_points: int = 4, seed: int = 0, samples: int = STABILITY_SAMPLES
 ) -> CriterionResult:
     """Stability coincides with join preservation on sampled logic maps.
 
     Each (source, target) pair is one task of _stability_pair; its
-    samples depend only on the seed and the two names, so the totals and
-    failures do not depend on where the tasks ran.  ``results`` are the
-    tasks' results in task order, when the caller has computed them
-    (run_all does, on its pool); by default they are computed here."""
+    samples depend only on the seed and the two names."""
     tasks = _stability_tasks(max_points, seed, samples)
-    if results is None:
-        results = map(_stability_pair, tasks)
     sampled = logic_maps = 0
     failures = []
-    for n, k, failure in results:
+    for n, k, failure in map(_stability_pair, tasks):
         sampled += n
         logic_maps += k
         if failure is not None:
@@ -626,29 +593,17 @@ def criterion_degenerate_primes() -> CriterionResult:
     return _result(11, "degenerate-primes", len(quartet), f"{len(quartet)} logics, all flag combinations", failures)
 
 
-def run_all(max_points: int = 4, seed: int = 0, jobs: int | None = None) -> tuple[CriterionResult, ...]:
-    # The tasks of criteria 5 and 6 go to one pool, which forks before
-    # the other criteria fill this process's caches (every worker would
-    # copy them); this process runs the other criteria while the workers
-    # draw, then assembles 6 and 5 from the results in task order.
-    stability = _stability_tasks(max_points, seed, STABILITY_SAMPLES)
-    extension = _extension_tasks(max_points, seed, EXTENSION_SAMPLES)
-    tasks = [(_stability_pair, task) for task in stability]
-    tasks += [(_prime_extension_logic, task) for task in extension]
-    with _fan_out(jobs, tasks) as results:
-        first = (
-            criterion_logic_roundtrip(max_points),
-            criterion_space_roundtrip(max_points),
-            criterion_spectrality(max_points),
-            criterion_generic_points(max_points),
-        )
-        rest = (
-            criterion_spectral_distributive(max_points),
-            criterion_heyting_agreement(max_points),
-            criterion_godel_witness(),
-            criterion_constructible(max_points),
-            criterion_degenerate_primes(),
-        )
-        stability_lemma = criterion_stability_lemma(max_points, seed, results=islice(results, len(stability)))
-        prime_extension = criterion_prime_extension(max_points, seed, results=results)
-    return first + (prime_extension, stability_lemma) + rest
+def run_all(max_points: int = 4, seed: int = 0) -> tuple[CriterionResult, ...]:
+    return (
+        criterion_logic_roundtrip(max_points),
+        criterion_space_roundtrip(max_points),
+        criterion_spectrality(max_points),
+        criterion_generic_points(max_points),
+        criterion_prime_extension(max_points),
+        criterion_stability_lemma(max_points, seed),
+        criterion_spectral_distributive(max_points),
+        criterion_heyting_agreement(max_points),
+        criterion_godel_witness(),
+        criterion_constructible(max_points),
+        criterion_degenerate_primes(),
+    )

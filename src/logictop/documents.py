@@ -19,10 +19,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import chain
 from json.encoder import encode_basestring
 
 from .builders import FiniteLattice, FinitePoset
-from .core import AbstractLogic, ConnectiveTables, TheoryFamily, _indices_below
+from .core import AbstractLogic, ConnectiveTables, TheoryFamily, _compares_below, _indices_below
 from .duality import LogicMap, PointMap
 from .errors import ParseError, SchemaError
 from .topology import FiniteSpace
@@ -109,12 +110,17 @@ def _as_indices(items: list, path: str, n: int) -> list:
     return [_as_index(x, f"{path}/{j}", n) for j, x in enumerate(items)]
 
 
-def _rows_below(rows: list, n: int, width: int | None = None) -> bool:
-    """Every row is a list (of ``width`` entries when given) and every
-    entry an index below n, checked for the whole table with C builtins."""
+def _int_rows(rows: list, width: int | None = None) -> bool:
+    """Every row is a list (of ``width`` entries when given) of ints, bool
+    excluded, checked for the whole table with C builtins."""
     return (set(map(type, rows)) <= {list}
             and (width is None or set(map(len, rows)) <= {width})
-            and _indices_below(rows, n))
+            and set(map(type, chain.from_iterable(rows))) <= {int})
+
+
+def _rows_below(rows: list, n: int, width: int | None = None) -> bool:
+    """_int_rows, and every entry an index below n."""
+    return _int_rows(rows, width) and _compares_below(rows, n)
 
 
 def _as_index_sets(v, path: str, n: int) -> list[frozenset[int]]:
@@ -172,26 +178,58 @@ def _parse_logic(obj: dict, path: str) -> AbstractLogic:
     if "connectives" in obj:
         c = _as_object(obj["connectives"], f"{path}/connectives",
                        ("join", "meet", "impl", "neg", "top", "bottom"))
-        cp = f"{path}/connectives"
         if "join" not in c:
-            _fail(f"{cp}/join", "missing required key")
-        kwargs = {}
-        for key in ("join", "meet", "impl"):
-            if key in c:
-                kwargs[key] = _as_table(c[key], f"{cp}/{key}", n)
-        if "neg" in c:
-            row = _as_list(c["neg"], f"{cp}/neg")
-            if len(row) != n:
-                _fail(f"{cp}/neg", f"expected {n} entries")
-            kwargs["neg"] = tuple(_as_indices(row, f"{cp}/neg", n))
-        for key in ("top", "bottom"):
-            if key in c:
-                kwargs[key] = _as_index(c[key], f"{cp}/{key}", n)
-        tables = ConnectiveTables(**kwargs)
+            _fail(f"{path}/connectives/join", "missing required key")
+        tables = _shaped_tables(c, n) or _checked_tables(c, f"{path}/connectives", n)
     try:
         return AbstractLogic(names, family, tables)
     except ValueError as e:
+        if tables is not None:
+            _checked_tables(c, f"{path}/connectives", n)
         _fail(path, str(e))
+
+
+def _shaped_tables(c: dict, n: int) -> ConnectiveTables | None:
+    """The connective tables when every table and row has its shape and
+    every entry is an int (bool excluded), checked with C builtins; None
+    otherwise.  The ranges are left to ConnectiveTables.validate, which
+    AbstractLogic runs."""
+    kwargs = {}
+    for key in ("join", "meet", "impl"):
+        if key in c:
+            rows = c[key]
+            if not (type(rows) is list and len(rows) == n and _int_rows(rows, n)):
+                return None
+            kwargs[key] = rows
+    if "neg" in c:
+        row = c["neg"]
+        if not (type(row) is list and len(row) == n and _int_rows([row])):
+            return None
+        kwargs["neg"] = row
+    for key in ("top", "bottom"):
+        if key in c:
+            if type(c[key]) is not int:
+                return None
+            kwargs[key] = c[key]
+    return ConnectiveTables(**kwargs)
+
+
+def _checked_tables(c: dict, cp: str, n: int) -> ConnectiveTables:
+    """The connective tables, walked in document order: the first bad row
+    or entry fails with its path."""
+    kwargs = {}
+    for key in ("join", "meet", "impl"):
+        if key in c:
+            kwargs[key] = _as_table(c[key], f"{cp}/{key}", n)
+    if "neg" in c:
+        row = _as_list(c["neg"], f"{cp}/neg")
+        if len(row) != n:
+            _fail(f"{cp}/neg", f"expected {n} entries")
+        kwargs["neg"] = tuple(_as_indices(row, f"{cp}/neg", n))
+    for key in ("top", "bottom"):
+        if key in c:
+            kwargs[key] = _as_index(c[key], f"{cp}/{key}", n)
+    return ConnectiveTables(**kwargs)
 
 
 def _parse_poset(obj: dict, path: str) -> FinitePoset:

@@ -304,18 +304,20 @@ def analyze_logic_map(m: LogicMap) -> MapAnalysis:
     )
 
 
-def stable_iff_disjunction(m: LogicMap) -> DisjunctionCheck:
+def stable_iff_disjunction(m: LogicMap, analysis: MapAnalysis | None = None) -> DisjunctionCheck:
     """Compare stability with preservation of joins up to target equivalence.
 
     The two agree for logic maps.  Arbitrary expression functions can
     preserve joins while failing to be logic maps at all, so callers
-    sampling random mappings should gate on is_logic_map.
+    sampling random mappings should gate on is_logic_map.  A caller that
+    already holds ``analyze_logic_map(m)`` passes it as ``analysis``.
     """
     if m.source.connectives is None or m.source.connectives.join is None:
         raise MissingJoin("source logic has no join table")
     if m.target.connectives is None or m.target.connectives.join is None:
         raise MissingJoin("target logic has no join table")
-    analysis = analyze_logic_map(m)
+    if analysis is None:
+        analysis = analyze_logic_map(m)
     f, classes = m.mapping, m.target._index.class_of
     src_join, tgt_join = m.source.connectives.join, m.target.connectives.join
     exprs = m.source.exprs

@@ -77,16 +77,6 @@ class FiniteSpace:
         """Points lying in no basic open."""
         return self.carrier.difference(*self.basis)
 
-    def basis_index(self, U: Iterable[int]) -> int:
-        u = frozenset(U)
-        try:
-            return self.basis.index(u)
-        except ValueError:
-            raise NotBasic(f"{set_key(u)} is not a basis element", witness=u) from None
-
-    def point_index(self, name: str) -> int:
-        return self.point_names.index(name)
-
     @cached_property
     def _index(self) -> SpaceIndex:
         return SpaceIndex.of(self)
@@ -114,13 +104,18 @@ def _arrow_table(
     """Every arrow of the masks, row by row, while it stays in members.
 
     Returns the table of arrow masks and None, or None and the positions
-    (i, j) of the first pair whose arrow leaves members.
+    (i, j) of the first pair whose arrow leaves members.  A -> B depends
+    only on A minus B, so each distinct difference is computed once.
     """
+    arrows: dict[int, int] = {}
     rows = []
     for i, a in enumerate(masks):
         row = []
         for j, b in enumerate(masks):
-            arrow = _arrow(upsets, a, b)
+            outside = a & ~b
+            arrow = arrows.get(outside)
+            if arrow is None:
+                arrow = arrows[outside] = _arrow(upsets, outside, 0)
             if arrow not in members:
                 return None, (i, j)
             row.append(arrow)

@@ -1,8 +1,5 @@
-from concurrent.futures import Future
-
 import pytest
 
-from logictop import corpus
 from logictop.corpus import (
     corpus_logics,
     corpus_spaces,
@@ -61,31 +58,3 @@ def wide_spaces():
 @pytest.fixture(scope="session")
 def quartet():
     return degenerate_quartet()
-
-
-@pytest.fixture
-def inline_pool(monkeypatch):
-    """Replace the corpus's process pool with one that runs each submitted
-    task in this process.  Returns the record of every pool opened: the
-    worker count it was asked for and the (fn, arg) tasks submitted to it."""
-    pools = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            self.submitted = []
-            pools.append((max_workers, self.submitted))
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, arg):
-            self.submitted.append((fn, arg))
-            future = Future()
-            future.set_result(fn(arg))
-            return future
-
-    monkeypatch.setattr(corpus, "ProcessPoolExecutor", InlinePool)
-    return pools

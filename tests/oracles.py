@@ -10,10 +10,10 @@ import random
 from itertools import chain, combinations, permutations
 
 from logictop import corpus
+from logictop.connectives import disjunctive_closure
 from logictop.core import is_consistent, sorted_sets, theory_spectrum
 from logictop.documents import _FORMATS
 from logictop.duality import analyze_logic_map
-from logictop.errors import PreconditionViolated
 
 
 def subfamilies(family):
@@ -375,6 +375,21 @@ def canonical_form(matrix):
     )
 
 
+def oracle_canonical_matrix(matrix):
+    """The matrix relabeled by the first permutation, in permutations
+    order, whose row-major encoding is least: the poset enumerator's
+    canonical form, one tuple built per permutation."""
+    n = len(matrix)
+    best_enc = None
+    best_perm = None
+    for p in permutations(range(n)):
+        enc = tuple(matrix[p[i]][p[j]] for i in range(n) for j in range(n))
+        if best_enc is None or enc < best_enc:
+            best_enc, best_perm = enc, p
+    p = best_perm
+    return tuple(tuple(matrix[p[i]][p[j]] for j in range(n)) for i in range(n))
+
+
 def oracle_poset_count(n):
     return len({canonical_form(m) for m in oracle_labeled_posets(n)})
 
@@ -552,10 +567,10 @@ def oracle_preserves_join(m):
     return None
 
 
-# Criteria 5 and 6 as they read before their draws were memoized: every
-# draw is checked afresh.  The library functions are looked up on the
-# corpus module at call time, so a test that patches one there patches
-# both readings.
+# Criterion 6 as it read before its draws were memoized: every draw is
+# checked afresh.  The library functions are looked up on the corpus
+# module at call time, so a test that patches one there patches both
+# readings.
 
 
 def oracle_stability_pair(task):
@@ -576,38 +591,17 @@ def oracle_stability_pair(task):
     return samples, logic_maps, None
 
 
-def oracle_prime_extension_criterion(max_points=4, seed=0, samples=1000):
-    """Criterion 5: (checked pairs, every failure line)."""
-    failures = []
-    checked = 0
-    for name, logic in corpus._distributive_logics(max_points):
-        if logic.universe_size > 10:
-            continue
-        if logic.connectives is None or logic.connectives.join is None:
-            continue
-        rng = random.Random((seed, name).__repr__())
-        theories = corpus.sorted_sets(logic.theories)
-        primes = corpus.theory_spectrum(logic).primes
-        for _ in range(samples):
-            t = theories[rng.randrange(len(theories))]
-            rest = sorted(set(logic.exprs) - t)
-            if not rest:
-                continue
-            b = frozenset(rng.sample(rest, rng.randint(1, len(rest))))
-            s = corpus.disjunctive_closure(logic, b)
-            if s & t:
-                continue
-            checked += 1
-            try:
-                p = corpus.prime_extension(logic, t, s)
-            except PreconditionViolated:
-                failures.append(f"{name}: precondition rejected a valid pair")
-                continue
-            oracle = {q for q in primes if t <= q and not (q & s)}
-            if not oracle or p not in oracle or not (t <= p) or (p & s):
-                failures.append(f"{name}: extension disagrees with enumeration")
-                break
-    return checked, failures
+def oracle_extension_pairs(logic):
+    """Criterion 5's admissible pairs of one logic: each theory t with the
+    disjunctive closure of every non-empty subset of its complement that
+    stays disjoint from t, as a set of (t, s) pairs."""
+    pairs = set()
+    for t in logic.theories:
+        for b in subfamilies(sorted(set(logic.exprs) - t)):
+            s = disjunctive_closure(logic, b)
+            if not s & t:
+                pairs.add((t, s))
+    return pairs
 
 
 # The per-entry loops the library ran before its row-wise and whole-table

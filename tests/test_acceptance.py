@@ -29,7 +29,7 @@ EXPECTED_LINES = {
     2: "criterion 2 space-roundtrip: pass (24 spaces)",
     3: "criterion 3 spectrality: pass (25 bounded logics, 25 spectral)",
     4: "criterion 4 generic-points: pass (95 irreducible closed sets)",
-    5: "criterion 5 prime-extension: pass (21604 sampled pairs)",
+    5: "criterion 5 prime-extension: pass (2869 admissible pairs)",
     6: "criterion 6 stability-lemma: pass (112500 samples over 15^2 logic pairs, 9126 logic maps)",
     7: "criterion 7 spectral-distributive: pass (27 spectral spaces)",
     8: "criterion 8 heyting-agreement: pass (30 covering spaces, 2 non-covering skipped)",
@@ -63,7 +63,7 @@ def test_criterion_04_irreducible_closed_sets_have_generic_points():
 
 
 def test_criterion_05_prime_extension_agrees_with_enumeration():
-    _settle(criterion_prime_extension(max_points=4, seed=0))
+    _settle(criterion_prime_extension(max_points=4))
 
 
 def test_criterion_06_stability_matches_join_preservation():

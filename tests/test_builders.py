@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from logictop import builders
 from logictop.builders import (
     FiniteLattice,
     FinitePoset,
@@ -23,6 +24,8 @@ from logictop.topology import FiniteSpace
 
 from oracles import (
     canonical_form,
+    oracle_canonical_matrix,
+    oracle_labeled_posets,
     oracle_open_implication,
     oracle_opens,
     oracle_distributivity_witness,
@@ -220,11 +223,23 @@ def test_enumerated_posets_are_canonical_and_distinct():
 
 
 def test_every_labeled_poset_appears():
-    from oracles import oracle_labeled_posets
-
     enumerated = {canonical_form(p.leq) for p in enumerate_posets(3)}
     brute = {canonical_form(m) for m in oracle_labeled_posets(3)}
     assert enumerated == brute
+
+
+def test_canonical_matrices_match_the_relabeling_loop():
+    for n in range(2, 5):
+        relabelings = builders._relabelings(n)
+        for matrix in oracle_labeled_posets(n):
+            assert builders._canonical_matrix(matrix, relabelings) == oracle_canonical_matrix(matrix), matrix
+
+
+@pytest.mark.parametrize("n", range(1, POSET_ENUMERATION_BOUND + 1))
+def test_enumerated_posets_match_the_relabeling_loop(monkeypatch, n):
+    fast = list(enumerate_posets(n))
+    monkeypatch.setattr(builders, "_canonical_matrix", lambda matrix, relabelings: oracle_canonical_matrix(matrix))
+    assert fast == list(enumerate_posets(n))
 
 
 def test_poset_counts_cover_the_enumeration_bound():

@@ -1,13 +1,14 @@
-"""Criteria 5 and 6 check each distinct drawn instance once.
+"""Criterion 5 on every admissible pair, criterion 6 on each distinct
+draw once, and run_all's order.
 
-The unmemoized loops in oracles.py draw the same instances and check
-every draw afresh; these tests require the same counts and the same
-failures from both, also when a check fails on an instance that is
-drawn more than once.  Criterion 6 rejects a draw that is no logic map
-on bitmasks before any analysis, reads each pair's draws from one block
-of generator words that must equal the randrange stream, and run_all
-runs both criteria's tasks on one pool while it checks the other
-criteria.
+Criterion 5's bitmask enumerator must yield exactly the pairs that the
+brute-force oracle finds from every subset of each theory's complement.
+The unmemoized criterion-6 loop in oracles.py draws the same instances
+and checks every draw afresh; the library must give the same counts and
+the same failures, also when a check fails on an instance that is drawn
+more than once.  Criterion 6 rejects a draw that is no logic map on
+bitmasks before any analysis, and reads each pair's draws from one block
+of generator words that must equal the randrange stream.
 """
 
 import dataclasses
@@ -19,7 +20,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logictop import corpus, duality
-from logictop.core import theory_spectrum
+from logictop.builders import random_logic
+from logictop.core import AbstractLogic, ConnectiveTables, set_key, theory_spectrum
 from logictop.duality import (
     LogicMap,
     _fibers,
@@ -30,7 +32,7 @@ from logictop.duality import (
 )
 from logictop.errors import NotLogicMap, PreconditionViolated
 
-from oracles import oracle_analyze_logic_map, oracle_prime_extension_criterion, oracle_stability_pair
+from oracles import oracle_analyze_logic_map, oracle_extension_pairs, oracle_stability_pair
 
 
 def _stability_tasks(seed, max_points=3):
@@ -133,50 +135,67 @@ def test_stability_pair_fails_at_the_first_draw_of_a_repeated_disagreeing_map(mo
     assert corpus._stability_pair(task) == expected
 
 
-def _library_failures(monkeypatch, max_points, seed):
-    """criterion_prime_extension's checked count and full failure list."""
-    seen = []
-    real = corpus._result
+def _pairs(logic):
+    """The enumerator's pairs, each once, theories in sorted order."""
+    pairs = list(corpus._extension_pairs(logic))
+    assert len(set(pairs)) == len(pairs)
+    assert [t for t, _ in pairs] == sorted((t for t, _ in pairs), key=set_key)
+    return set(pairs)
 
-    def recording(number, name, checked, detail, failures):
-        seen.append((checked, list(failures)))
-        return real(number, name, checked, detail, failures)
 
-    monkeypatch.setattr(corpus, "_result", recording)
-    corpus.criterion_prime_extension(max_points, seed)
-    monkeypatch.setattr(corpus, "_result", real)
-    return seen[0]
+def test_extension_pairs_match_the_oracle_logic_by_logic():
+    logics = corpus._extension_logics(4)
+    assert len(logics) == 26
+    for name, logic in logics:
+        assert _pairs(logic) == oracle_extension_pairs(logic), name
+
+
+@st.composite
+def _joined_logics(draw):
+    """A random intersection structure with a random join table, which
+    need be neither commutative nor idempotent."""
+    logic = random_logic(draw(st.integers(1, 7)), draw(st.integers(0, 10**6)))
+    n = logic.universe_size
+    join = [[draw(st.integers(0, n - 1)) for _ in range(n)] for _ in range(n)]
+    return AbstractLogic(logic.expr_names, logic.theories, ConnectiveTables(join=join))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_joined_logics())
+def test_extension_pairs_match_the_oracle_on_random_join_tables(logic):
+    assert _pairs(logic) == oracle_extension_pairs(logic)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_prime_extension_criterion_matches_the_unmemoized_oracle(monkeypatch, seed):
-    expected = oracle_prime_extension_criterion(4, seed)
-    assert expected[0] > 0 and not expected[1]
-    assert _library_failures(monkeypatch, 4, seed) == expected
+def test_prime_extension_criterion_matches_the_unmemoized_oracle(seed):
+    # every oracle pair is checked once, whatever the seed
+    pairs = sum(len(oracle_extension_pairs(logic)) for _, logic in corpus._extension_logics(3))
+    result = corpus.run_all(3, seed)[4]
+    assert result == corpus.CriterionResult(5, "prime-extension", True, f"{pairs} admissible pairs")
 
 
-@pytest.mark.parametrize("fault", ["reject", "disagree"])
-def test_prime_extension_criterion_reports_a_faulty_repeated_pair_like_the_oracle(monkeypatch, fault):
+@pytest.mark.parametrize("fault", ["reject", "non-prime"])
+def test_prime_extension_criterion_reports_a_faulty_pair(monkeypatch, fault):
+    name, logic = corpus._extension_logics(3)[-5]
+    pairs = sorted(oracle_extension_pairs(logic), key=lambda pair: tuple(map(set_key, pair)))
+    bad = pairs[len(pairs) // 2]
     real = corpus.prime_extension
-    repeated, calls = _repeated(
-        monkeypatch, "prime_extension", lambda logic, t, s: (t, s), lambda: oracle_prime_extension_criterion(3)
-    )
-    key = repeated[len(repeated) // 2]
 
     def faulty(logic, t, s):
-        if (t, s) == key:
+        if (t, s) == bad:
             if fault == "reject":
                 raise PreconditionViolated("injected")
             return frozenset(logic.exprs)
         return real(logic, t, s)
 
     monkeypatch.setattr(corpus, "prime_extension", faulty)
-    expected = oracle_prime_extension_criterion(3)
-    if fault == "reject":
-        assert len(expected[1]) == calls[key] >= 2
-    else:
-        assert expected[1]
-    assert _library_failures(monkeypatch, 3, 0) == expected
+    expected = corpus.criterion_prime_extension(3).detail
+    message = "precondition rejected a valid pair" if fault == "reject" else "extension disagrees with enumeration"
+    monkeypatch.setattr(corpus, "_extension_logics", lambda max_points: [(name, logic)])
+    result = corpus.criterion_prime_extension(3)
+    assert not result.passed
+    assert result.detail == f"{len(pairs)} admissible pairs; {name}: {message}"
+    assert expected.endswith(f"; {name}: {message}")
 
 
 def _mask(s):
@@ -245,27 +264,20 @@ def test_logic_map_gate_matches_the_oracle_on_random_mappings(drawn):
     _assert_gate_matches(*drawn)
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_prime_extension_logic_matches_the_oracle_logic_by_logic(monkeypatch, seed):
-    tasks = corpus._extension_tasks(4, seed, corpus.EXTENSION_SAMPLES)
-    assert len(tasks) > 1
-    for task in tasks:
-        monkeypatch.setattr(corpus, "_distributive_logics", lambda max_points: (task[2],))
-        assert corpus._prime_extension_logic(task) == oracle_prime_extension_criterion(4, seed)
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-def test_run_all_sends_criteria_5_and_6_through_one_pool(monkeypatch, inline_pool, seed):
-    serial = corpus.run_all(3, seed, jobs=1)
-    assert inline_pool == []
-    monkeypatch.setattr(corpus.os, "cpu_count", lambda: 2)
-    assert corpus.run_all(3, seed, jobs=2) == serial
-    [(workers, submitted)] = inline_pool
-    assert workers == 2
-    stability = corpus._stability_tasks(3, seed, corpus.STABILITY_SAMPLES)
-    extension = corpus._extension_tasks(3, seed, corpus.EXTENSION_SAMPLES)
-    expected = [(corpus._stability_pair, task) for task in stability]
-    expected += [(corpus._prime_extension_logic, task) for task in extension]
-    assert submitted == expected
-    assert [r.number for r in serial] == list(range(1, 12))
-    assert all(r.passed for r in serial)
+def test_run_all_runs_the_criteria_in_order():
+    results = corpus.run_all(2, 1)
+    assert results == (
+        corpus.criterion_logic_roundtrip(2),
+        corpus.criterion_space_roundtrip(2),
+        corpus.criterion_spectrality(2),
+        corpus.criterion_generic_points(2),
+        corpus.criterion_prime_extension(2),
+        corpus.criterion_stability_lemma(2, 1),
+        corpus.criterion_spectral_distributive(2),
+        corpus.criterion_heyting_agreement(2),
+        corpus.criterion_godel_witness(),
+        corpus.criterion_constructible(2),
+        corpus.criterion_degenerate_primes(),
+    )
+    assert [r.number for r in results] == list(range(1, 12))
+    assert all(r.passed for r in results)
