@@ -150,6 +150,19 @@ def test_extension_pairs_match_the_oracle_logic_by_logic():
         assert _pairs(logic) == oracle_extension_pairs(logic), name
 
 
+@pytest.mark.parametrize("half", [0, 1])
+def test_prime_extension_logic_matches_the_oracle_logic_by_logic(monkeypatch, half):
+    # the criterion on one logic at a time checks exactly the oracle's
+    # pairs; the two cases share the logics of max-points 4 between them
+    logics = corpus._extension_logics(4)[half::2]
+    assert len(logics) == 13
+    for name, logic in logics:
+        monkeypatch.setattr(corpus, "_extension_logics", lambda max_points: [(name, logic)])
+        pairs = len(oracle_extension_pairs(logic))
+        expected = corpus.CriterionResult(5, "prime-extension", True, f"{pairs} admissible pairs")
+        assert corpus.criterion_prime_extension(4) == expected, name
+
+
 @st.composite
 def _joined_logics(draw):
     """A random intersection structure with a random join table, which
