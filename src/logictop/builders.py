@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
@@ -139,30 +139,46 @@ class FinitePoset:
         return cover_edges(self.leq)
 
 
+def _bound_table(masks: list[int], what: str) -> tuple[tuple[int, ...], ...]:
+    """The binary join (masks the up-set rows) or meet (the down-set rows)
+    of an order: the entry for (a, b) is the element whose row equals
+    masks[a] & masks[b].  The first pair with no such element raises
+    ValueError naming the missing bound."""
+    index = {mask: i for i, mask in enumerate(masks)}
+    rows = []
+    for a, mask in enumerate(masks):
+        row = tuple(map(index.get, map(mask.__and__, masks)))
+        if None in row:
+            raise ValueError(f"no {what} bound for {a},{row.index(None)}")
+        rows.append(row)
+    return tuple(rows)
+
+
 @dataclass(frozen=True)
 class FiniteLattice:
-    """A finite lattice with explicit operation tables.
+    """A finite lattice, given by its order.
 
-    join and meet are validated as least upper and greatest lower bounds
-    for the order; impl and the bounds are optional extras that builders
-    fill in when the lattice genuinely has them and the caller wants
-    them visible (a lattice may leave its order-theoretic bounds
-    undeclared to model the unbounded setting).
+    join and meet are read off the order once, when the lattice is built:
+    the join of a and b is the element whose up-set is the common part of
+    theirs, the meet likewise with down-sets, and an order missing one
+    raises ValueError.  impl and the bounds are optional extras that
+    builders fill in when the lattice genuinely has them and the caller
+    wants them visible (a lattice may leave its order-theoretic bounds
+    undeclared to model the unbounded setting).  Their entries must lie
+    in range(n), and a declared bound must be greatest or least.
     """
 
     element_names: tuple[str, ...]
     leq: LeqMatrix
-    join: tuple[tuple[int, ...], ...]
-    meet: tuple[tuple[int, ...], ...]
     impl: tuple[tuple[int, ...], ...] | None = None
     top: int | None = None
     bottom: int | None = None
+    join: tuple[tuple[int, ...], ...] = field(init=False)
+    meet: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "element_names", tuple(str(s) for s in self.element_names))
         object.__setattr__(self, "leq", tuple(tuple(map(bool, row)) for row in self.leq))
-        object.__setattr__(self, "join", tuple(tuple(map(int, row)) for row in self.join))
-        object.__setattr__(self, "meet", tuple(tuple(map(int, row)) for row in self.meet))
         if self.impl is not None:
             object.__setattr__(self, "impl", tuple(tuple(map(int, row)) for row in self.impl))
         if len(set(self.element_names)) != len(self.element_names):
@@ -171,33 +187,23 @@ class FiniteLattice:
         if len(self.leq) != n:
             raise ValueError("one matrix row per element")
         up, down = _check_order(self.leq)
-        for table, name in ((self.join, "join"), (self.meet, "meet"), (self.impl, "impl")):
-            if table is None:
-                continue
-            if len(table) != n or any(len(row) != n for row in table):
-                raise ValueError(f"{name} table must be {n}x{n}")
-            for row in table:
+        object.__setattr__(self, "join", _bound_table(up, "least upper"))
+        object.__setattr__(self, "meet", _bound_table(down, "greatest lower"))
+        if self.impl is not None:
+            if len(self.impl) != n or any(len(row) != n for row in self.impl):
+                raise ValueError(f"impl table must be {n}x{n}")
+            for row in self.impl:
                 for v in row:
                     if not 0 <= v < n:
-                        raise ValueError(f"{name} value {v} out of range")
-        join, meet = self.join, self.meet
-        for a in range(n):
-            up_a, down_a = up[a], down[a]
-            for b in range(n):
-                uppers, j = up_a & up[b], join[a][b]
-                if not uppers >> j & 1:
-                    raise ValueError(f"join({a},{b}) is not an upper bound")
-                if uppers & ~up[j]:
-                    raise ValueError(f"join({a},{b}) is not least")
-                lowers, m = down_a & down[b], meet[a][b]
-                if not lowers >> m & 1:
-                    raise ValueError(f"meet({a},{b}) is not a lower bound")
-                if lowers & ~down[m]:
-                    raise ValueError(f"meet({a},{b}) is not greatest")
-        leq = self.leq
-        if self.top is not None and any(not leq[i][self.top] for i in range(n)):
+                        raise ValueError(f"impl value {v} out of range")
+        for name in ("top", "bottom"):
+            v = getattr(self, name)
+            if v is not None and not 0 <= v < n:
+                raise ValueError(f"{name} index {v} out of range")
+        full = (1 << n) - 1
+        if self.top is not None and down[self.top] != full:
             raise ValueError("declared top is not greatest")
-        if self.bottom is not None and any(not leq[self.bottom][i] for i in range(n)):
+        if self.bottom is not None and up[self.bottom] != full:
             raise ValueError("declared bottom is not least")
 
     @classmethod
@@ -209,33 +215,15 @@ class FiniteLattice:
         impl: tuple[tuple[int, ...], ...] | None = None,
         bounded: bool = True,
     ) -> "FiniteLattice":
-        """Derive join and meet tables from an order, failing if either bound is missing."""
-        names = tuple(element_names)
-        leq = tuple(tuple(bool(v) for v in row) for row in leq)
-        _check_order(leq)
-        n = len(leq)
-
-        def lub(a: int, b: int) -> int:
-            ubs = [c for c in range(n) if leq[a][c] and leq[b][c]]
-            least = [c for c in ubs if all(leq[c][d] for d in ubs)]
-            if len(least) != 1:
-                raise ValueError(f"no least upper bound for {a},{b}")
-            return least[0]
-
-        def glb(a: int, b: int) -> int:
-            lbs = [c for c in range(n) if leq[c][a] and leq[c][b]]
-            greatest = [c for c in lbs if all(leq[d][c] for d in lbs)]
-            if len(greatest) != 1:
-                raise ValueError(f"no greatest lower bound for {a},{b}")
-            return greatest[0]
-
-        join = tuple(tuple(lub(a, b) for b in range(n)) for a in range(n))
-        meet = tuple(tuple(glb(a, b) for b in range(n)) for a in range(n))
-        top = bottom = None
-        if bounded and n:
-            top = next(i for i in range(n) if all(leq[j][i] for j in range(n)))
-            bottom = next(i for i in range(n) if all(leq[i][j] for j in range(n)))
-        return cls(names, leq, join, meet, impl=impl, top=top, bottom=bottom)
+        """The lattice of an order, with its greatest and least elements
+        declared when bounded; an order that is no lattice raises ValueError."""
+        lattice = cls(element_names, leq, impl=impl)
+        if not bounded or not lattice.n:
+            return lattice
+        leq = lattice.leq
+        top = next(i for i in range(lattice.n) if all(row[i] for row in leq))
+        bottom = next(i for i, row in enumerate(leq) if all(row))
+        return replace(lattice, top=top, bottom=bottom)
 
     @property
     def n(self) -> int:
@@ -331,15 +319,16 @@ def _heyting_of_sets(
     """The Heyting algebra of a union-closed family of point sets holding
     the empty set, graded: the empty set first, the union of all last.
 
-    Implication is the one of _set_tables; a family that is not closed
-    under intersection raises BasisNotLattice.
+    Join and meet are read off the inclusion order; implication is the
+    one of _set_tables, and a family that is not closed under
+    intersection raises BasisNotLattice.
     """
     elements = _graded_sets(family)
     m = len(elements)
     names = tuple(_set_name(point_names, s) for s in elements)
     leq = tuple(tuple(a <= b for b in elements) for a in elements)
-    join, meet, impl = _set_tables(elements, upsets)
-    return FiniteLattice(names, leq, join, meet, impl=impl, top=m - 1, bottom=0)
+    _, _, impl = _set_tables(elements, upsets)
+    return FiniteLattice(names, leq, impl=impl, top=m - 1, bottom=0)
 
 
 def heyting_from_upsets(frame: FinitePoset) -> FiniteLattice:

@@ -9,7 +9,7 @@ canonical theory-then-index order, so failures are reproducible.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from itertools import chain
 from typing import Iterable
@@ -181,30 +181,23 @@ def verify_connectives(logic: AbstractLogic) -> ClassificationReport:
         _check_bound(logic, "top", True),
         _check_bound(logic, "bottom", False),
     )
-    by_name = {c.connective: c for c in checks}
-
-    def ok(*names: str) -> bool:
-        return all(by_name[n].status is True for n in names)
-
     spectrum = theory_spectrum(logic)
-    mtp = spectrum.maximals == spectrum.totally_primes
-    if ok("join", "meet", "neg", "impl") and mtp:
-        label = "classical"
-    elif ok("join", "meet", "neg", "impl"):
-        label = "intuitionistic"
-    elif ok("join", "meet", "top", "bottom"):
-        label = "bounded-distributive"
-    elif ok("join", "meet"):
-        label = "distributive"
-    else:
-        label = "none"
-    return ClassificationReport(
+    report = ClassificationReport(
         conditions=checks,
-        classification=label,
-        maximals_equal_totally_primes=mtp,
+        classification="none",
+        maximals_equal_totally_primes=spectrum.maximals == spectrum.totally_primes,
         has_valid_formula=bool(consequence(logic, frozenset())),
         has_inconsistent_formula=bool(logic.full_set.difference(*logic.theories.theories)),
     )
+    if report.is_intuitionistic:
+        label = "classical" if report.maximals_equal_totally_primes else "intuitionistic"
+    elif report.is_bounded_distributive:
+        label = "bounded-distributive"
+    elif report.is_distributive:
+        label = "distributive"
+    else:
+        return report
+    return replace(report, classification=label)
 
 
 def join_stable_theories(logic: AbstractLogic) -> frozenset[ExprSet]:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from .errors import EmptyGeneratorSet, NotTheories
@@ -31,36 +30,6 @@ def set_key(s: Iterable[int]) -> tuple[int, ...]:
 def sorted_sets(sets: Iterable[ExprSet]) -> list[ExprSet]:
     """Deterministic enumeration order used for witnesses and emission."""
     return sorted(sets, key=set_key)
-
-
-def _indices_below(rows, n: int) -> bool:
-    """Every entry of every row is an int (bool excluded) in range(n).
-
-    Checked with C builtins: the types over all entries, the range over
-    the distinct values.  ``rows`` is iterated twice.  A False answer
-    only sends the caller to its entry-by-entry walk, which names the
-    first bad entry.
-    """
-    if not set(map(type, chain.from_iterable(rows))) <= {int}:
-        return False
-    values = set(chain.from_iterable(rows))
-    return not values or (min(values) >= 0 and max(values) < n)
-
-
-def _compares_below(rows, n: int) -> bool:
-    """Every entry of every row lies in range(n) as ``0 <= v < n`` reads
-    it, so that a bool or an integral float passes as the int it equals.
-
-    Equal entries compare alike, so the range is checked over the
-    distinct values, with C builtins.  A False answer (also for a value
-    that is no int, or cannot be hashed) only sends the caller to its
-    entry-by-entry walk.
-    """
-    try:
-        values = set(chain.from_iterable(rows))
-    except TypeError:
-        return False
-    return not values or (set(map(type, values)) <= {int} and min(values) >= 0 and max(values) < n)
 
 
 def _check_universe(universe_size: int, s: Iterable[int], what: str) -> ExprSet:
@@ -88,9 +57,8 @@ class TheoryFamily:
         object.__setattr__(self, "theories", fixed)
         if not fixed:
             raise ValueError("theory family must be non-empty")
-        if not _indices_below(fixed, self.universe_size):
-            for t in fixed:
-                _check_universe(self.universe_size, t, "theory")
+        for t in fixed:
+            _check_universe(self.universe_size, t, "theory")
         # one theory at a time on bitmasks; a failing row is scanned again
         # in the family's own order, which names the same first missing pair
         members = tuple(fixed)
@@ -145,14 +113,12 @@ class ConnectiveTables:
                 continue
             if len(table) != n or not set(map(len, table)) <= {n}:
                 raise ValueError(f"{name} table is not {n}x{n}")
-            if _compares_below(table, n):
-                continue
             for row in table:
                 for v in row:
                     if not 0 <= v < n:
                         raise ValueError(f"{name} table entry {v} outside universe")
         if self.neg is not None:
-            if len(self.neg) != n or (not _compares_below((self.neg,), n) and any(not 0 <= v < n for v in self.neg)):
+            if len(self.neg) != n or any(not 0 <= v < n for v in self.neg):
                 raise ValueError("neg table malformed")
         for name in ("top", "bottom"):
             v = getattr(self, name)

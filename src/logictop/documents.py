@@ -8,6 +8,12 @@ byte-identical text.  Parsing is strict: unknown keys are rejected and
 every index is range-checked, with errors carrying a JSON-pointer path
 like /theories/0/0.
 
+The document layer checks the shape and entry types of each index field
+(theories, basis, tables, map rows) and leaves the range to the
+constructor that takes the field, which checks it once.  When a document
+is refused, one walk over the index fields read so far names the first
+fault in reading order; if they hold none, the refusal stands.
+
 Orders travel as pairs of element names; reflexive and transitive
 closure is applied on parse, and the full non-reflexive order is
 written on emit, so a document stays stable under reparsing even when
@@ -23,7 +29,7 @@ from itertools import chain
 from json.encoder import encode_basestring
 
 from .builders import FiniteLattice, FinitePoset
-from .core import AbstractLogic, ConnectiveTables, TheoryFamily, _compares_below, _indices_below
+from .core import AbstractLogic, ConnectiveTables, TheoryFamily
 from .duality import LogicMap, PointMap
 from .errors import ParseError, SchemaError
 from .topology import FiniteSpace
@@ -102,53 +108,6 @@ def _as_index(v, path: str, n: int) -> int:
     return v
 
 
-def _as_indices(items: list, path: str, n: int) -> list:
-    """A row of indices, checked as a whole; a row holding a bad entry is
-    walked again with _as_index, which reports the first one."""
-    if _indices_below((items,), n):
-        return items
-    return [_as_index(x, f"{path}/{j}", n) for j, x in enumerate(items)]
-
-
-def _int_rows(rows: list, width: int | None = None) -> bool:
-    """Every row is a list (of ``width`` entries when given) of ints, bool
-    excluded, checked for the whole table with C builtins."""
-    return (set(map(type, rows)) <= {list}
-            and (width is None or set(map(len, rows)) <= {width})
-            and set(map(type, chain.from_iterable(rows))) <= {int})
-
-
-def _rows_below(rows: list, n: int, width: int | None = None) -> bool:
-    """_int_rows, and every entry an index below n."""
-    return _int_rows(rows, width) and _compares_below(rows, n)
-
-
-def _as_index_sets(v, path: str, n: int) -> list[frozenset[int]]:
-    rows = _as_list(v, path)
-    if _rows_below(rows, n):
-        return list(map(frozenset, rows))
-    out = []
-    for i, row in enumerate(rows):
-        row_path = f"{path}/{i}"
-        out.append(frozenset(_as_indices(_as_list(row, row_path), row_path, n)))
-    return out
-
-
-def _as_table(v, path: str, n: int) -> tuple[tuple[int, ...], ...]:
-    rows = _as_list(v, path)
-    if len(rows) != n:
-        _fail(path, f"expected {n} rows")
-    if _rows_below(rows, n, n):
-        return tuple(map(tuple, rows))
-    out = []
-    for i, row in enumerate(rows):
-        items = _as_list(row, f"{path}/{i}")
-        if len(items) != n:
-            _fail(f"{path}/{i}", f"expected {n} entries")
-        out.append(tuple(_as_indices(items, f"{path}/{i}", n)))
-    return tuple(out)
-
-
 def _as_name_pairs(v, path: str, names: tuple[str, ...]) -> list[tuple[str, str]]:
     rows = _as_list(v, path)
     out = []
@@ -165,81 +124,96 @@ def _as_name_pairs(v, path: str, names: tuple[str, ...]) -> list[tuple[str, str]
     return out
 
 
+# An index field's shape: (k,) for a row of k indices, (k, w) for k rows
+# of w indices each; None stands for any length, so index sets are _SETS.
+_SETS = (None, None)
+
+
+def _int_rows(rows, shape: tuple) -> bool:
+    """Whether rows has the shape and every entry is an int (bool
+    excluded), checked with C builtins; a row is checked as a table of one."""
+    if len(shape) == 1:
+        rows, shape = [rows], (1, *shape)
+    count, width = shape
+    return (type(rows) is list and (count is None or len(rows) == count)
+            and set(map(type, rows)) <= {list}
+            and (width is None or set(map(len, rows)) <= {width})
+            and set(map(type, chain.from_iterable(rows))) <= {int})
+
+
+def _index_field(read: list, v, path: str, bound: int, shape: tuple) -> list:
+    """The index field v, noted in read for _explain.  A field of the wrong
+    shape or entry type fails here; the range is left to the constructor
+    that takes the field."""
+    read.append((v, path, bound, shape))
+    if not _int_rows(v, shape):
+        _walk(v, path, bound, shape)
+    return v
+
+
+def _walk(v, path: str, bound: int, shape: tuple) -> None:
+    """Raise the first fault of an index field, in reading order, with its
+    path: a non-array, a length other than the shape's, an entry that is
+    no integer or lies outside range(bound)."""
+    if not shape:
+        _as_index(v, path, bound)
+        return
+    items = _as_list(v, path)
+    count, *inner = shape
+    if count is not None and len(items) != count:
+        _fail(path, f"expected {count} {'rows' if inner else 'entries'}")
+    for i, x in enumerate(items):
+        _walk(x, f"{path}/{i}", bound, inner)
+
+
+def _built(path: str, build, *args, **kwargs):
+    """build(*args, **kwargs), its ValueError reported at path."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as e:
+        _fail(path, str(e))
+
+
+def _explain(read: list) -> None:
+    """Raise the first fault of the index fields read, in reading order,
+    if there is one: a refused document reports it rather than the
+    refusal, as if every field had been walked when it was read."""
+    for field in read:
+        _walk(*field)
+
+
 def _parse_logic(obj: dict, path: str) -> AbstractLogic:
     _as_object(obj, path, ("kind", "exprs", "theories", "connectives"))
     names = _as_names(_require(obj, "exprs", path), f"{path}/exprs")
     n = len(names)
-    sets = _as_index_sets(_require(obj, "theories", path), f"{path}/theories", n)
+    read: list = []
     try:
-        family = TheoryFamily(n, frozenset(sets))
-    except ValueError as e:
-        _fail(f"{path}/theories", str(e))
-    tables = None
-    if "connectives" in obj:
-        c = _as_object(obj["connectives"], f"{path}/connectives",
-                       ("join", "meet", "impl", "neg", "top", "bottom"))
-        if "join" not in c:
-            _fail(f"{path}/connectives/join", "missing required key")
-        tables = _shaped_tables(c, n) or _checked_tables(c, f"{path}/connectives", n)
-    try:
-        return AbstractLogic(names, family, tables)
-    except ValueError as e:
-        if tables is not None:
-            _checked_tables(c, f"{path}/connectives", n)
-        _fail(path, str(e))
-
-
-def _shaped_tables(c: dict, n: int) -> ConnectiveTables | None:
-    """The connective tables when every table and row has its shape and
-    every entry is an int (bool excluded), checked with C builtins; None
-    otherwise.  The ranges are left to ConnectiveTables.validate, which
-    AbstractLogic runs."""
-    kwargs = {}
-    for key in ("join", "meet", "impl"):
-        if key in c:
-            rows = c[key]
-            if not (type(rows) is list and len(rows) == n and _int_rows(rows, n)):
-                return None
-            kwargs[key] = rows
-    if "neg" in c:
-        row = c["neg"]
-        if not (type(row) is list and len(row) == n and _int_rows([row])):
-            return None
-        kwargs["neg"] = row
-    for key in ("top", "bottom"):
-        if key in c:
-            if type(c[key]) is not int:
-                return None
-            kwargs[key] = c[key]
-    return ConnectiveTables(**kwargs)
-
-
-def _checked_tables(c: dict, cp: str, n: int) -> ConnectiveTables:
-    """The connective tables, walked in document order: the first bad row
-    or entry fails with its path."""
-    kwargs = {}
-    for key in ("join", "meet", "impl"):
-        if key in c:
-            kwargs[key] = _as_table(c[key], f"{cp}/{key}", n)
-    if "neg" in c:
-        row = _as_list(c["neg"], f"{cp}/neg")
-        if len(row) != n:
-            _fail(f"{cp}/neg", f"expected {n} entries")
-        kwargs["neg"] = tuple(_as_indices(row, f"{cp}/neg", n))
-    for key in ("top", "bottom"):
-        if key in c:
-            kwargs[key] = _as_index(c[key], f"{cp}/{key}", n)
-    return ConnectiveTables(**kwargs)
+        sets = _index_field(read, _require(obj, "theories", path), f"{path}/theories", n, _SETS)
+        family = _built(f"{path}/theories", TheoryFamily, n, frozenset(map(frozenset, sets)))
+        tables = None
+        if "connectives" in obj:
+            cp = f"{path}/connectives"
+            c = _as_object(obj["connectives"], cp, ("join", "meet", "impl", "neg", "top", "bottom"))
+            if "join" not in c:
+                _fail(f"{cp}/join", "missing required key")
+            shapes = {"join": (n, n), "meet": (n, n), "impl": (n, n), "neg": (n,)}
+            kwargs = {key: _index_field(read, c[key], f"{cp}/{key}", n, shape)
+                      for key, shape in shapes.items() if key in c}
+            for key in ("top", "bottom"):
+                if key in c:
+                    kwargs[key] = _as_index(c[key], f"{cp}/{key}", n)
+            tables = ConnectiveTables(**kwargs)
+        return _built(path, AbstractLogic, names, family, tables)
+    except SchemaError:
+        _explain(read)
+        raise
 
 
 def _parse_poset(obj: dict, path: str) -> FinitePoset:
     _as_object(obj, path, ("kind", "elements", "leq"))
     names = _as_names(_require(obj, "elements", path), f"{path}/elements")
     pairs = _as_name_pairs(_require(obj, "leq", path), f"{path}/leq", names)
-    try:
-        return FinitePoset.from_pairs(names, pairs)
-    except ValueError as e:
-        _fail(f"{path}/leq", str(e))
+    return _built(f"{path}/leq", FinitePoset.from_pairs, names, pairs)
 
 
 def _parse_lattice(obj: dict, path: str) -> FiniteLattice:
@@ -247,36 +221,34 @@ def _parse_lattice(obj: dict, path: str) -> FiniteLattice:
     names = _as_names(_require(obj, "elements", path), f"{path}/elements")
     n = len(names)
     pairs = _as_name_pairs(_require(obj, "leq", path), f"{path}/leq", names)
+    order = _built(f"{path}/leq", FinitePoset.from_pairs, names, pairs)
+    read: list = []
     try:
-        order = FinitePoset.from_pairs(names, pairs)
-    except ValueError as e:
-        _fail(f"{path}/leq", str(e))
-    impl = _as_table(obj["impl"], f"{path}/impl", n) if "impl" in obj else None
-    try:
-        lattice = FiniteLattice.from_leq(names, order.leq, impl=impl, bounded=False)
-    except ValueError as e:
-        _fail(f"{path}/leq", str(e))
-    top = _as_index(obj["top"], f"{path}/top", n) if "top" in obj else None
-    bottom = _as_index(obj["bottom"], f"{path}/bottom", n) if "bottom" in obj else None
-    try:
-        return replace(lattice, top=top, bottom=bottom)
-    except ValueError as e:
-        _fail(path, str(e))
+        impl = _index_field(read, obj["impl"], f"{path}/impl", n, (n, n)) if "impl" in obj else None
+        lattice = _built(f"{path}/leq", FiniteLattice, names, order.leq, impl=impl)
+        top = _as_index(obj["top"], f"{path}/top", n) if "top" in obj else None
+        bottom = _as_index(obj["bottom"], f"{path}/bottom", n) if "bottom" in obj else None
+        return _built(path, replace, lattice, top=top, bottom=bottom)
+    except SchemaError:
+        _explain(read)
+        raise
 
 
 def _parse_space(obj: dict, path: str) -> FiniteSpace:
     _as_object(obj, path, ("kind", "points", "basis", "basis_names"))
     names = _as_names(_require(obj, "points", path), f"{path}/points")
-    sets = _as_index_sets(_require(obj, "basis", path), f"{path}/basis", len(names))
-    basis_names = ()
-    if "basis_names" in obj:
-        basis_names = _as_names(obj["basis_names"], f"{path}/basis_names")
-        if basis_names and len(basis_names) != len(sets):
-            _fail(f"{path}/basis_names", "one display name per basis element")
+    read: list = []
     try:
-        return FiniteSpace(names, tuple(sets), basis_names)
-    except ValueError as e:
-        _fail(f"{path}/basis", str(e))
+        sets = _index_field(read, _require(obj, "basis", path), f"{path}/basis", len(names), _SETS)
+        basis_names = ()
+        if "basis_names" in obj:
+            basis_names = _as_names(obj["basis_names"], f"{path}/basis_names")
+            if basis_names and len(basis_names) != len(sets):
+                _fail(f"{path}/basis_names", "one display name per basis element")
+        return _built(f"{path}/basis", FiniteSpace, names, sets, basis_names)
+    except SchemaError:
+        _explain(read)
+        raise
 
 
 def _parse_endpoint(obj, path: str, kind: str):
@@ -291,12 +263,14 @@ def _parse_map(kind: str, obj: dict, path: str) -> LogicMap | PointMap:
     _as_object(obj, path, ("kind", "source", "target", "map"))
     source = _parse_endpoint(_require(obj, "source", path), f"{path}/source", endpoint)
     target = _parse_endpoint(_require(obj, "target", path), f"{path}/target", endpoint)
-    row = _as_list(_require(obj, "map", path), f"{path}/map")
-    n = getattr(source, size)
-    if len(row) != n:
-        _fail(f"{path}/map", f"expected {n} entries")
-    mapping = tuple(_as_indices(row, f"{path}/map", getattr(target, size)))
-    return cls(source, target, mapping)
+    read: list = []
+    try:
+        row = _index_field(read, _require(obj, "map", path), f"{path}/map", getattr(target, size),
+                           (getattr(source, size),))
+        return _built(f"{path}/map", cls, source, target, row)
+    except SchemaError:
+        _explain(read)
+        raise
 
 
 def _document_from_obj(obj, path: str) -> Document:

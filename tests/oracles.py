@@ -423,34 +423,56 @@ def oracle_order_error(leq):
     return None
 
 
-def oracle_lattice_error(leq, join, meet, impl=None, top=None, bottom=None):
+def oracle_lattice_tables(leq):
+    """The join and meet tables of a valid order, from the lists of upper
+    and lower bounds of each pair; or, when some pair has no least upper
+    bound (all pairs checked first) or no greatest lower bound, the
+    error text naming the first such pair."""
+    n = len(leq)
+
+    def lub(a, b):
+        ubs = [c for c in range(n) if leq[a][c] and leq[b][c]]
+        least = [c for c in ubs if all(leq[c][d] for d in ubs)]
+        return least[0] if len(least) == 1 else None
+
+    def glb(a, b):
+        lbs = [c for c in range(n) if leq[c][a] and leq[c][b]]
+        greatest = [c for c in lbs if all(leq[d][c] for d in lbs)]
+        return greatest[0] if len(greatest) == 1 else None
+
+    tables = []
+    for bound, what in ((lub, "least upper"), (glb, "greatest lower")):
+        table = [[bound(a, b) for b in range(n)] for a in range(n)]
+        for a in range(n):
+            for b in range(n):
+                if table[a][b] is None:
+                    return f"no {what} bound for {a},{b}"
+        tables.append(tuple(map(tuple, table)))
+    return tuple(tables)
+
+
+def oracle_lattice_error(leq, impl=None, top=None, bottom=None):
     """The first failure of a lattice on distinct elements, one order row
-    each: the order, then the table shapes and ranges, then each (a, b)
-    against every c for the bound conditions, then the declared bounds."""
+    each: the order, then a missing join or meet, then the implication
+    table's shape and range, then the declared bounds' range, then
+    whether they are greatest and least."""
     n = len(leq)
     error = oracle_order_error(leq)
     if error is not None:
         return error
-    for table, name in ((join, "join"), (meet, "meet"), (impl, "impl")):
-        if table is None:
-            continue
-        if len(table) != n or any(len(row) != n for row in table):
-            return f"{name} table must be {n}x{n}"
-        for row in table:
+    tables = oracle_lattice_tables(leq)
+    if isinstance(tables, str):
+        return tables
+    if impl is not None:
+        if len(impl) != n or any(len(row) != n for row in impl):
+            return f"impl table must be {n}x{n}"
+        for row in impl:
             for v in row:
                 if not 0 <= v < n:
-                    return f"{name} value {v} out of range"
-    for a in range(n):
-        for b in range(n):
-            j, m = join[a][b], meet[a][b]
-            if not (leq[a][j] and leq[b][j]):
-                return f"join({a},{b}) is not an upper bound"
-            if any(leq[a][c] and leq[b][c] and not leq[j][c] for c in range(n)):
-                return f"join({a},{b}) is not least"
-            if not (leq[m][a] and leq[m][b]):
-                return f"meet({a},{b}) is not a lower bound"
-            if any(leq[c][a] and leq[c][b] and not leq[c][m] for c in range(n)):
-                return f"meet({a},{b}) is not greatest"
+                    return f"impl value {v} out of range"
+    for name, v in (("top", top), ("bottom", bottom)):
+        if v is not None and not 0 <= v < n:
+            return f"{name} index {v} out of range"
     if top is not None and any(not leq[i][top] for i in range(n)):
         return "declared top is not greatest"
     if bottom is not None and any(not leq[bottom][i] for i in range(n)):

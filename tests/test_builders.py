@@ -1,5 +1,7 @@
 """Posets, lattices, upset algebras, and the poset enumerator."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +19,7 @@ from logictop.builders import (
     open_set_lattice,
     random_logic,
 )
-from logictop.corpus import POSET_COUNTS, antichain, chain, corpus_frames, discrete_two, indiscrete_two, sierpinski, v_frame
+from logictop.corpus import POSET_COUNTS, antichain, chain, corpus_frames, corpus_spaces, discrete_two, indiscrete_two, sierpinski, v_frame
 from logictop.core import sorted_sets
 from logictop.errors import BasisNotLattice, BoundExceeded, NotDistributiveLattice, NotHeyting
 from logictop.topology import FiniteSpace
@@ -31,6 +33,7 @@ from oracles import (
     oracle_distributivity_witness,
     oracle_is_heyting,
     oracle_lattice_error,
+    oracle_lattice_tables,
     oracle_order_error,
     oracle_poset_count,
     oracle_upsets,
@@ -301,14 +304,14 @@ def test_frame_recovery_up_to_order_isomorphism(vframe):
         assert order_isomorphic(order.matrix, frame.leq)
 
 
-_TABLES = ("leq", "join", "meet", "impl")
+_TABLES = ("leq", "impl")
 
 
 @st.composite
 def _upset_algebra_edits(draw):
-    """The upset algebra of a corpus frame, as its table fields, with zero
-    to three entries changed: a flipped order entry, or a join, meet or
-    implication entry set to any index or to one past the last."""
+    """The upset algebra of a corpus frame, as its order, implication and
+    bounds, with zero to three entries changed: a flipped order entry, or
+    an implication entry set to any index or to one past the last."""
     _, frame = draw(st.sampled_from(corpus_frames(5)))
     algebra = heyting_from_upsets(frame)
     n = algebra.n
@@ -352,23 +355,77 @@ def test_order_and_lattice_checks_match_the_loop_oracles(drawn):
     error, lattice = _error_text(lambda: FiniteLattice(names, **fields))
     assert error == oracle_lattice_error(**fields)
     if lattice is not None:
+        assert (lattice.join, lattice.meet) == oracle_lattice_tables(leq)
         assert lattice.is_heyting == oracle_is_heyting(lattice)
 
 
-def _bounded_lattices(max_points):
+@pytest.mark.parametrize("top, bottom", [(-1, -3), (99, 0), (4, -1), (2, 3), (None, 3)])
+def test_declared_bounds_outside_the_carrier_are_refused(top, bottom):
+    """Negative bounds do not wrap round, and a bound past the last
+    element is a ValueError, not an IndexError."""
+    algebra = heyting_from_upsets(chain(2))
+    error, _ = _error_text(lambda: replace(algebra, top=top, bottom=bottom))
+    assert error == oracle_lattice_error(algebra.leq, algebra.impl, top, bottom)
+    assert error is not None
+
+
+def _bounded_orders(max_points):
     """Each corpus poset of up to max_points points with a new bottom and
-    top added, where that makes a lattice (M3 and N5 among them)."""
+    top added, as element names and order."""
     out = []
     for _, frame in corpus_frames(max_points):
         k = frame.n
         leq = [[True] * (k + 2)]
         leq += [[False] + list(row) + [True] for row in frame.leq]
         leq += [[False] * (k + 1) + [True]]
+        out.append((("0",) + frame.element_names + ("1",), tuple(map(tuple, leq))))
+    return out
+
+
+def _bounded_lattices(max_points):
+    """The bounded corpus orders that are lattices (M3 and N5 among them)."""
+    out = []
+    for names, leq in _bounded_orders(max_points):
         try:
-            out.append(FiniteLattice.from_leq(("0",) + frame.element_names + ("1",), leq))
+            out.append(FiniteLattice.from_leq(names, leq))
         except ValueError:
             pass
     return out
+
+
+def _set_positions(sets):
+    """The union and intersection tables of a family of sets, graded as
+    the lattice builders order it, as positions in that order."""
+    join, meet, _ = builders._set_tables(builders._graded_sets(sets), ())
+    return join, meet
+
+
+def test_join_and_meet_are_read_off_the_order():
+    """On the upset algebras of every corpus frame, the open-set lattices
+    of the small corpus spaces and the bounded corpus orders, the derived
+    tables equal the lists-of-bounds reference, and unions and
+    intersections where the elements are sets; a bounded order that is no
+    lattice fails as the reference does."""
+    checked = 0
+    for _, frame in corpus_frames(5):
+        lattice = heyting_from_upsets(frame)
+        tables = (lattice.join, lattice.meet)
+        assert tables == oracle_lattice_tables(lattice.leq) == _set_positions(oracle_upsets(frame.leq))
+        checked += 1
+    for _, space in corpus_spaces(3):
+        lattice = open_set_lattice(space)
+        tables = (lattice.join, lattice.meet)
+        assert tables == oracle_lattice_tables(lattice.leq) == _set_positions(oracle_opens(space.n_points, space.basis))
+        checked += 1
+    refused = 0
+    for names, leq in _bounded_orders(5):
+        error, lattice = _error_text(lambda: FiniteLattice(names, leq))
+        assert error == oracle_lattice_error(leq)
+        if lattice is None:
+            refused += 1
+        else:
+            assert (lattice.join, lattice.meet) == oracle_lattice_tables(leq)
+    assert (checked, refused) == (87 + 16, 11)
 
 
 @settings(max_examples=300, deadline=None)

@@ -360,3 +360,44 @@ _JSON = st.recursive(
 @given(_JSON)
 def test_the_encoder_writes_any_json_value_as_the_standard_library(value):
     assert _encode(value, "\n") == json.dumps(value, indent=2, ensure_ascii=False)
+
+
+def _positions(obj, path=()):
+    """The path of every value in a JSON tree, the root included."""
+    out = [path]
+    if isinstance(obj, dict):
+        for key, v in obj.items():
+            out += _positions(v, (*path, key))
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            out += _positions(v, (*path, i))
+    return out
+
+
+def _substituted(obj, path, value):
+    if not path:
+        return value
+    parent = obj
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(samples()), st.integers(1, 2), st.data())
+def test_any_substituted_value_keeps_the_exit_code_contract(doc, count, data):
+    """One or two values anywhere in a valid document of any kind replaced
+    by arbitrary JSON: parsing yields a document or a ParseError or
+    SchemaError, and roundtrip exits 0, 1 or 2 without raising."""
+    obj = json.loads(emit_document(doc))
+    for _ in range(count):
+        obj = _substituted(obj, data.draw(st.sampled_from(_positions(obj))), data.draw(_JSON))
+    text = json.dumps(obj)
+    try:
+        assert isinstance(parse_document(text), Document)
+    except (ParseError, SchemaError):
+        pass
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert run_cli(["roundtrip"]) in (0, 1, 2)
