@@ -294,23 +294,16 @@ def _set_name(names: tuple[str, ...], s: frozenset[int]) -> str:
     return "{" + ",".join(names[i] for i in sorted(s)) + "}"
 
 
-def _set_tables(sets: Sequence[PointSet], upsets: Sequence[tuple[int, int]]):
-    """Join, meet and implication tables of a family of point sets.
+def _implication_table(masks: Sequence[int], upsets: Sequence[tuple[int, int]], index: dict[int, int]):
+    """The implication table of a family of point sets, as positions in it.
 
-    Entries are positions in ``sets``: join is union, meet intersection
-    (a family not closed under both raises BasisNotLattice with the
-    first pair that leaves it), and A -> B collects the points of the
-    (point bit, upset mask) pairs whose upset meets A inside B.  The
-    implication table is None when some A -> B lies outside the family.
+    ``masks`` holds the family as bitmasks and ``index`` maps each to its
+    position.  A -> B collects the points of the (point bit, upset mask)
+    pairs whose upset meets A inside B.  The table is None when some
+    A -> B lies outside the family.
     """
-    masks = [_mask(s) for s in sets]
-    _require_lattice(_lattice_violation(sets, masks))
-    index = {m: i for i, m in enumerate(masks)}
-    join = tuple(tuple(index[a | b] for b in masks) for a in masks)
-    meet = tuple(tuple(index[a & b] for b in masks) for a in masks)
     arrows, _ = _arrow_table(masks, upsets, index)
-    impl = None if arrows is None else tuple(tuple(index[arrow] for arrow in row) for row in arrows)
-    return join, meet, impl
+    return None if arrows is None else tuple(tuple(index[arrow] for arrow in row) for row in arrows)
 
 
 def _heyting_of_sets(
@@ -319,15 +312,17 @@ def _heyting_of_sets(
     """The Heyting algebra of a union-closed family of point sets holding
     the empty set, graded: the empty set first, the union of all last.
 
-    Join and meet are read off the inclusion order; implication is the
-    one of _set_tables, and a family that is not closed under
-    intersection raises BasisNotLattice.
+    A family that is not closed under intersection raises
+    BasisNotLattice.  Join and meet are read off the inclusion order;
+    implication is the one of _implication_table.
     """
     elements = _graded_sets(family)
+    masks = [_mask(s) for s in elements]
+    _require_lattice(_lattice_violation(elements, masks))
     m = len(elements)
     names = tuple(_set_name(point_names, s) for s in elements)
     leq = tuple(tuple(a <= b for b in elements) for a in elements)
-    _, _, impl = _set_tables(elements, upsets)
+    impl = _implication_table(masks, upsets, {u: i for i, u in enumerate(masks)})
     return FiniteLattice(names, leq, impl=impl, top=m - 1, bottom=0)
 
 

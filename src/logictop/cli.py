@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
-import os
 import sys
 from collections.abc import Sequence
 
@@ -25,7 +23,7 @@ from .builders import POSET_ENUMERATION_BOUND, godel_witness, heyting_from_upset
 from .connectives import verify_connectives
 from .core import AbstractLogic, set_key, sorted_sets, theory_spectrum
 from .corpus import run_all
-from .documents import Document, emit_document, parse_document
+from .documents import Document, _encode, emit_document, parse_document
 from .dot import export_dot
 from .duality import (
     analyze_logic_map,
@@ -107,7 +105,7 @@ def _theory_names(logic: AbstractLogic, theories) -> str:
 
 def _emit_report(args, report, text_lines) -> None:
     if args.format == "json":
-        _write(args, json.dumps(_jsonable(report), indent=2))
+        _write(args, _encode(_jsonable(report), "\n"))
     else:
         _write(args, "\n".join(text_lines))
 
@@ -225,24 +223,15 @@ def _cmd_check_map(args) -> int:
     return 0 if all(flags) else 1
 
 
-def _check_jobs(args) -> None:
-    """--jobs, else WORKBENCH_JOBS, must be a positive integer; the value
-    has no effect, since the corpus runs in this process."""
-    source, raw = "--jobs", args.jobs
-    if raw is None:
-        source, raw = "WORKBENCH_JOBS", os.environ.get("WORKBENCH_JOBS", "1")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise _UsageError(f"{source} must be a positive integer, got {raw!r}")
-
-
 def _cmd_corpus(args) -> int:
     if not 1 <= args.max_points <= POSET_ENUMERATION_BOUND:
         raise _UsageError(f"--max-points must be in 1..{POSET_ENUMERATION_BOUND}, got {args.max_points}")
-    _check_jobs(args)
+    try:
+        jobs = int(args.jobs)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:  # the value has no effect: the corpus runs in this process
+        raise _UsageError(f"--jobs must be a positive integer, got {args.jobs!r}")
     results = run_all(max_points=args.max_points, seed=args.seed)
     lines = [
         f"criterion {r.number} {r.name}: {'pass' if r.passed else 'FAIL'} ({r.detail})"
@@ -305,14 +294,13 @@ def _build_parser() -> argparse.ArgumentParser:
     corpus.add_argument("--max-points", type=int, default=4, metavar="N",
                         help=f"largest poset size feeding the corpus, 1..{POSET_ENUMERATION_BOUND} (default 4)")
     corpus.add_argument("--seed", type=int, default=0, help="criterion 6's sampling seed (default 0)")
-    corpus.add_argument("--jobs", default=None, metavar="N",
+    corpus.add_argument("--jobs", default="1", metavar="N",
                         help="accepted for compatibility and without effect: the corpus runs in one "
-                             "process; must be a positive integer (default: WORKBENCH_JOBS or 1)")
+                             "process; must be a positive integer (default 1)")
     return parser
 
 
-# Built once per process: parsing leaves no state in it, and --jobs falls
-# back to WORKBENCH_JOBS at each call, not here.
+# Built once per process: parsing leaves no state in it.
 _PARSER = _build_parser()
 
 
@@ -323,13 +311,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         return 0 if e.code in (0, None) else 2
     try:
         return args.handler(args)
-    except (ParseError, SchemaError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ParseError, SchemaError, _UsageError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except WorkbenchError as e:

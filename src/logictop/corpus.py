@@ -11,12 +11,12 @@ so the command line and the test suite share one implementation; the
 test suite turns each result into a hard pass/fail.  run_all runs the
 eleven checks in order, in one process.  Only criterion 6 samples: it
 draws seeded mappings between pairs of logics, and the seed reaches it
-alone.
+alone.  Only the corpus lists are cached: the criteria that read them
+share one object, and so one index, per logic and space.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
@@ -88,48 +88,40 @@ def _result(number: int, name: str, checked: int, detail: str, failures: list[st
 # worked instances
 
 
-@lru_cache(maxsize=None)
 def chain(n: int) -> FinitePoset:
     names = tuple(f"t{i}" for i in range(n))
     return FinitePoset.from_pairs(names, [(f"t{i}", f"t{i + 1}") for i in range(n - 1)])
 
 
-@lru_cache(maxsize=None)
 def antichain(n: int) -> FinitePoset:
     return FinitePoset.from_pairs(tuple(f"t{i}" for i in range(n)), [])
 
 
-@lru_cache(maxsize=None)
 def v_frame() -> FinitePoset:
     return FinitePoset.from_pairs(("r", "b", "c"), [("r", "b"), ("r", "c")])
 
 
-@lru_cache(maxsize=None)
 def l3() -> AbstractLogic:
     """The 3-chain filter logic; bottom, a middle value, top."""
     built = logic_from_lattice_filters(heyting_from_upsets(chain(2)))
     return replace(built, expr_names=("bot", "m", "top"))
 
 
-@lru_cache(maxsize=None)
 def l22() -> AbstractLogic:
     """The filter logic of the 4-element Boolean lattice; classical."""
     built = logic_from_lattice_filters(heyting_from_upsets(antichain(2)))
     return replace(built, expr_names=("bot", "a", "b", "top"))
 
 
-@lru_cache(maxsize=None)
 def lv3() -> AbstractLogic:
     """The upset filter logic of the V frame; intuitionistic, not classical."""
     return logic_from_lattice_filters(heyting_from_upsets(v_frame()))
 
 
-@lru_cache(maxsize=None)
 def sierpinski() -> FiniteSpace:
     return FiniteSpace(("s0", "s1"), (frozenset(), frozenset({1}), frozenset({0, 1})))
 
 
-@lru_cache(maxsize=None)
 def discrete_two() -> FiniteSpace:
     return FiniteSpace(
         ("x", "y"),
@@ -137,12 +129,10 @@ def discrete_two() -> FiniteSpace:
     )
 
 
-@lru_cache(maxsize=None)
 def one_point() -> FiniteSpace:
     return FiniteSpace(("o",), (frozenset({0}),))
 
 
-@lru_cache(maxsize=None)
 def indiscrete_two() -> FiniteSpace:
     return FiniteSpace(("x", "y"), (frozenset(), frozenset({0, 1})))
 
@@ -152,7 +142,6 @@ def _logic(names, theories, join, meet) -> AbstractLogic:
     return AbstractLogic(tuple(names), family, ConnectiveTables(join=join, meet=meet))
 
 
-@lru_cache(maxsize=None)
 def degenerate_quartet() -> tuple[tuple[str, AbstractLogic, tuple[bool, bool, bool, bool]], ...]:
     """Distributive logics hitting all four valid/inconsistent combinations.
 
@@ -308,14 +297,9 @@ def criterion_generic_points(max_points: int = 4) -> CriterionResult:
 
 
 def _extension_logics(max_points: int) -> list[tuple[str, AbstractLogic]]:
-    """Criterion 5's logics: the distributive corpus logics with a join
-    table and at most ten expressions."""
-    return [
-        (name, logic)
-        for name, logic in _distributive_logics(max_points)
-        if logic.universe_size <= 10
-        and logic.connectives is not None and logic.connectives.join is not None
-    ]
+    """Criterion 5's logics: the distributive corpus logics (each has a
+    join table) of at most ten expressions."""
+    return [(name, logic) for name, logic in _distributive_logics(max_points) if logic.universe_size <= 10]
 
 
 def _join_close(joins, mask: int, members: list[int], x: int, t: int) -> tuple[int, list[int]] | None:
@@ -412,14 +396,16 @@ def _randrange_block(rng: random.Random, n: int, count: int) -> bytes:
     return values[:count]
 
 
-def _stability_pair(task) -> tuple[int, int, str | None]:
-    """Sample maps between one (source, target) pair, from the pair's own
-    seeded generator, up to the first failure: the sample count, the
-    logic-map count and the failure, if any.  The draws are those of
-    randrange, taken in one block.  Every draw counts, but each distinct
-    mapping is analysed once, and only a logic map is analysed at all:
-    any other draw is neither stable nor a logic map."""
-    seed, samples, (src_name, src), (tgt_name, tgt) = task
+_UNJUDGED = object()  # a mapping not yet in _stability_pair's verdicts
+
+
+def _stability_pair(source, target, seed: int, samples: int) -> tuple[int, int, str | None]:
+    """Sample maps from a (name, logic) source to a (name, logic) target,
+    from the pair's own seeded generator, up to the first failure: the
+    sample count, the logic-map count and the failure, if any.  The draws
+    are those of randrange, taken in one block.  Every draw counts, but
+    each distinct mapping is judged once, by _map_verdict."""
+    (src_name, src), (tgt_name, tgt) = source, target
     rng = random.Random((seed, src_name, tgt_name).__repr__())
     width = src.universe_size
     if width:
@@ -427,46 +413,28 @@ def _stability_pair(task) -> tuple[int, int, str | None]:
         mappings = zip(*[draws] * width)
     else:
         mappings = repeat((), samples)
-    verdicts: dict[tuple[int, ...], tuple[bool, bool, bool]] = {}
+    verdicts: dict[tuple[int, ...], bool | None] = {}
     logic_maps = 0
     for sampled, mapping in enumerate(mappings, 1):
-        verdict = verdicts.get(mapping)
-        if verdict is None:
-            verdict = verdicts[mapping] = _map_verdict(src, tgt, mapping)
-        is_stable, is_logic_map, agree = verdict
-        if is_stable and not is_logic_map:
-            return sampled, logic_maps, f"{src_name}->{tgt_name}: stable non-logic-map {mapping}"
-        if is_logic_map:
+        agree = verdicts.get(mapping, _UNJUDGED)
+        if agree is _UNJUDGED:
+            agree = verdicts[mapping] = _map_verdict(src, tgt, mapping)
+        if agree is not None:
             logic_maps += 1
             if not agree:
                 return sampled, logic_maps, f"{src_name}->{tgt_name}: lemma fails at {mapping}"
     return samples, logic_maps, None
 
 
-def _map_verdict(src: AbstractLogic, tgt: AbstractLogic, mapping: tuple[int, ...]) -> tuple[bool, bool, bool]:
-    """(is_stable, is_logic_map, agree) for one mapping; agree is the
-    lemma's verdict on a logic map and False on anything else.  A mapping
-    that pulls some target theory back to a non-theory is rejected on the
-    indexes' bitmasks, before any LogicMap is built: analyze_logic_map
-    would call it neither a logic map nor stable.  Both logics have join
-    tables (_stability_tasks keeps no others), so one DisjunctionCheck
-    carries the whole verdict."""
+def _map_verdict(src: AbstractLogic, tgt: AbstractLogic, mapping: tuple[int, ...]) -> bool | None:
+    """None when the mapping is no logic map, else whether stability and
+    join preservation agree on it.  A mapping that pulls some target
+    theory back to a non-theory is rejected on the indexes' bitmasks,
+    before any LogicMap is built.  Such a draw is never stable either,
+    since analyze_logic_map checks stability only on logic maps."""
     if _theory_preimages(src._index, tgt._index, _fibers(mapping, tgt.universe_size))[1] is not None:
-        return False, False, False
-    check = stable_iff_disjunction(LogicMap(src, tgt, mapping))
-    return check.stable, check.is_logic_map, check.is_logic_map and check.agree
-
-
-def _stability_tasks(max_points: int, seed: int, samples: int) -> list[tuple]:
-    """Criterion 6's (source, target) tasks over the distributive corpus
-    logics with a join table and at most six expressions."""
-    small = [
-        (name, logic)
-        for name, logic in _distributive_logics(max_points)
-        if logic.universe_size <= 6
-        and logic.connectives is not None and logic.connectives.join is not None
-    ]
-    return [(seed, samples, src, tgt) for src in small for tgt in small]
+        return None
+    return stable_iff_disjunction(LogicMap(src, tgt, mapping)).agree
 
 
 def criterion_stability_lemma(
@@ -474,17 +442,21 @@ def criterion_stability_lemma(
 ) -> CriterionResult:
     """Stability coincides with join preservation on sampled logic maps.
 
-    Each (source, target) pair is one task of _stability_pair; its
-    samples depend only on the seed and the two names."""
-    tasks = _stability_tasks(max_points, seed, samples)
+    The logics are the distributive corpus logics of at most six
+    expressions, each with a join table.  Every (source, target) pair
+    draws its samples from a generator seeded by the seed and the two
+    names alone."""
+    small = [(name, logic) for name, logic in _distributive_logics(max_points) if logic.universe_size <= 6]
     sampled = logic_maps = 0
     failures = []
-    for n, k, failure in map(_stability_pair, tasks):
-        sampled += n
-        logic_maps += k
-        if failure is not None:
-            failures.append(failure)
-    detail = f"{sampled} samples over {math.isqrt(len(tasks))}^2 logic pairs, {logic_maps} logic maps"
+    for source in small:
+        for target in small:
+            n, k, failure = _stability_pair(source, target, seed, samples)
+            sampled += n
+            logic_maps += k
+            if failure is not None:
+                failures.append(failure)
+    detail = f"{sampled} samples over {len(small)}^2 logic pairs, {logic_maps} logic maps"
     return _result(6, "stability-lemma", logic_maps, detail, failures)
 
 

@@ -4,9 +4,10 @@ Six kinds: logic, poset, lattice, space, logic_map, point_map.  Maps
 embed their endpoints as full sub-documents.  Emission is canonical
 (fixed key order, index sets sorted ascending, families sorted, two
 space indent, LF, trailing newline) so identical objects produce
-byte-identical text.  Parsing is strict: unknown keys are rejected and
-every index is range-checked, with errors carrying a JSON-pointer path
-like /theories/0/0.
+byte-identical text.  Parsing is strict: unknown keys are rejected,
+every index is range-checked and every name must be text that UTF-8 can
+encode (JSON's escapes can spell a lone surrogate, which it cannot),
+with errors carrying a JSON-pointer path like /theories/0/0.
 
 The document layer checks the shape and entry types of each index field
 (theories, basis, tables, map rows) and leaves the range to the
@@ -95,6 +96,11 @@ def _as_names(v, path: str) -> tuple[str, ...]:
     for i, s in enumerate(items):
         if not isinstance(s, str):
             _fail(f"{path}/{i}", "expected a string")
+        if not s.isascii():
+            try:
+                s.encode("utf-8")
+            except UnicodeEncodeError:
+                _fail(f"{path}/{i}", "name holds a lone surrogate, which UTF-8 cannot encode")
     if len(set(items)) != len(items):
         _fail(path, "names must be distinct")
     return tuple(items)

@@ -17,13 +17,14 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .builders import _set_tables
+from .builders import _implication_table
 from .connectives import _first_miss, _table, verify_connectives
 from .core import (
     AbstractLogic,
     ConnectiveTables,
     ExprSet,
     LogicIndex,
+    _mask,
     close_under_intersection,
     set_key,
     sorted_sets,
@@ -205,10 +206,13 @@ def space_logic(space: FiniteSpace) -> AbstractLogic:
     n = len(space.basis)
     generators = [point_filter(space, x) for x in range(space.n_points)]
     theories = close_under_intersection(n, generators)
-    join, meet, impl = _set_tables(space.basis, space._index.upsets)
-    index = {u: i for i, u in enumerate(space.basis)}
-    top = index.get(space.carrier)
-    bottom = index.get(frozenset())
+    masks = [_mask(u) for u in space.basis]
+    index = {u: i for i, u in enumerate(masks)}
+    join = tuple(tuple(index[u | v] for v in masks) for u in masks)
+    meet = tuple(tuple(index[u & v] for v in masks) for u in masks)
+    impl = _implication_table(masks, space._index.upsets, index)
+    top = index.get(space._index.carrier)
+    bottom = index.get(0)
     neg = None
     if impl is not None and bottom is not None:
         neg = tuple(impl[i][bottom] for i in range(n))

@@ -138,8 +138,8 @@ class SpaceIndex:
     intersection is not basic, and ``implication_witness`` the first
     whose arrow is not basic.  The witness is found on first reading, so
     a caller that builds the arrow table itself (space_logic, through
-    _set_tables) does not pay for a second one.  The table is not kept:
-    it grows with the square of the basis and only check_adjunction
+    _implication_table) does not pay for a second one.  The table is not
+    kept: it grows with the square of the basis and only check_adjunction
     reads it again.
     """
 

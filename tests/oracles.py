@@ -595,9 +595,9 @@ def oracle_preserves_join(m):
 # readings.
 
 
-def oracle_stability_pair(task):
-    """Criterion 6 on one (source, target) pair: (samples, logic maps, failure)."""
-    seed, samples, (src_name, src), (tgt_name, tgt) = task
+def oracle_stability_pair(source, target, seed, samples):
+    """Criterion 6 on one pair of named logics: (samples, logic maps, failure)."""
+    (src_name, src), (tgt_name, tgt) = source, target
     rng = random.Random((seed, src_name, tgt_name).__repr__())
     logic_maps = 0
     for sampled in range(1, samples + 1):

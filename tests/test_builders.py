@@ -396,7 +396,10 @@ def _bounded_lattices(max_points):
 def _set_positions(sets):
     """The union and intersection tables of a family of sets, graded as
     the lattice builders order it, as positions in that order."""
-    join, meet, _ = builders._set_tables(builders._graded_sets(sets), ())
+    graded = builders._graded_sets(sets)
+    position = {s: i for i, s in enumerate(graded)}
+    join = tuple(tuple(position[a | b] for b in graded) for a in graded)
+    meet = tuple(tuple(position[a & b] for b in graded) for a in graded)
     return join, meet
 
 

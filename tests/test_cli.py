@@ -1,6 +1,7 @@
 """Exit codes, output shapes, and determinism of the command line."""
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -298,7 +299,6 @@ def test_corpus_under_python_O_matches_the_golden_output():
     # no invariant may rest on assert, which -O strips
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    env.pop("WORKBENCH_JOBS", None)
     done = subprocess.run(
         [sys.executable, "-O", "-m", "logictop.cli", "corpus", "--max-points", "2"],
         capture_output=True, text=True, env=env, timeout=300,
@@ -317,21 +317,15 @@ def test_corpus_deterministic_across_jobs(capsys):
         assert outputs[0] == outputs[1], fmt
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-1"])
-@pytest.mark.parametrize("source", ["flag", "env"])
-def test_corpus_jobs_must_be_a_positive_integer(source, value, capsys, monkeypatch):
-    argv = ["corpus", "--max-points", "1"]
-    if source == "flag":
-        argv += ["--jobs", value]
-    else:
-        monkeypatch.setenv("WORKBENCH_JOBS", value)
-    assert run_cli(argv) == 2
+@pytest.mark.parametrize("value", ["abc", "0", "-1"], ids="flag-{}".format)
+def test_corpus_jobs_must_be_a_positive_integer(value, capsys):
+    assert run_cli(["corpus", "--max-points", "1", "--jobs", value]) == 2
     err = capsys.readouterr().err
-    assert "must be a positive integer" in err and repr(value) in err
+    assert f"--jobs must be a positive integer, got {value!r}" in err
 
 
-def test_corpus_ignores_a_large_jobs_count(capsys, monkeypatch):
-    monkeypatch.setenv("WORKBENCH_JOBS", "64")
+def test_corpus_reads_no_jobs_variable(capsys, monkeypatch):
+    monkeypatch.setenv("WORKBENCH_JOBS", "abc")
     assert run_cli(["corpus", "--max-points", "2"]) == 0
     assert capsys.readouterr().out == CORPUS_2_TEXT
 
@@ -344,6 +338,29 @@ def test_corpus_json_format(capsys):
     assert all(r["passed"] for r in results)
 
 
+def test_json_reports_are_written_as_documents_are(docs, capsys, tmp_path):
+    # one encoder: two-space indent, and names as UTF-8 text, not escapes
+    named = tmp_path / "named.json"
+    named.write_text(emit_document(Document("logic", dataclasses.replace(l3(), expr_names=("⊥", "ä", "⊤")))),
+                     encoding="utf-8")
+    requests = [
+        ["classify", "--input", str(docs / "l3.json")],
+        ["spectrum", "--input", str(docs / "l22.json")],
+        ["roundtrip", "--input", str(docs / "sierpinski.json")],
+        ["roundtrip", "--input", str(named)],
+        ["check-map", "--input", str(docs / "bad_map.json")],
+        ["check-map", "--input", str(docs / "onto_discrete.json")],
+        ["godel-witness", "--input", str(docs / "v.json")],
+        ["corpus", "--max-points", "1"],
+    ]
+    outputs = []
+    for argv in requests:
+        run_cli([*argv, "--format", "json"])
+        outputs.append(capsys.readouterr().out)
+        assert outputs[-1] == json.dumps(json.loads(outputs[-1]), indent=2, ensure_ascii=False) + "\n", argv
+    assert '"ä"' in outputs[3]
+
+
 SUBCOMMANDS = (
     "classify", "spectrum", "space", "dualize", "roundtrip",
     "check-map", "corpus", "godel-witness", "export-dot",
@@ -351,14 +368,12 @@ SUBCOMMANDS = (
 
 
 def test_the_reused_parser_answers_as_a_fresh_one(docs, capsys, monkeypatch):
-    # (WORKBENCH_JOBS, argv): usage errors, help, documents in both formats,
-    # and the same corpus call before and after WORKBENCH_JOBS changes
-    steps = [(None, ["corpus", "--jobs", "0"]), (None, ["corpus", "--max-points", "x"]),
-             (None, ["--help"]), (None, ["check-map", "--help"])]
+    # usage errors, help, documents in both formats, and a corpus call
+    steps = [["corpus", "--jobs", "0"], ["corpus", "--max-points", "x"], ["--help"], ["check-map", "--help"]]
     for fmt in ("text", "json"):
-        steps += [(None, ["classify", "--input", str(docs / "l3.json"), "--format", fmt]),
-                  (None, ["check-map", "--input", str(docs / "bad_map.json"), "--format", fmt])]
-    steps += [("1", ["corpus", "--max-points", "1"]), ("0", ["corpus", "--max-points", "1"])]
+        steps += [["classify", "--input", str(docs / "l3.json"), "--format", fmt],
+                  ["check-map", "--input", str(docs / "bad_map.json"), "--format", fmt]]
+    steps += [["corpus", "--max-points", "1"]]
 
     def answer(argv):
         code = run_cli(argv)
@@ -366,17 +381,13 @@ def test_the_reused_parser_answers_as_a_fresh_one(docs, capsys, monkeypatch):
         return code, captured.out, captured.err
 
     codes = []
-    for jobs, argv in steps:
-        if jobs is None:
-            monkeypatch.delenv("WORKBENCH_JOBS", raising=False)
-        else:
-            monkeypatch.setenv("WORKBENCH_JOBS", jobs)
+    for argv in steps:
         reused = answer(argv)
         with monkeypatch.context() as fresh:
             fresh.setattr(cli, "_PARSER", cli._build_parser())
             assert answer(argv) == reused, argv
         codes.append(reused[0])
-    assert codes == [2, 2, 0, 0, 0, 1, 0, 1, 0, 2]
+    assert codes == [2, 2, 0, 0, 0, 1, 0, 1, 0]
 
 
 def test_run_cli_builds_no_parser(docs, capsys, monkeypatch):

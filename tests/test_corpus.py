@@ -35,22 +35,20 @@ from logictop.errors import NotLogicMap, PreconditionViolated
 from oracles import oracle_analyze_logic_map, oracle_extension_pairs, oracle_stability_pair
 
 
-def _stability_tasks(seed, max_points=3):
-    """Criterion 6's (source, target) tasks over the small corpus logics."""
-    small = [
-        (name, logic)
-        for name, logic in corpus._distributive_logics(max_points)
-        if logic.universe_size <= 6 and logic.connectives is not None and logic.connectives.join is not None
-    ]
-    return [(seed, 500, src, tgt) for src in small for tgt in small]
+def _stability_pairs(max_points=3):
+    """Criterion 6's (source, target) pairs of named small corpus logics,
+    each with a join table."""
+    small = [(name, logic) for name, logic in corpus._distributive_logics(max_points) if logic.universe_size <= 6]
+    assert all(logic.connectives.join is not None for _, logic in small)
+    return [(src, tgt) for src in small for tgt in small]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_stability_pair_matches_the_unmemoized_oracle(seed):
-    tasks = _stability_tasks(seed)
-    assert len(tasks) > 1
-    for task in tasks:
-        assert corpus._stability_pair(task) == oracle_stability_pair(task)
+    pairs = _stability_pairs()
+    assert len(pairs) > 1
+    for src, tgt in pairs:
+        assert corpus._stability_pair(src, tgt, seed, 500) == oracle_stability_pair(src, tgt, seed, 500)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -72,10 +70,9 @@ def test_randrange_block_rejects_a_bound_outside_one_byte(n):
 
 def test_stability_pair_counts_every_draw_from_an_empty_source():
     empty = ("empty", corpus._logic((), [()], (), ()))
-    for *_, target in _stability_tasks(0)[:3]:
-        task = (0, 500, empty, target)
-        result = corpus._stability_pair(task)
-        assert result == oracle_stability_pair(task) and result[0] == 500
+    for _, target in _stability_pairs()[:3]:
+        result = corpus._stability_pair(empty, target, 0, 500)
+        assert result == oracle_stability_pair(empty, target, 0, 500) and result[0] == 500
 
 
 def test_stability_pair_analyses_each_logic_map_once(monkeypatch):
@@ -90,11 +87,11 @@ def test_stability_pair_analyses_each_logic_map_once(monkeypatch):
     for module in (corpus, duality):
         if hasattr(module, "analyze_logic_map"):
             monkeypatch.setattr(module, "analyze_logic_map", counting)
-    for task in _stability_tasks(0):
+    for src, tgt in _stability_pairs():
         calls.clear()
-        _, logic_maps, _ = corpus._stability_pair(task)
+        _, logic_maps, _ = corpus._stability_pair(src, tgt, 0, 500)
         assert len(calls) <= logic_maps
-        assert set(calls.values()) <= {1}, task[2][0] + "->" + task[3][0]
+        assert set(calls.values()) <= {1}, src[0] + "->" + tgt[0]
 
 
 def _repeated(monkeypatch, name, key, run):
@@ -114,13 +111,13 @@ def _repeated(monkeypatch, name, key, run):
 
 
 def test_stability_pair_fails_at_the_first_draw_of_a_repeated_disagreeing_map(monkeypatch):
-    task = next(
-        task for task in _stability_tasks(0)
-        if task[2][1].universe_size >= 3 and task[3][1].universe_size >= 3
+    src, tgt = next(
+        (src, tgt) for src, tgt in _stability_pairs()
+        if src[1].universe_size >= 3 and tgt[1].universe_size >= 3
     )
     real = corpus.stable_iff_disjunction
     repeated, _ = _repeated(
-        monkeypatch, "stable_iff_disjunction", lambda m: m.mapping, lambda: oracle_stability_pair(task)
+        monkeypatch, "stable_iff_disjunction", lambda m: m.mapping, lambda: oracle_stability_pair(src, tgt, 0, 500)
     )
     bad = repeated[-1]
 
@@ -129,10 +126,10 @@ def test_stability_pair_fails_at_the_first_draw_of_a_repeated_disagreeing_map(mo
         return dataclasses.replace(check, agree=False) if m.mapping == bad else check
 
     monkeypatch.setattr(corpus, "stable_iff_disjunction", disagreeing)
-    expected = oracle_stability_pair(task)
-    assert expected[2] == f"{task[2][0]}->{task[3][0]}: lemma fails at {bad}"
+    expected = oracle_stability_pair(src, tgt, 0, 500)
+    assert expected[2] == f"{src[0]}->{tgt[0]}: lemma fails at {bad}"
     assert expected[0] > 1
-    assert corpus._stability_pair(task) == expected
+    assert corpus._stability_pair(src, tgt, 0, 500) == expected
 
 
 def _pairs(logic):
@@ -241,8 +238,9 @@ def _assert_gate_matches(src, tgt, mapping):
         assert err.value.witness == (bad, m.preimage(bad)), mapping
     if all(logic.connectives is not None and logic.connectives.join is not None for logic in (src, tgt)):
         analysis = analyze_logic_map(m)
-        agree = analysis.is_logic_map and stable_iff_disjunction(m).agree
-        assert corpus._map_verdict(src, tgt, mapping) == (analysis.is_stable, analysis.is_logic_map, agree)
+        verdict = stable_iff_disjunction(m).agree if analysis.is_logic_map else None
+        assert corpus._map_verdict(src, tgt, mapping) == verdict, mapping
+        assert analysis.is_logic_map or not analysis.is_stable, mapping
 
 
 def test_logic_map_gate_is_exhaustively_exact_on_small_logics():

@@ -1,8 +1,10 @@
 """JSON document layer: canonical emission, strict parsing, error paths."""
 
 import contextlib
+import functools
 import io
 import json
+import operator
 import sys
 from dataclasses import replace
 from unittest import mock
@@ -401,3 +403,65 @@ def test_any_substituted_value_keeps_the_exit_code_contract(doc, count, data):
     with mock.patch.object(sys, "stdin", io.StringIO(text)), \
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert run_cli(["roundtrip"]) in (0, 1, 2)
+
+
+DOCUMENT_COMMANDS = (
+    "classify", "spectrum", "space", "dualize", "roundtrip", "check-map", "godel-witness", "export-dot",
+)
+
+
+def _name_paths(obj, path=""):
+    """The path of every name in a document object: the entries of exprs,
+    elements, points and basis_names, in map endpoints too."""
+    out = []
+    for key, v in obj.items():
+        if key in ("exprs", "elements", "points", "basis_names"):
+            out += [f"{path}/{key}/{i}" for i in range(len(v))]
+        elif key in ("source", "target"):
+            out += _name_paths(v, f"{path}/{key}")
+    return out
+
+
+def _surrogate_documents():
+    """Every sample document with one name given a lone surrogate, as the
+    JSON escape spells it, and that name's path."""
+    out = []
+    for doc in samples():
+        obj = json.loads(emit_document(doc))
+        for path in _name_paths(obj):
+            steps = [int(s) if s.isdigit() else s for s in path.split("/")[1:]]
+            name = functools.reduce(operator.getitem, steps, obj)
+            broken = _substituted(json.loads(emit_document(doc)), steps, name + "\ud800")
+            out.append((json.dumps(broken), path))
+    return out
+
+
+def test_a_name_with_a_lone_surrogate_is_refused_at_its_path():
+    documents = _surrogate_documents()
+    assert {path.rsplit("/", 2)[-2] for _, path in documents} == {"exprs", "elements", "points", "basis_names"}
+    assert any(path.startswith("/target/") for _, path in documents)
+    for text, path in documents:
+        assert "\\ud800" in text
+        with pytest.raises(SchemaError) as err:
+            parse_document(text)
+        assert err.value.path == path
+
+
+def test_every_command_refuses_a_name_with_a_lone_surrogate(capsys):
+    # stdout and --output both encode strictly, so such a name, had it
+    # been accepted, would end spectrum, space, dualize and export-dot in
+    # a UnicodeEncodeError
+    for text, path in _surrogate_documents():
+        for command in DOCUMENT_COMMANDS:
+            with mock.patch.object(sys, "stdin", io.StringIO(text)):
+                assert run_cli([command]) == 2, (command, path)
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"error: {path}: " in captured.err, (command, path)
+
+
+def test_non_ascii_names_are_accepted_and_written_as_text():
+    names = ("ä", "𝔽", "名")
+    logic = AbstractLogic(names, l3().theories, l3().connectives)
+    text = emit_document(Document("logic", logic))
+    assert all(f'"{name}"' in text for name in names)
+    assert parse_document(text) == Document("logic", logic)
