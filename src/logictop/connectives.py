@@ -18,6 +18,7 @@ from .core import (
     AbstractLogic,
     ExprSet,
     _check_universe,
+    _mask,
     consequence,
     set_key,
     sorted_sets,
@@ -273,7 +274,9 @@ def prime_extension(logic: AbstractLogic, T: Iterable[int], S: Iterable[int]) ->
 
     Greedy maximalization inside W = {theories containing T and disjoint
     from S}: repeatedly step to the canonically smallest strictly larger
-    member of W.  A maximal member of W is prime whenever the logic is
+    member of W.  The walk runs on the bitmasks of the logic's index,
+    whose theories follow sorted_sets order, and reads primality off its
+    prime masks.  A maximal member of W is prime whenever the logic is
     distributive; if the final theory fails the primality check the input
     was not distributive and PrimalityFailure reports it.
     """
@@ -293,18 +296,19 @@ def prime_extension(logic: AbstractLogic, T: Iterable[int], S: Iterable[int]) ->
     if t & s:
         raise PreconditionViolated(f"T and S intersect in {set_key(t & s)}", witness=t & s)
 
-    admissible = [u for u in logic.theories.theories if t <= u and not (u & s)]
-    current = t
+    index = logic._index
+    avoid = _mask(s)
+    current = _mask(t)
     while True:
-        bigger = sorted_sets(u for u in admissible if current < u)
-        if not bigger:
+        bigger = next((u for u in index.masks if u != current and u & current == current and not u & avoid), None)
+        if bigger is None:
             break
-        current = bigger[0]
+        current = bigger
 
-    primes = theory_spectrum(logic).primes
-    if current not in primes:
+    extension = index.theories[index.masks.index(current)]
+    if current not in index.prime_mask_set:
         raise PrimalityFailure(
-            f"maximal extension {set_key(current)} is not prime; logic is not distributive",
-            witness=current,
+            f"maximal extension {set_key(extension)} is not prime; logic is not distributive",
+            witness=extension,
         )
-    return current
+    return extension

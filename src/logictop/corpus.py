@@ -11,8 +11,9 @@ so the command line and the test suite share one implementation; the
 test suite turns each result into a hard pass/fail.  run_all runs the
 eleven checks in order, in one process.  Only criterion 6 samples: it
 draws seeded mappings between pairs of logics, and the seed reaches it
-alone.  Only the corpus lists are cached: the criteria that read them
-share one object, and so one index, per logic and space.
+alone.  Only the corpus lists are cached: the criteria that read them,
+the degenerate quartet and the Sierpinski space included, share one
+object, and so one index, per logic and space.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
-from itertools import repeat
 from operator import or_
 from typing import Iterator
 
@@ -42,8 +42,6 @@ from .core import (
 )
 from .duality import (
     LogicMap,
-    _fibers,
-    _theory_preimages,
     logic_space,
     roundtrip_logic,
     roundtrip_space,
@@ -142,12 +140,21 @@ def _logic(names, theories, join, meet) -> AbstractLogic:
     return AbstractLogic(tuple(names), family, ConnectiveTables(join=join, meet=meet))
 
 
-def degenerate_quartet() -> tuple[tuple[str, AbstractLogic, tuple[bool, bool, bool, bool]], ...]:
-    """Distributive logics hitting all four valid/inconsistent combinations.
+# The degenerate quartet's names and expected flags, in corpus order.  The
+# flags are (no_valid_formula, empty_is_prime, no_inconsistent_formula,
+# full_set_is_prime).
+QUARTET_FLAGS = {
+    "valid-and-inconsistent": (False, False, False, False),
+    "no-valid": (True, True, False, False),
+    "no-inconsistent": (False, False, True, True),
+    "neither": (True, True, True, True),
+}
 
-    The expected tuple is (no_valid_formula, empty_is_prime,
-    no_inconsistent_formula, full_set_is_prime).  Tables were derived by
-    hand from the connective conditions over each family's primes.
+
+def degenerate_quartet() -> tuple[tuple[str, AbstractLogic, tuple[bool, bool, bool, bool]], ...]:
+    """Distributive logics hitting all four valid/inconsistent combinations,
+    each with its expected flags from QUARTET_FLAGS.  Tables were derived
+    by hand from the connective conditions over each family's primes.
     """
     no_valid = _logic(
         ("p", "pq", "dead"),
@@ -162,12 +169,8 @@ def degenerate_quartet() -> tuple[tuple[str, AbstractLogic, tuple[bool, bool, bo
         join=((0, 0), (0, 1)),
         meet=((0, 1), (1, 1)),
     )
-    return (
-        ("valid-and-inconsistent", l3(), (False, False, False, False)),
-        ("no-valid", no_valid, (True, True, False, False)),
-        ("no-inconsistent", singular, (False, False, True, True)),
-        ("neither", neither, (True, True, True, True)),
-    )
+    logics = (l3(), no_valid, singular, neither)
+    return tuple((name, logic, flags) for (name, flags), logic in zip(QUARTET_FLAGS.items(), logics))
 
 
 @lru_cache(maxsize=None)
@@ -396,45 +399,57 @@ def _randrange_block(rng: random.Random, n: int, count: int) -> bytes:
     return values[:count]
 
 
-_UNJUDGED = object()  # a mapping not yet in _stability_pair's verdicts
+def _logic_map_draws(src: AbstractLogic, tgt: AbstractLogic, values: bytes, samples: int) -> bytes:
+    """One byte per draw of a block: zero exactly when the draw is a logic map.
+
+    Draw d maps source expression a to ``values[d * width + a]``.  For
+    each target theory t, byte d of the OR over a of a's membership
+    column, shifted up by a, is the preimage mask of t under draw d; one
+    translate marks every draw whose mask is no source theory.  Masks
+    must fit in a byte, so the source has at most eight expressions."""
+    width = src.universe_size
+    if width > 8:
+        raise ValueError(f"logic-map gate needs at most 8 source expressions, got {width}")
+    # translate tables: only the first 2**width masks and the target's
+    # expressions can occur, so the rest of each table is padding
+    not_a_source_theory = bytes(m not in src._index.mask_set for m in range(1 << width)).ljust(256, b"\1")
+    columns = [values[a::width] for a in range(width)]
+    rejected = 0
+    for t in tgt._index.masks:
+        member_t = bytes(t >> b & 1 for b in tgt.exprs).ljust(256, b"\0")
+        preimages = 0
+        for a, column in enumerate(columns):
+            preimages |= int.from_bytes(column.translate(member_t), "little") << a
+        marks = preimages.to_bytes(samples, "little").translate(not_a_source_theory)
+        rejected |= int.from_bytes(marks, "little")
+    return rejected.to_bytes(samples, "little")
 
 
 def _stability_pair(source, target, seed: int, samples: int) -> tuple[int, int, str | None]:
     """Sample maps from a (name, logic) source to a (name, logic) target,
     from the pair's own seeded generator, up to the first failure: the
     sample count, the logic-map count and the failure, if any.  The draws
-    are those of randrange, taken in one block.  Every draw counts, but
-    each distinct mapping is judged once, by _map_verdict."""
+    are those of randrange, taken in one block, and _logic_map_draws
+    gates the whole block at once.  Every logic-map draw counts, but each
+    distinct mapping is judged once."""
     (src_name, src), (tgt_name, tgt) = source, target
     rng = random.Random((seed, src_name, tgt_name).__repr__())
     width = src.universe_size
-    if width:
-        draws = iter(_randrange_block(rng, tgt.universe_size, width * samples))
-        mappings = zip(*[draws] * width)
-    else:
-        mappings = repeat((), samples)
-    verdicts: dict[tuple[int, ...], bool | None] = {}
+    values = _randrange_block(rng, tgt.universe_size, width * samples)
+    gate = _logic_map_draws(src, tgt, values, samples)
+    verdicts: dict[bytes, bool] = {}
     logic_maps = 0
-    for sampled, mapping in enumerate(mappings, 1):
-        agree = verdicts.get(mapping, _UNJUDGED)
-        if agree is _UNJUDGED:
-            agree = verdicts[mapping] = _map_verdict(src, tgt, mapping)
-        if agree is not None:
-            logic_maps += 1
-            if not agree:
-                return sampled, logic_maps, f"{src_name}->{tgt_name}: lemma fails at {mapping}"
+    d = gate.find(0)
+    while d >= 0:
+        mapping = values[d * width:(d + 1) * width]
+        agree = verdicts.get(mapping)
+        if agree is None:
+            agree = verdicts[mapping] = stable_iff_disjunction(LogicMap(src, tgt, tuple(mapping))).agree
+        logic_maps += 1
+        if not agree:
+            return d + 1, logic_maps, f"{src_name}->{tgt_name}: lemma fails at {tuple(mapping)}"
+        d = gate.find(0, d + 1)
     return samples, logic_maps, None
-
-
-def _map_verdict(src: AbstractLogic, tgt: AbstractLogic, mapping: tuple[int, ...]) -> bool | None:
-    """None when the mapping is no logic map, else whether stability and
-    join preservation agree on it.  A mapping that pulls some target
-    theory back to a non-theory is rejected on the indexes' bitmasks,
-    before any LogicMap is built.  Such a draw is never stable either,
-    since analyze_logic_map checks stability only on logic maps."""
-    if _theory_preimages(src._index, tgt._index, _fibers(mapping, tgt.universe_size))[1] is not None:
-        return None
-    return stable_iff_disjunction(LogicMap(src, tgt, mapping)).agree
 
 
 def criterion_stability_lemma(
@@ -445,7 +460,8 @@ def criterion_stability_lemma(
     The logics are the distributive corpus logics of at most six
     expressions, each with a join table.  Every (source, target) pair
     draws its samples from a generator seeded by the seed and the two
-    names alone."""
+    names alone, as one block that _logic_map_draws gates at once; only
+    the logic maps among them are judged."""
     small = [(name, logic) for name, logic in _distributive_logics(max_points) if logic.universe_size <= 6]
     sampled = logic_maps = 0
     failures = []
@@ -542,17 +558,18 @@ def criterion_constructible(max_points: int = 4) -> CriterionResult:
         fine = constructible_topology(space)
         if not analyze_space(fine).is_boolean:
             failures.append(f"{name}: refinement not Boolean")
-    fine = constructible_topology(sierpinski())
+    fine = constructible_topology(dict(corpus_spaces(max_points))["sierpinski"])
     if set(fine.basis) != {frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})}:
         failures.append("chain space did not refine to the discrete space")
     return _result(10, "constructible-topology", len(spaces) + 1, f"{len(spaces)} spectral spaces refined", failures)
 
 
-def criterion_degenerate_primes() -> CriterionResult:
-    """The four flag combinations appear exactly as designed."""
+def criterion_degenerate_primes(max_points: int = 4) -> CriterionResult:
+    """The four flag combinations appear exactly as designed on the
+    quartet's corpus logics."""
     failures = []
-    quartet = degenerate_quartet()
-    for name, logic, expected in quartet:
+    quartet = corpus_logics(max_points)[len(corpus_frames(max_points)):]
+    for name, logic in quartet:
         report = check_degenerate_primes(logic)
         got = (
             report.no_valid_formula,
@@ -560,8 +577,8 @@ def criterion_degenerate_primes() -> CriterionResult:
             report.no_inconsistent_formula,
             report.full_set_is_prime,
         )
-        if got != expected:
-            failures.append(f"{name}: {got} expected {expected}")
+        if got != QUARTET_FLAGS[name]:
+            failures.append(f"{name}: {got} expected {QUARTET_FLAGS[name]}")
     return _result(11, "degenerate-primes", len(quartet), f"{len(quartet)} logics, all flag combinations", failures)
 
 
@@ -577,5 +594,5 @@ def run_all(max_points: int = 4, seed: int = 0) -> tuple[CriterionResult, ...]:
         criterion_heyting_agreement(max_points),
         criterion_godel_witness(),
         criterion_constructible(max_points),
-        criterion_degenerate_primes(),
+        criterion_degenerate_primes(max_points),
     )

@@ -407,18 +407,28 @@ def is_distributive_space(space: FiniteSpace) -> DistributiveSpaceVerdict:
 
 
 def check_adjunction(space: FiniteSpace) -> tuple[bool, tuple | None]:
-    """W below U->V exactly when W meets U inside V, over all basic triples."""
+    """W below U->V exactly when W meets U inside V, over all basic triples.
+
+    Both sides depend on U and V only through U minus V, so each distinct
+    difference is scanned once, for its first failing W (or None).
+    """
     ok, witness = has_implication(space)
     if not ok:
         raise NoImplication(f"implication leaves the basis at {witness}", witness=witness)
     index = space._index
     masks = index.masks
+    failing: dict[int, int | None] = {}
     for i, u in enumerate(masks):
         for j, v in enumerate(masks):
-            arrow, outside = _arrow(index.upsets, u, v), u & ~v
-            for k, w in enumerate(masks):
-                if (not w & ~arrow) != (not w & outside):
-                    return False, (index.basis[i], index.basis[j], index.basis[k])
+            outside = u & ~v
+            if outside not in failing:
+                arrow = _arrow(index.upsets, outside, 0)
+                failing[outside] = next(
+                    (k for k, w in enumerate(masks) if (not w & ~arrow) != (not w & outside)), None
+                )
+            k = failing[outside]
+            if k is not None:
+                return False, (index.basis[i], index.basis[j], index.basis[k])
     return True, None
 
 

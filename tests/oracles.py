@@ -11,9 +11,10 @@ from itertools import chain, combinations, permutations
 
 from logictop import corpus
 from logictop.connectives import disjunctive_closure
-from logictop.core import is_consistent, sorted_sets, theory_spectrum
+from logictop.core import is_consistent, set_key, sorted_sets, theory_spectrum
 from logictop.documents import _FORMATS
 from logictop.duality import analyze_logic_map
+from logictop.errors import PrimalityFailure
 
 
 def subfamilies(family):
@@ -624,6 +625,28 @@ def oracle_extension_pairs(logic):
             if not s & t:
                 pairs.add((t, s))
     return pairs
+
+
+def oracle_prime_extension(logic, t, s):
+    """The prime extension of the theory t avoiding the join-closed set s,
+    by the frozenset greedy walk: step to the first strictly larger
+    theory, in sorted order, that contains t and misses s, until none is
+    left.  Raises PrimalityFailure, as the library does, when the maximal
+    theory reached is not prime.  The inputs must meet prime_extension's
+    preconditions; they are not checked."""
+    admissible = [u for u in logic.theories.theories if t <= u and not (u & s)]
+    current = t
+    while True:
+        bigger = sorted_sets(u for u in admissible if current < u)
+        if not bigger:
+            break
+        current = bigger[0]
+    if current not in theory_spectrum(logic).primes:
+        raise PrimalityFailure(
+            f"maximal extension {set_key(current)} is not prime; logic is not distributive",
+            witness=current,
+        )
+    return current
 
 
 # The per-entry loops the library ran before its row-wise and whole-table

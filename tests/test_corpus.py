@@ -6,9 +6,12 @@ brute-force oracle finds from every subset of each theory's complement.
 The unmemoized criterion-6 loop in oracles.py draws the same instances
 and checks every draw afresh; the library must give the same counts and
 the same failures, also when a check fails on an instance that is drawn
-more than once.  Criterion 6 rejects a draw that is no logic map on
-bitmasks before any analysis, and reads each pair's draws from one block
-of generator words that must equal the randrange stream.
+more than once.  Criterion 6 reads each pair's draws from one block of
+generator words that must equal the randrange stream, and rejects every
+draw of the block that is no logic map at once, on bitmasks, before any
+analysis; that block gate must agree draw by draw with the per-map gate.
+Criterion 5's bitmask walk must find the frozenset walk's prime, or fail
+with the same witness and message.
 """
 
 import dataclasses
@@ -21,18 +24,23 @@ from hypothesis import given, settings, strategies as st
 
 from logictop import corpus, duality
 from logictop.builders import random_logic
-from logictop.core import AbstractLogic, ConnectiveTables, set_key, theory_spectrum
+from logictop.connectives import prime_extension
+from logictop.core import AbstractLogic, ConnectiveTables, TheoryFamily, set_key, theory_spectrum
 from logictop.duality import (
     LogicMap,
     _fibers,
     _theory_preimages,
     analyze_logic_map,
-    stable_iff_disjunction,
     theory_preimage_map,
 )
-from logictop.errors import NotLogicMap, PreconditionViolated
+from logictop.errors import NotLogicMap, PreconditionViolated, PrimalityFailure
 
-from oracles import oracle_analyze_logic_map, oracle_extension_pairs, oracle_stability_pair
+from oracles import (
+    oracle_analyze_logic_map,
+    oracle_extension_pairs,
+    oracle_prime_extension,
+    oracle_stability_pair,
+)
 
 
 def _stability_pairs(max_points=3):
@@ -176,6 +184,40 @@ def test_extension_pairs_match_the_oracle_on_random_join_tables(logic):
     assert _pairs(logic) == oracle_extension_pairs(logic)
 
 
+def _assert_prime_extension_matches(logic, t, s):
+    """prime_extension against the frozenset walk: the same prime, or a
+    PrimalityFailure with the same witness and message."""
+    try:
+        expected = oracle_prime_extension(logic, t, s)
+    except PrimalityFailure as failure:
+        with pytest.raises(PrimalityFailure) as err:
+            prime_extension(logic, t, s)
+        assert (err.value.witness, str(err.value)) == (failure.witness, str(failure)), (t, s)
+    else:
+        assert prime_extension(logic, t, s) == expected, (t, s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_joined_logics())
+def test_prime_extension_matches_the_oracle_on_random_join_tables(logic):
+    for t, s in corpus._extension_pairs(logic):
+        _assert_prime_extension_matches(logic, t, s)
+
+
+def test_prime_extension_reports_a_non_prime_maximal_theory():
+    # {2} = {0,2} ∩ {1,2} is the only theory above {2} that misses {0,1}
+    theories = TheoryFamily(3, frozenset(map(frozenset, ({2}, {0, 2}, {1, 2}, {0, 1, 2}))))
+    join = [[max(a, b) for b in range(3)] for a in range(3)]
+    logic = AbstractLogic(("a", "b", "c"), theories, ConnectiveTables(join=join))
+    t, s = frozenset({2}), frozenset({0, 1})
+    assert (t, s) in set(corpus._extension_pairs(logic))
+    with pytest.raises(PrimalityFailure) as err:
+        prime_extension(logic, t, s)
+    assert str(err.value) == "maximal extension (2,) is not prime; logic is not distributive"
+    assert err.value.witness == t
+    _assert_prime_extension_matches(logic, t, s)
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_prime_extension_criterion_matches_the_unmemoized_oracle(seed):
     # every oracle pair is checked once, whatever the seed
@@ -220,13 +262,16 @@ def _assert_gate_matches(src, tgt, mapping):
     """The bitmask logic-map test against analyze_logic_map and the
     frozenset oracle: the same verdict, the first failing target theory
     as the witness, and the preimage mask of every target theory of a
-    logic map; criterion 6's verdict is the unrejected one."""
+    logic map.  Criterion 6's block gate, on a block of this one draw,
+    gives the same verdict, or refuses a source wider than a byte."""
     preimages, bad = _gate(src, tgt, mapping)
     m = LogicMap(src, tgt, mapping)
     expected = oracle_analyze_logic_map(
         m, theory_spectrum(src).totally_primes, theory_spectrum(tgt).totally_primes
     )
-    assert (bad is None) == analyze_logic_map(m).is_logic_map == expected["is_logic_map"], mapping
+    analysis = analyze_logic_map(m)
+    assert (bad is None) == analysis.is_logic_map == expected["is_logic_map"], mapping
+    assert analysis.is_logic_map or not analysis.is_stable, mapping
     if bad is None:
         pulled = [_mask(a for a in src.exprs if mapping[a] in t) for t in corpus.sorted_sets(tgt.theories)]
         assert preimages == pulled, mapping
@@ -236,11 +281,11 @@ def _assert_gate_matches(src, tgt, mapping):
         with pytest.raises(NotLogicMap) as err:
             theory_preimage_map(m)
         assert err.value.witness == (bad, m.preimage(bad)), mapping
-    if all(logic.connectives is not None and logic.connectives.join is not None for logic in (src, tgt)):
-        analysis = analyze_logic_map(m)
-        verdict = stable_iff_disjunction(m).agree if analysis.is_logic_map else None
-        assert corpus._map_verdict(src, tgt, mapping) == verdict, mapping
-        assert analysis.is_logic_map or not analysis.is_stable, mapping
+    if src.universe_size <= 8:
+        assert corpus._logic_map_draws(src, tgt, bytes(mapping), 1) == bytes([bad is not None]), mapping
+    else:
+        with pytest.raises(ValueError):
+            corpus._logic_map_draws(src, tgt, bytes(mapping), 1)
 
 
 def test_logic_map_gate_is_exhaustively_exact_on_small_logics():
@@ -273,6 +318,38 @@ def _wide_mappings(draw):
 @given(_wide_mappings())
 def test_logic_map_gate_matches_the_oracle_on_random_mappings(drawn):
     _assert_gate_matches(*drawn)
+
+
+_EMPTY = corpus._logic((), [()], (), ())
+
+
+@st.composite
+def _draw_blocks(draw):
+    """A random source of 0 to 6 expressions (the empty logic at 0), a
+    random target of 1 to 6, and a block of up to 40 random draws
+    between them, with its draw count."""
+    width = draw(st.integers(0, 6))
+    src = random_logic(width, draw(st.integers(0, 10**6))) if width else _EMPTY
+    tgt = random_logic(draw(st.integers(1, 6)), draw(st.integers(0, 10**6)))
+    samples = draw(st.integers(0, 40))
+    image = st.integers(0, tgt.universe_size - 1)
+    values = draw(st.lists(image, min_size=width * samples, max_size=width * samples))
+    return src, tgt, bytes(values), samples
+
+
+@settings(max_examples=300, deadline=None)
+@given(_draw_blocks())
+def test_logic_map_draws_match_the_per_draw_gate(drawn):
+    src, tgt, values, samples = drawn
+    width = src.universe_size
+    expected = bytes(_gate(src, tgt, tuple(values[d * width:(d + 1) * width]))[1] is not None for d in range(samples))
+    assert corpus._logic_map_draws(src, tgt, values, samples) == expected
+
+
+def test_logic_map_draws_refuse_a_source_wider_than_a_byte():
+    src, tgt = random_logic(9, 0), random_logic(2, 0)
+    with pytest.raises(ValueError, match="at most 8 source expressions, got 9"):
+        corpus._logic_map_draws(src, tgt, bytes(9), 1)
 
 
 def test_run_all_runs_the_criteria_in_order():
