@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import reduce
 from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
-from .core import AbstractLogic, ConnectiveTables, _close, _mask, close_under_intersection, set_key
-from .errors import BoundExceeded, NotDistributiveLattice, NotHeyting
+from .core import (AbstractLogic, ConnectiveTables, TheoryFamily, _check_indices, _close, _mask,
+                   close_under_intersection, set_key)
+from .errors import BoundExceeded, EmptyGeneratorSet, NotDistributiveLattice, NotHeyting
 from .topology import (
     FiniteSpace,
     PointSet,
@@ -101,28 +103,23 @@ class FinitePoset:
 
     @classmethod
     def from_pairs(cls, element_names: Iterable[str], pairs: Iterable[tuple[str, str]]) -> "FinitePoset":
-        """Build from covering pairs of names, closing reflexively and transitively."""
+        """Build from covering pairs of names, closed reflexively and
+        transitively by Warshall's algorithm on bitmask rows."""
         names = tuple(str(s) for s in element_names)
         index = {s: i for i, s in enumerate(names)}
         n = len(names)
-        leq = [[i == j for j in range(n)] for i in range(n)]
+        bits = [1 << i for i in range(n)]
+        rows = list(bits)
         for lo, hi in pairs:
             if lo not in index:
                 raise ValueError(f"unknown element {lo!r}")
             if hi not in index:
                 raise ValueError(f"unknown element {hi!r}")
-            leq[index[lo]][index[hi]] = True
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                for j in range(n):
-                    if leq[i][j]:
-                        for k in range(n):
-                            if leq[j][k] and not leq[i][k]:
-                                leq[i][k] = True
-                                changed = True
-        return cls(names, tuple(tuple(row) for row in leq))
+            rows[index[lo]] |= bits[index[hi]]
+        for k, bit in enumerate(bits):
+            above = rows[k]
+            rows = [row | above if row & bit else row for row in rows]
+        return cls(names, [[row & bit for bit in bits] for row in rows])
 
     @property
     def n(self) -> int:
@@ -180,7 +177,7 @@ class FiniteLattice:
         object.__setattr__(self, "element_names", tuple(str(s) for s in self.element_names))
         object.__setattr__(self, "leq", tuple(tuple(map(bool, row)) for row in self.leq))
         if self.impl is not None:
-            object.__setattr__(self, "impl", tuple(tuple(map(int, row)) for row in self.impl))
+            object.__setattr__(self, "impl", tuple(map(tuple, self.impl)))
         if len(set(self.element_names)) != len(self.element_names):
             raise ValueError("element names must be distinct")
         n = self.n
@@ -189,17 +186,15 @@ class FiniteLattice:
         up, down = _check_order(self.leq)
         object.__setattr__(self, "join", _bound_table(up, "least upper"))
         object.__setattr__(self, "meet", _bound_table(down, "greatest lower"))
+        universe = frozenset(range(n))
         if self.impl is not None:
             if len(self.impl) != n or any(len(row) != n for row in self.impl):
                 raise ValueError(f"impl table must be {n}x{n}")
-            for row in self.impl:
-                for v in row:
-                    if not 0 <= v < n:
-                        raise ValueError(f"impl value {v} out of range")
+            _check_indices(self.impl, universe, "impl value", "out of range")
         for name in ("top", "bottom"):
             v = getattr(self, name)
-            if v is not None and not 0 <= v < n:
-                raise ValueError(f"{name} index {v} out of range")
+            if v is not None:
+                _check_indices(((v,),), universe, f"{name} index", "out of range")
         full = (1 << n) - 1
         if self.top is not None and down[self.top] != full:
             raise ValueError("declared top is not greatest")
@@ -207,23 +202,17 @@ class FiniteLattice:
             raise ValueError("declared bottom is not least")
 
     @classmethod
-    def from_leq(
-        cls,
-        element_names: Iterable[str],
-        leq: LeqMatrix,
-        *,
-        impl: tuple[tuple[int, ...], ...] | None = None,
-        bounded: bool = True,
-    ) -> "FiniteLattice":
+    def from_leq(cls, element_names: Iterable[str], leq: LeqMatrix) -> "FiniteLattice":
         """The lattice of an order, with its greatest and least elements
-        declared when bounded; an order that is no lattice raises ValueError."""
-        lattice = cls(element_names, leq, impl=impl)
-        if not bounded or not lattice.n:
-            return lattice
-        leq = lattice.leq
-        top = next(i for i in range(lattice.n) if all(row[i] for row in leq))
-        bottom = next(i for i, row in enumerate(leq) if all(row))
-        return replace(lattice, top=top, bottom=bottom)
+        declared; an order that is no lattice raises ValueError.  The
+        bounds are read off the order's rows before the one build: every
+        row holds the top, and the bottom's row is full."""
+        rows = _bitrows(leq)
+        full = (1 << len(rows)) - 1
+        common = reduce(operator.and_, rows, full)
+        top = _lowest(common) if common else None
+        bottom = rows.index(full) if full in rows else None
+        return cls(element_names, leq, top=top, bottom=bottom)
 
     @property
     def n(self) -> int:
@@ -342,7 +331,8 @@ def heyting_from_upsets(frame: FinitePoset) -> FiniteLattice:
 def logic_from_lattice_filters(lattice: FiniteLattice, *, proper: bool = True) -> AbstractLogic:
     """The logic whose expressions are lattice elements and theories its filters.
 
-    Filters on a finite lattice are the upsets of single elements; the
+    Filters on a finite lattice are the upsets of single elements, closed
+    under intersection since up(a) & up(b) = up(a | b); the
     one generated by the least element is the whole carrier and is
     dropped by default, which keeps the logic regular.  Passing
     proper=False keeps it and yields the singular variant.  Connective
@@ -353,12 +343,11 @@ def logic_from_lattice_filters(lattice: FiniteLattice, *, proper: bool = True) -
     if witness is not None:
         raise NotDistributiveLattice(f"distributivity fails at {witness}", witness=witness)
     n = lattice.n
-    least = next(i for i in range(n) if all(lattice.leq[i][j] for j in range(n)))
-    theories = [
-        frozenset(h for h in range(n) if lattice.leq[g][h])
-        for g in range(n)
-        if proper is False or g != least
-    ]
+    theories = frozenset(frozenset(h for h in range(n) if lattice.leq[g][h]) for g in range(n))
+    if proper:
+        theories -= {frozenset(range(n))}
+    if not theories:
+        raise EmptyGeneratorSet("the lattice has no filter to serve as a theory")
     neg = None
     if lattice.impl is not None and lattice.bottom is not None:
         neg = tuple(lattice.impl[a][lattice.bottom] for a in range(n))
@@ -370,7 +359,7 @@ def logic_from_lattice_filters(lattice: FiniteLattice, *, proper: bool = True) -
         top=lattice.top,
         bottom=lattice.bottom,
     )
-    return AbstractLogic(lattice.element_names, close_under_intersection(n, theories), tables)
+    return AbstractLogic(lattice.element_names, TheoryFamily(n, theories), tables)
 
 
 def open_set_lattice(space: FiniteSpace) -> FiniteLattice:
@@ -423,7 +412,7 @@ def _canonical_matrix(matrix: LeqMatrix, relabelings: list[operator.itemgetter])
 POSET_ENUMERATION_BOUND = 5
 
 
-def enumerate_posets(n: int, *, max_size: int = POSET_ENUMERATION_BOUND) -> Iterator[FinitePoset]:
+def enumerate_posets(n: int) -> Iterator[FinitePoset]:
     """All posets on n unlabeled elements, each isomorphism class once.
 
     Built by repeatedly attaching a new maximal element above a downset,
@@ -431,8 +420,8 @@ def enumerate_posets(n: int, *, max_size: int = POSET_ENUMERATION_BOUND) -> Iter
     exact because every poset loses some maximal element gracefully.
     The factorial canonicalization is why the size bound is small.
     """
-    if not 1 <= n <= max_size:
-        raise BoundExceeded(f"poset enumeration supports 1..{max_size}, got {n}")
+    if not 1 <= n <= POSET_ENUMERATION_BOUND:
+        raise BoundExceeded(f"poset enumeration supports 1..{POSET_ENUMERATION_BOUND}, got {n}")
     mats: set[LeqMatrix] = {((True,),)}
     for size in range(2, n + 1):
         relabelings = _relabelings(size)
@@ -459,10 +448,10 @@ def enumerate_posets(n: int, *, max_size: int = POSET_ENUMERATION_BOUND) -> Iter
 RANDOM_LOGIC_BOUND = 12
 
 
-def random_logic(n: int, seed: int, *, max_size: int = RANDOM_LOGIC_BOUND) -> AbstractLogic:
+def random_logic(n: int, seed: int) -> AbstractLogic:
     """A reproducible random intersection structure on n expressions."""
-    if not 1 <= n <= max_size:
-        raise BoundExceeded(f"random logics support 1..{max_size} expressions, got {n}")
+    if not 1 <= n <= RANDOM_LOGIC_BOUND:
+        raise BoundExceeded(f"random logics support 1..{RANDOM_LOGIC_BOUND} expressions, got {n}")
     rng = random.Random(seed)
     count = rng.randint(1, max(2, n))
     generators = [

@@ -15,6 +15,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from .errors import EmptyGeneratorSet, NotTheories
@@ -38,6 +39,30 @@ def _check_universe(universe_size: int, s: Iterable[int], what: str) -> ExprSet:
         if not isinstance(i, int) or i < 0 or i >= universe_size:
             raise ValueError(f"{what} contains index {i!r} outside universe of size {universe_size}")
     return out
+
+
+def _check_indices(rows: Iterable[Iterable], universe: frozenset[int], what: str, outside: str) -> None:
+    """Raise ValueError at the first entry of rows, row by row, that is no
+    int ("{what} {v!r} is not an integer") or not in universe, the set of
+    valid indices ("{what} {v} {outside}").  An int subclass such as bool
+    passes.
+
+    Valid rows pass on C builtins alone: the subset test admits only
+    entries equal to indices, and those sum to an int unless one of them
+    is another kind of number, such as 1.0.
+    """
+    entries = chain.from_iterable
+    try:
+        if universe.issuperset(entries(rows)) and type(sum(entries(rows))) is int:
+            return
+    except TypeError:
+        pass  # an unhashable entry, which the scan names
+    for row in rows:
+        for v in row:
+            if not isinstance(v, int):
+                raise ValueError(f"{what} {v!r} is not an integer")
+            if v not in universe:
+                raise ValueError(f"{what} {v} {outside}")
 
 
 @dataclass(frozen=True)
@@ -107,23 +132,22 @@ class ConnectiveTables:
             object.__setattr__(self, "neg", tuple(self.neg))
 
     def validate(self, n: int) -> None:
+        universe = frozenset(range(n))
         for name in ("join", "meet", "impl"):
             table = getattr(self, name)
             if table is None:
                 continue
             if len(table) != n or not set(map(len, table)) <= {n}:
                 raise ValueError(f"{name} table is not {n}x{n}")
-            for row in table:
-                for v in row:
-                    if not 0 <= v < n:
-                        raise ValueError(f"{name} table entry {v} outside universe")
+            _check_indices(table, universe, f"{name} table entry", "outside universe")
         if self.neg is not None:
-            if len(self.neg) != n or any(not 0 <= v < n for v in self.neg):
+            if len(self.neg) != n:
                 raise ValueError("neg table malformed")
+            _check_indices((self.neg,), universe, "neg table entry", "outside universe")
         for name in ("top", "bottom"):
             v = getattr(self, name)
-            if v is not None and not 0 <= v < n:
-                raise ValueError(f"{name} index {v} outside universe")
+            if v is not None:
+                _check_indices(((v,),), universe, f"{name} index", "outside universe")
 
 
 @dataclass(frozen=True)

@@ -452,9 +452,7 @@ def _stability_pair(source, target, seed: int, samples: int) -> tuple[int, int, 
     return samples, logic_maps, None
 
 
-def criterion_stability_lemma(
-    max_points: int = 4, seed: int = 0, samples: int = STABILITY_SAMPLES
-) -> CriterionResult:
+def criterion_stability_lemma(max_points: int = 4, seed: int = 0) -> CriterionResult:
     """Stability coincides with join preservation on sampled logic maps.
 
     The logics are the distributive corpus logics of at most six
@@ -467,7 +465,7 @@ def criterion_stability_lemma(
     failures = []
     for source in small:
         for target in small:
-            n, k, failure = _stability_pair(source, target, seed, samples)
+            n, k, failure = _stability_pair(source, target, seed, STABILITY_SAMPLES)
             sampled += n
             logic_maps += k
             if failure is not None:

@@ -24,7 +24,6 @@ from .core import (
     ConnectiveTables,
     ExprSet,
     LogicIndex,
-    _mask,
     close_under_intersection,
     set_key,
     sorted_sets,
@@ -206,7 +205,7 @@ def space_logic(space: FiniteSpace) -> AbstractLogic:
     n = len(space.basis)
     generators = [point_filter(space, x) for x in range(space.n_points)]
     theories = close_under_intersection(n, generators)
-    masks = [_mask(u) for u in space.basis]
+    masks = space._index.listed
     index = {u: i for i, u in enumerate(masks)}
     join = tuple(tuple(index[u | v] for v in masks) for u in masks)
     meet = tuple(tuple(index[u & v] for v in masks) for u in masks)
@@ -440,6 +439,41 @@ def _connective_squares(m: LogicMap) -> list[tuple[str, bool, object]]:
     return squares
 
 
+# direction: (comparison map, dual of a map, dual back, names of the elements)
+_TRIPS = {
+    "logic": (basic_open_embedding, dual_point_map, dual_logic_map, "expr_names"),
+    "space": (point_filter_embedding, dual_logic_map, dual_point_map, "point_names"),
+}
+
+
+def _report(direction: str, m: LogicMap | PointMap, iso_ok: bool, squares: list, witnesses: list, h) -> DualityReport:
+    """The report of either roundtrip, given its comparison map m and the
+    squares and witnesses of its own checks.  A map h of m's kind out of
+    m's source adds the naturality square: h then the far comparison map
+    equals m then the doubly dualized h.  Failed squares add witnesses."""
+    embed, dual, back, names = _TRIPS[direction]
+    if h is not None:
+        if h.source is not m.source and h.source != m.source:
+            raise ValueError(f"the supplied map must start at the {direction} under test")
+        far, doubled = embed(h.target), back(dual(h))
+        ok, witness = True, None
+        for e, image in enumerate(m.mapping):
+            if far(h(e)) != doubled(image):
+                ok, witness = False, e
+                break
+        squares.append(("naturality", ok, witness))
+    witnesses += [(name, witness) for name, ok, witness in squares if not ok]
+    source_names, target_names = getattr(m.source, names), getattr(m.target, names)
+    return DualityReport(
+        direction=direction,
+        iso_ok=iso_ok,
+        square_ok=all(ok for _, ok, _ in squares),
+        detail=tuple((source_names[e], target_names[image]) for e, image in enumerate(m.mapping)),
+        squares=tuple(squares),
+        witnesses=tuple(witnesses),
+    )
+
+
 def roundtrip_logic(logic: AbstractLogic, h: LogicMap | None = None) -> DualityReport:
     """Send a logic around the duality and compare it with the result.
 
@@ -451,34 +485,8 @@ def roundtrip_logic(logic: AbstractLogic, h: LogicMap | None = None) -> DualityR
     """
     m = basic_open_embedding(logic)
     analysis = analyze_logic_map(m)
-    squares = _connective_squares(m)
-    witnesses = list(analysis.witnesses)
-    if h is not None:
-        if h.source is not logic and h.source != logic:
-            raise ValueError("the supplied map must start at the logic under test")
-        far = basic_open_embedding(h.target)
-        doubled = dual_logic_map(dual_point_map(h))
-        ok, witness = True, None
-        for a in logic.exprs:
-            if far(h(a)) != doubled(m(a)):
-                ok, witness = False, a
-                break
-        squares.append(("naturality", ok, witness))
-    square_ok = all(ok for _, ok, _ in squares)
-    for name, ok, witness in squares:
-        if not ok:
-            witnesses.append((name, witness))
-    detail = tuple(
-        (logic.expr_names[a], m.target.expr_names[m(a)]) for a in logic.exprs
-    )
-    return DualityReport(
-        direction="logic",
-        iso_ok=analysis.is_isomorphism and analysis.is_stable,
-        square_ok=square_ok,
-        detail=detail,
-        squares=tuple(squares),
-        witnesses=tuple(witnesses),
-    )
+    iso_ok = analysis.is_isomorphism and analysis.is_stable
+    return _report("logic", m, iso_ok, _connective_squares(m), list(analysis.witnesses), h)
 
 
 def roundtrip_space(space: FiniteSpace, f: PointMap | None = None) -> DualityReport:
@@ -510,29 +518,4 @@ def roundtrip_space(space: FiniteSpace, f: PointMap | None = None) -> DualityRep
         extent = pres.space.basis[pres.expr_to_basis[i]]
         ok = m.preimage(extent) == u
         squares.append((space.basis_names[i], ok, None if ok else u))
-    if f is not None:
-        if f.source is not space and f.source != space:
-            raise ValueError("the supplied map must start at the space under test")
-        far = point_filter_embedding(f.target)
-        doubled = dual_point_map(dual_logic_map(f))
-        ok, witness = True, None
-        for x in range(space.n_points):
-            if far(f(x)) != doubled(m(x)):
-                ok, witness = False, x
-                break
-        squares.append(("naturality", ok, witness))
-    square_ok = all(ok for _, ok, _ in squares)
-    for name, ok, witness in squares:
-        if not ok:
-            witnesses.append((name, witness))
-    detail = tuple(
-        (space.point_names[x], pres.space.point_names[m(x)]) for x in range(space.n_points)
-    )
-    return DualityReport(
-        direction="space",
-        iso_ok=bijective and continuous and open_map,
-        square_ok=square_ok,
-        detail=detail,
-        squares=tuple(squares),
-        witnesses=tuple(witnesses),
-    )
+    return _report("space", m, bijective and continuous and open_map, squares, witnesses, f)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Container, Iterable, Sequence
 
-from .core import _close, _mask, set_key, sorted_sets
+from .core import _check_indices, _close, _mask, set_key, sorted_sets
 from .errors import (
     BasisNotLattice,
     NoImplication,
@@ -55,14 +55,10 @@ class FiniteSpace:
             raise ValueError("point names must be distinct")
         if len(self.basis_names) != len(self.basis):
             raise ValueError("one display name per basis element")
-        seen = set()
-        for b in self.basis:
-            for p in b:
-                if not 0 <= p < n:
-                    raise ValueError(f"basis point {p} out of range")
-            if b in seen:
-                raise ValueError(f"duplicate basis element {set_key(b)}")
-            seen.add(b)
+        _check_indices(self.basis, self.carrier, "basis point", "out of range")
+        if len(set(self.basis)) != len(self.basis):
+            b = next(b for i, b in enumerate(self.basis) if b in self.basis[:i])
+            raise ValueError(f"duplicate basis element {set_key(b)}")
 
     @property
     def n_points(self) -> int:
@@ -129,7 +125,8 @@ class SpaceIndex:
 
     Built lazily, once per FiniteSpace object (its ``_index``).  Point
     sets are int bitmasks, bit x for point x; ``carrier`` has every
-    point's bit.  ``basis`` follows sorted_sets order, so scanning it
+    point's bit.  ``listed`` holds the space's basis as bitmasks, in the
+    space's own order.  ``basis`` follows sorted_sets order, so scanning it
     finds the same first witness as scanning the sorted frozensets;
     ``masks`` holds it as bitmasks and ``mask_set`` answers membership.
     ``upsets`` pairs each point's bit with its specialization upset;
@@ -144,6 +141,7 @@ class SpaceIndex:
     """
 
     carrier: int
+    listed: tuple[int, ...]
     basis: tuple[PointSet, ...]
     masks: tuple[int, ...]
     mask_set: frozenset[int]
@@ -155,14 +153,16 @@ class SpaceIndex:
     @classmethod
     def of(cls, space: FiniteSpace) -> SpaceIndex:
         carrier = (1 << space.n_points) - 1
+        listed = tuple(map(_mask, space.basis))
         basis = tuple(sorted_sets(space.basis))
-        masks = tuple(_mask(u) for u in basis)
+        masks = tuple(map(dict(zip(space.basis, listed)).__getitem__, basis))
         mask_set = frozenset(masks)
         order = specialization_order(space)
         upsets = tuple((1 << x, _mask(order.upset(x))) for x in range(space.n_points))
         open_masks = frozenset(_mask(o) for o in opens(space))
         return cls(
             carrier=carrier,
+            listed=listed,
             basis=basis,
             masks=masks,
             mask_set=mask_set,
@@ -364,7 +364,7 @@ def prime_filters_on_basis(space: FiniteSpace) -> tuple[frozenset[int], ...]:
     """
     index = space._index
     _require_lattice(index.lattice_violation)
-    masks = [_mask(u) for u in space.basis]
+    masks = index.listed
     out = set()
     for g in masks:
         if not g:

@@ -405,6 +405,32 @@ def oracle_upsets(leq):
     return out
 
 
+def oracle_order_closure(names, pairs):
+    """The reflexive and transitive closure of pairs of names, as a boolean
+    matrix, by a fixpoint loop: add (i, k) for every i <= j <= k until a
+    pass changes nothing.  An unknown name raises ValueError."""
+    index = {s: i for i, s in enumerate(names)}
+    n = len(names)
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    for lo, hi in pairs:
+        if lo not in index:
+            raise ValueError(f"unknown element {lo!r}")
+        if hi not in index:
+            raise ValueError(f"unknown element {hi!r}")
+        leq[index[lo]][index[hi]] = True
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            for j in range(n):
+                if leq[i][j]:
+                    for k in range(n):
+                        if leq[j][k] and not leq[i][k]:
+                            leq[i][k] = True
+                            changed = True
+    return tuple(tuple(row) for row in leq)
+
+
 def oracle_order_error(leq):
     """The first failure of a partial order, scanning i, then j (antisymmetry
     before transitivity), then k in index order; None for a valid order."""
@@ -455,8 +481,8 @@ def oracle_lattice_tables(leq):
 def oracle_lattice_error(leq, impl=None, top=None, bottom=None):
     """The first failure of a lattice on distinct elements, one order row
     each: the order, then a missing join or meet, then the implication
-    table's shape and range, then the declared bounds' range, then
-    whether they are greatest and least."""
+    table's shape and its first entry that is no index, then the declared
+    bounds' types and range, then whether they are greatest and least."""
     n = len(leq)
     error = oracle_order_error(leq)
     if error is not None:
@@ -467,11 +493,12 @@ def oracle_lattice_error(leq, impl=None, top=None, bottom=None):
     if impl is not None:
         if len(impl) != n or any(len(row) != n for row in impl):
             return f"impl table must be {n}x{n}"
-        for row in impl:
-            for v in row:
-                if not 0 <= v < n:
-                    return f"impl value {v} out of range"
+        error = _entry_error(impl, n, "impl value", "out of range")
+        if error is not None:
+            return error
     for name, v in (("top", top), ("bottom", bottom)):
+        if v is not None and not isinstance(v, int):
+            return f"{name} index {v!r} is not an integer"
         if v is not None and not 0 <= v < n:
             return f"{name} index {v} out of range"
     if top is not None and any(not leq[i][top] for i in range(n)):
@@ -708,23 +735,40 @@ def oracle_family_error(universe_size, theories):
     return None
 
 
+def _entry_error(rows, n, what, outside):
+    """The first entry of rows, row by row, that is no int or lies outside
+    range(n), as its error text; None when there is none."""
+    for row in rows:
+        for v in row:
+            if not isinstance(v, int):
+                return f"{what} {v!r} is not an integer"
+            if not 0 <= v < n:
+                return f"{what} {v} {outside}"
+    return None
+
+
 def oracle_tables_error(tables, n):
-    """The ValueError text of ConnectiveTables.validate(n), or None."""
+    """The ValueError text of ConnectiveTables.validate(n), or None: each
+    table's shape, then its first entry that is no index."""
     for name in ("join", "meet", "impl"):
         table = getattr(tables, name)
         if table is None:
             continue
         if len(table) != n or any(len(row) != n for row in table):
             return f"{name} table is not {n}x{n}"
-        for row in table:
-            for v in row:
-                if not 0 <= v < n:
-                    return f"{name} table entry {v} outside universe"
+        error = _entry_error(table, n, f"{name} table entry", "outside universe")
+        if error is not None:
+            return error
     if tables.neg is not None:
-        if len(tables.neg) != n or any(not 0 <= v < n for v in tables.neg):
+        if len(tables.neg) != n:
             return "neg table malformed"
+        error = _entry_error([tables.neg], n, "neg table entry", "outside universe")
+        if error is not None:
+            return error
     for name in ("top", "bottom"):
         v = getattr(tables, name)
+        if v is not None and not isinstance(v, int):
+            return f"{name} index {v!r} is not an integer"
         if v is not None and not 0 <= v < n:
             return f"{name} index {v} outside universe"
     return None

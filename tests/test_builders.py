@@ -21,7 +21,7 @@ from logictop.builders import (
 )
 from logictop.corpus import POSET_COUNTS, antichain, chain, corpus_frames, corpus_spaces, discrete_two, indiscrete_two, sierpinski, v_frame
 from logictop.core import sorted_sets
-from logictop.errors import BasisNotLattice, BoundExceeded, NotDistributiveLattice, NotHeyting
+from logictop.errors import BasisNotLattice, BoundExceeded, EmptyGeneratorSet, NotDistributiveLattice, NotHeyting
 from logictop.topology import FiniteSpace
 
 from oracles import (
@@ -34,6 +34,7 @@ from oracles import (
     oracle_is_heyting,
     oracle_lattice_error,
     oracle_lattice_tables,
+    oracle_order_closure,
     oracle_order_error,
     oracle_poset_count,
     oracle_upsets,
@@ -58,6 +59,27 @@ def test_from_pairs_takes_transitive_closure():
     assert p.leq[0][2]
     assert p.upset(0) == frozenset({0, 1, 2})
     assert p.downset(2) == frozenset({0, 1, 2})
+
+
+@st.composite
+def _named_pairs(draw):
+    """Names x0.. on 0 to 6 elements and up to twelve pairs of them, so
+    cycles are common; one time in ten a pair names an unknown element."""
+    names = tuple(f"x{i}" for i in range(draw(st.integers(0, 6))))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=12)) if names else []
+    if draw(st.integers(0, 9)) == 0:
+        pairs.insert(draw(st.integers(0, len(pairs))), draw(st.sampled_from((("zz", "x0"), ("x0", "zz")))))
+    return names, pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_named_pairs())
+def test_from_pairs_closes_as_the_fixpoint_oracle(drawn):
+    """from_pairs gives the order of the fixpoint closure, or raises the
+    ValueError text that closure and the order check raise."""
+    names, pairs = drawn
+    got = _error_text(lambda: FinitePoset.from_pairs(names, pairs))
+    assert got == _error_text(lambda: FinitePoset(names, oracle_order_closure(names, pairs)))
 
 
 def test_covers_drop_composites():
@@ -111,6 +133,45 @@ def test_lattice_rejects_missing_bounds():
         FiniteLattice.from_leq(("a", "b"), ((True, False), (False, True)))
 
 
+def test_from_leq_builds_the_lattice_once(monkeypatch):
+    """One build per lattice, with both bounds declared wherever they sit;
+    an empty order stays unbounded, and a non-lattice or ragged order is
+    refused with the build's own message."""
+    builds = []
+    post_init = FiniteLattice.__post_init__
+    monkeypatch.setattr(FiniteLattice, "__post_init__", lambda self: builds.append(self) or post_init(self))
+    t, f = True, False
+    up = FiniteLattice.from_leq("abc", ((t, t, t), (f, t, t), (f, f, t)))
+    down = FiniteLattice.from_leq("abc", ((t, f, f), (t, t, f), (t, t, t)))
+    assert len(builds) == 2
+    assert (up.top, up.bottom, down.top, down.bottom) == (2, 0, 0, 2)
+    for lattice in _bounded_lattices(4):
+        assert (lattice.top, lattice.bottom) == (lattice.n - 1, 0)
+    empty = FiniteLattice.from_leq((), ())
+    assert (empty.n, empty.top, empty.bottom) == (0, None, None)
+    for names, leq, message in (
+        ("ab", ((t, f), (f, t)), "no least upper bound for 0,1"),
+        ("ab", ((t, t), (t,)), "order matrix must be square"),
+        ("abc", ((t, t), (f, t)), "one matrix row per element"),
+        ("ab", ((t, t), (t, t)), "order not antisymmetric at 0,1"),
+    ):
+        with pytest.raises(ValueError) as err:
+            FiniteLattice.from_leq(names, leq)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"impl": ((1.9, "1"), (0, 1))}, "impl value 1.9 is not an integer"),
+    ({"impl": ((1, 1), (0, None))}, "impl value None is not an integer"),
+    ({"top": 1.0}, "top index 1.0 is not an integer"),
+    ({"bottom": "0"}, "bottom index '0' is not an integer"),
+])
+def test_lattice_refuses_entries_that_are_not_integers(fields, message):
+    with pytest.raises(ValueError) as err:
+        FiniteLattice(("a", "b"), ((True, True), (False, True)), **fields)
+    assert str(err.value) == message
+
+
 def test_filter_logic_of_chain_is_the_worked_three_valued(chain3_logic):
     built = logic_from_lattice_filters(heyting_from_upsets(chain(2)))
     assert built.theories == chain3_logic.theories
@@ -135,6 +196,13 @@ def test_improper_filter_switch_adds_the_full_set():
     assert proper.is_regular
     assert not singular.is_regular
     assert singular.theories.theories == proper.theories.theories | {singular.full_set}
+
+
+def test_filter_logic_needs_a_filter_to_keep():
+    one = heyting_from_upsets(antichain(0))
+    with pytest.raises(EmptyGeneratorSet):
+        logic_from_lattice_filters(one)
+    assert logic_from_lattice_filters(one, proper=False).theories.theories == {frozenset({0})}
 
 
 def test_filter_logic_rejects_non_distributive():

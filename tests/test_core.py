@@ -60,6 +60,23 @@ def test_theory_family_rejects_out_of_range():
         TheoryFamily(2, frozenset({frozenset({5})}))
 
 
+@pytest.mark.parametrize("edit, message", [
+    ({"join": ((0, 0.5), (1, 1))}, "join table entry 0.5 is not an integer"),
+    ({"meet": ((0, 0), ("0", 1))}, "meet table entry '0' is not an integer"),
+    ({"meet": ((0, [0]), (1, 1))}, "meet table entry [0] is not an integer"),
+    ({"impl": ((1, 1), (None, 1))}, "impl table entry None is not an integer"),
+    ({"neg": (1, 0.0)}, "neg table entry 0.0 is not an integer"),
+    ({"top": 1.0}, "top index 1.0 is not an integer"),
+    ({"bottom": "0"}, "bottom index '0' is not an integer"),
+])
+def test_connective_tables_refuse_entries_that_are_not_integers(edit, message):
+    family = TheoryFamily(2, frozenset({frozenset({1})}))
+    tables = ConnectiveTables(**{"join": ((0, 1), (1, 1)), **edit})
+    with pytest.raises(ValueError) as err:
+        AbstractLogic(("a", "b"), family, tables)
+    assert str(err.value) == message
+
+
 # entries a caller outside the document layer might pass: n stands for
 # the universe size, the first index out of range
 _ODD = (-1, "n", 1.5, 1.0, True, "0", None)

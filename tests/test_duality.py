@@ -1,6 +1,7 @@
 """The two dual constructions and the comparison maps between them."""
 
 import dataclasses
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,7 +35,7 @@ from logictop.duality import (
     stable_iff_disjunction,
     theory_preimage_map,
 )
-from logictop.errors import NotDistributive, NotLogicMap, NotSpectralMap, NotStable
+from logictop.errors import NotDistributive, NotLogicMap, NotSpectralMap, NotStable, WorkbenchError
 from logictop.topology import FiniteSpace, analyze_space, has_implication, is_distributive_space
 
 from oracles import (
@@ -322,6 +323,44 @@ def test_roundtrip_space_with_endomap(chain_space):
     constant = PointMap(chain_space, chain_space, (1, 1))
     report = roundtrip_space(chain_space, constant)
     assert report.iso_ok and report.square_ok
+
+
+def test_naturality_holds_for_every_stable_map_between_small_filter_logics():
+    """Every stable map between the filter logics of corpus_logics(3) with
+    at most four expressions.  The quartet's two hand-built logics hold
+    the empty theory, whose prime lies in no basic open, so they have no
+    roundtrip and are left out."""
+    logics = [logic for _, logic in corpus_logics(3)
+              if logic.universe_size <= 4 and frozenset() not in logic.theories]
+    checked = 0
+    for source in logics:
+        for target in logics:
+            for mapping in product(range(target.universe_size), repeat=source.universe_size):
+                h = LogicMap(source, target, mapping)
+                if not analyze_logic_map(h).is_stable:
+                    continue
+                report = roundtrip_logic(source, h)
+                assert report.square_ok and report.squares[-1] == ("naturality", True, None), mapping
+                checked += 1
+    assert checked == 123
+
+
+def test_naturality_holds_for_every_accepted_point_map_between_small_spaces():
+    """Every point map between corpus_spaces(3) spaces of at most three
+    points that roundtrip_space accepts; the others are not spectral, or
+    start or end at a space that is not distributive."""
+    spaces = [space for _, space in corpus_spaces(3) if space.n_points <= 3]
+    checked = 0
+    for source in spaces:
+        for target in spaces:
+            for mapping in product(range(target.n_points), repeat=source.n_points):
+                try:
+                    report = roundtrip_space(source, PointMap(source, target, mapping))
+                except WorkbenchError:
+                    continue
+                assert report.square_ok and report.squares[-1] == ("naturality", True, None), mapping
+                checked += 1
+    assert checked == 858
 
 
 def test_extent_pullback_identity(small_logics):

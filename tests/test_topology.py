@@ -56,6 +56,17 @@ def test_space_validation():
         FiniteSpace(("a",), (frozenset(), frozenset()))
 
 
+@pytest.mark.parametrize("basis, message", [
+    (({0.5},), "basis point 0.5 is not an integer"),
+    (({0}, {1.0}), "basis point 1.0 is not an integer"),
+    (({0}, {0, "1"}), "basis point '1' is not an integer"),
+])
+def test_space_refuses_points_that_are_not_integers(basis, message):
+    with pytest.raises(ValueError) as err:
+        FiniteSpace(("x", "y"), basis)
+    assert str(err.value) == message
+
+
 def test_opens_match_union_oracle(wide_spaces):
     for name, space in wide_spaces:
         assert opens(space) == oracle_opens(space.n_points, space.basis), name
