@@ -11,9 +11,11 @@ so the command line and the test suite share one implementation; the
 test suite turns each result into a hard pass/fail.  run_all runs the
 eleven checks in order, in one process.  Only criterion 6 samples: it
 draws seeded mappings between pairs of logics, and the seed reaches it
-alone.  Only the corpus lists are cached: the criteria that read them,
+alone.  The corpus lists are cached here: the criteria that read them,
 the degenerate quartet and the Sierpinski space included, share one
-object, and so one index, per logic and space.
+object per logic and space.  Each object keeps its own index, and each
+space its own SpaceReport, so every criterion reads the facts of one
+instance off the same object, and a space is analysed once per run.
 """
 
 from __future__ import annotations
@@ -233,23 +235,27 @@ def _spectral_spaces(max_points: int = 4) -> tuple[tuple[str, FiniteSpace], ...]
 
 
 def criterion_logic_roundtrip(max_points: int = 4) -> CriterionResult:
-    """Every upset filter logic returns isomorphic from its spectrum."""
+    """Every upset filter logic returns isomorphic from its spectrum,
+    with every connective square commuting."""
     sizes = [frame.n for _, frame in corpus_frames(max_points)]
     counts = tuple(sizes.count(n) for n in range(1, max_points + 1))
     failures = []
     if counts != POSET_COUNTS[:max_points]:
         failures.append(f"expected poset counts {POSET_COUNTS[:max_points]}")
     logics = _filter_logics(max_points)
-    bad = sorted(name for name, logic in logics if not roundtrip_logic(logic).iso_ok)
+    reports = ((name, roundtrip_logic(logic)) for name, logic in logics)
+    bad = sorted(name for name, r in reports if not (r.iso_ok and r.square_ok))
     if bad:
         failures.append(f"failing: {', '.join(bad)}")
     return _result(1, "logic-roundtrip", len(logics), f"{len(logics)} logics, poset counts {counts}", failures)
 
 
 def criterion_space_roundtrip(max_points: int = 4) -> CriterionResult:
-    """Every spectrum returns homeomorphic from its dual logic."""
+    """Every spectrum returns homeomorphic from its dual logic, with every
+    basic open matching its extent."""
     logics = _filter_logics(max_points)
-    bad = sorted(name for name, logic in logics if not roundtrip_space(logic_space(logic).space).iso_ok)
+    reports = ((name, roundtrip_space(logic_space(logic).space)) for name, logic in logics)
+    bad = sorted(name for name, r in reports if not (r.iso_ok and r.square_ok))
     failures = [f"failing: {', '.join(bad)}"] if bad else []
     return _result(2, "space-roundtrip", len(logics), f"{len(logics)} spaces", failures)
 
@@ -305,14 +311,14 @@ def _extension_logics(max_points: int) -> list[tuple[str, AbstractLogic]]:
     return [(name, logic) for name, logic in _distributive_logics(max_points) if logic.universe_size <= 10]
 
 
-def _join_close(joins, mask: int, members: list[int], x: int, t: int) -> tuple[int, list[int]] | None:
+def _join_close(joins, mask: int, members: list[int], x: int, stop: int) -> tuple[int, list[int]] | None:
     """The closure of the join-closed set (mask, members) with x added,
-    as a bitmask and its members; None as soon as it meets the bitmask t.
+    as a bitmask and its members; None as soon as it gains a bit of stop.
     ``joins[y][z]`` has the bits of y join z and z join y."""
     members = list(members)
     pending = 1 << x
     while pending:
-        if pending & t:
+        if pending & stop:
             return None
         bit = pending & -pending
         mask |= bit
@@ -322,30 +328,44 @@ def _join_close(joins, mask: int, members: list[int], x: int, t: int) -> tuple[i
     return mask, members
 
 
+def _join_closed_sets(logic: AbstractLogic, avoid: int) -> list[tuple[int, list[int]]]:
+    """Every non-empty join-closed set that misses the bitmask avoid, each
+    once, as a bitmask and its members, by close-by-one: a set grows only
+    by expressions above the last one added, and a closure that gains a
+    smaller expression is dropped, since that set is reached from
+    another parent.  A closure that meets avoid is dropped with all the
+    sets above it, which meet avoid too."""
+    join = logic.connectives.join
+    joins = [[1 << join[y][z] | 1 << join[z][y] for z in logic.exprs] for y in logic.exprs]
+    n = logic.universe_size
+    found: list[tuple[int, list[int]]] = []
+    frontier: list[tuple[int, list[int], int]] = [(0, [], 0)]
+    while frontier:
+        mask, members, start = frontier.pop()
+        for x in range(start, n):
+            if mask >> x & 1:
+                continue
+            grown = _join_close(joins, mask, members, x, avoid | ((1 << x) - 1))
+            if grown is not None:
+                found.append(grown)
+                frontier.append((*grown, x + 1))
+    return found
+
+
 def _extension_pairs(logic: AbstractLogic) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
     """Criterion 5's admissible pairs of one logic: every theory t, in
     sorted_sets order, with every non-empty join-closed set s disjoint
-    from it.  The sets grow on bitmasks from the closures of single
-    expressions outside t, one outside expression at a time; a set that
-    meets t is dropped at once, since every set above it meets t too."""
-    join = logic.connectives.join
-    joins = [[1 << join[y][z] | 1 << join[z][y] for z in logic.exprs] for y in logic.exprs]
-    for t in sorted_sets(logic.theories):
-        t_mask = _mask(t)
-        outside = [a for a in logic.exprs if a not in t]
-        found: dict[int, list[int]] = {}
-        frontier: list[tuple[int, list[int]]] = [(0, [])]
-        while frontier:
-            mask, members = frontier.pop()
-            for x in outside:
-                if mask >> x & 1:
-                    continue
-                grown = _join_close(joins, mask, members, x, t_mask)
-                if grown is not None and grown[0] not in found:
-                    found[grown[0]] = grown[1]
-                    frontier.append(grown)
-        for members in found.values():
-            yield t, frozenset(members)
+    from it.  Every theory contains the least theory, the intersection
+    of them all, so every such s misses it: the sets that miss the least
+    theory are grown once per logic, and each theory takes those that
+    miss it too."""
+    index = logic._index
+    least = reduce(int.__and__, index.masks)
+    sets = [(mask, frozenset(members)) for mask, members in _join_closed_sets(logic, least)]
+    for t, t_mask in zip(index.theories, index.masks):
+        for mask, s in sets:
+            if not mask & t_mask:
+                yield t, s
 
 
 def criterion_prime_extension(max_points: int = 4) -> CriterionResult:

@@ -13,7 +13,8 @@ checks compare the two routes.
 
 Each space compiles what the analyses scan once, lazily, into a
 SpaceIndex of int bitmasks (bit x for point x); the readers scan the
-masks and hand point sets back as frozensets.
+masks and hand point sets back as frozensets.  Its SpaceReport is built
+once too, on first reading, and kept next to the index.
 """
 
 from __future__ import annotations
@@ -77,6 +78,10 @@ class FiniteSpace:
     def _index(self) -> SpaceIndex:
         return SpaceIndex.of(self)
 
+    @cached_property
+    def _report(self) -> SpaceReport:
+        return _analyze(self)
+
 
 def _members(mask: int) -> PointSet:
     """A bitmask as a point set: x is a member when bit x is set."""
@@ -92,6 +97,11 @@ def _arrow(upsets: Iterable[tuple[int, int]], a: int, b: int) -> int:
         if not up & outside:
             arrow |= bit
     return arrow
+
+
+def _differences(masks: Sequence[int]) -> set[int]:
+    """Every A minus B over the masks, each once."""
+    return {a & ~b for a in masks for b in masks}
 
 
 def _arrow_table(
@@ -132,12 +142,13 @@ class SpaceIndex:
     ``upsets`` pairs each point's bit with its specialization upset;
     ``opens`` and ``closed`` are the opens and their complements.
     ``lattice_violation`` is the first basic pair whose union or
-    intersection is not basic, and ``implication_witness`` the first
-    whose arrow is not basic.  The witness is found on first reading, so
-    a caller that builds the arrow table itself (space_logic, through
-    _implication_table) does not pay for a second one.  The table is not
-    kept: it grows with the square of the basis and only check_adjunction
-    reads it again.
+    intersection is not basic, and ``implication_witness`` (read on
+    first use) the first whose arrow is not basic.  Each tests all pairs
+    at once and scans the pairs in order for the first witness only when
+    the test fails; A -> B depends only on A minus B, so the implication
+    test takes the arrow of each distinct difference once.  The arrow
+    table is built here only up to a failing pair, and never kept;
+    space_logic builds the one it needs.
     """
 
     carrier: int
@@ -174,8 +185,11 @@ class SpaceIndex:
 
     @cached_property
     def implication_witness(self) -> tuple[PointSet, PointSet] | None:
-        _, bad = _arrow_table(self.masks, self.upsets, self.mask_set)
-        return None if bad is None else (self.basis[bad[0]], self.basis[bad[1]])
+        upsets, members = self.upsets, self.mask_set
+        if all(_arrow(upsets, d, 0) in members for d in _differences(self.masks)):
+            return None
+        _, bad = _arrow_table(self.masks, upsets, members)
+        return self.basis[bad[0]], self.basis[bad[1]]
 
     def closure(self, a: int) -> int:
         """The smallest closed superset of a: the carrier minus every
@@ -334,8 +348,13 @@ def _lattice_violation(
     sets: Sequence[PointSet], masks: Sequence[int]
 ) -> tuple[PointSet, PointSet] | None:
     """The first pair, in list order, whose union or intersection leaves
-    the list; ``masks`` holds the sets as bitmasks, in the same order."""
-    members = set(masks)
+    the list; ``masks`` holds the sets as bitmasks, in the same order.
+    All pairs are tested at once first; only a failure is scanned for."""
+    members = frozenset(masks)
+    if members.issuperset({u | v for u in masks for v in masks}) and members.issuperset(
+        {u & v for u in masks for v in masks}
+    ):
+        return None
     for u, mu in zip(sets, masks):
         for v, mv in zip(sets, masks):
             if mu | mv not in members or mu & mv not in members:
@@ -357,7 +376,11 @@ def prime_filters_on_basis(space: FiniteSpace) -> tuple[frozenset[int], ...]:
 
     Filters on a finite lattice are principal, so the enumeration runs
     over the upsets of single basis elements and keeps the join-prime
-    ones.  Properness is read as avoiding the empty basic open: when the
+    ones.  In a lattice of sets, g lies below the join of two elements
+    it does not lie below exactly when it lies below the union of all of
+    them: in a shortest join above g of such elements, the union of all
+    but the last is basic and not above g, so it pairs with the last.
+    Properness is read as avoiding the empty basic open: when the
     basis has no empty member, the filter generated by the least basic
     open (the whole lattice) is admitted, matching the point filter of a
     point lying in every basic open.
@@ -369,8 +392,11 @@ def prime_filters_on_basis(space: FiniteSpace) -> tuple[frozenset[int], ...]:
     for g in masks:
         if not g:
             continue  # its upset contains the empty open, never proper
-        outside = [u for u in masks if g & ~u]
-        if any(not g & ~(u | v) for u in outside for v in outside):
+        beside = 0
+        for u in masks:
+            if g & ~u:
+                beside |= u
+        if not g & ~beside:
             continue  # g lies below a join of two opens it does not lie below
         out.add(frozenset(i for i, u in enumerate(masks) if not g & ~u))
     return tuple(sorted(out, key=set_key))
@@ -433,7 +459,15 @@ def check_adjunction(space: FiniteSpace) -> tuple[bool, tuple | None]:
 
 
 def analyze_space(space: FiniteSpace) -> SpaceReport:
-    """Every flag of the space report, each from its definition."""
+    """Every flag of the space report, each from its definition.
+
+    The report is built once per space object, on first reading, and
+    every later call returns that same object.
+    """
+    return space._report
+
+
+def _analyze(space: FiniteSpace) -> SpaceReport:
     witnesses: list[tuple[str, object]] = []
     n = space.n_points
     index = space._index
@@ -460,7 +494,7 @@ def analyze_space(space: FiniteSpace) -> SpaceReport:
             break
 
     basis_is_all_opens = index.mask_set == ops
-    inter_closed = all(u & v in ops for u in index.masks for v in index.masks)
+    inter_closed = ops.issuperset({u & v for u in index.masks for v in index.masks})
     spectral = covers and t0 and sober and basis_is_all_opens
 
     hausdorff = True
@@ -497,21 +531,20 @@ def analyze_space(space: FiniteSpace) -> SpaceReport:
 def constructible_topology(space: FiniteSpace) -> FiniteSpace:
     """Refine a spectral space by the differences of basic opens.
 
-    The new basis collects every U minus V for basic U, V and closes
-    under unions; single differences alone are not union-closed (on the
-    diamond-order space {a,d} is a union of differences but no single
-    one).  Every singleton is the difference of a point's minimal open
-    and that open minus the point, so on a finite spectral space the
-    result is the discrete, hence Boolean, space.
+    The new basis collects every U minus V for basic U, V (the carrier
+    counted as basic) and closes under unions, on the index bitmasks;
+    single differences alone are not union-closed (on the diamond-order
+    space {a,d} is a union of differences but no single one).  Every
+    singleton is the difference of a point's minimal open and that open
+    minus the point, so on a finite spectral space whose basic opens
+    meet in opens the result is the discrete, hence Boolean, space.
     """
-    report = analyze_space(space)
-    if not report.is_spectral:
+    if not analyze_space(space).is_spectral:
         raise NotSpectral("constructible topology is defined for spectral spaces")
-    carrier = space.carrier
-    pool = set(space.basis) | {carrier}
-    fresh = {u & (carrier - v) for u in pool for v in pool}
-    staged = FiniteSpace(space.point_names, tuple(sorted_sets(fresh)))
-    basis = tuple(sorted_sets(opens(staged)))
+    index = space._index
+    pool = (*index.listed, index.carrier)
+    family = _close(_differences(pool), operator.or_)
+    basis = tuple(sorted_sets(map(_members, family)))
     return FiniteSpace(space.point_names, basis, tuple(f"C{i}" for i in range(len(basis))))
 
 
@@ -525,18 +558,17 @@ def is_heyting_basis(space: FiniteSpace) -> bool:
     is a genuine cross-check rather than a tautology.  A greatest
     candidate exists exactly when the union of the candidates (their
     join in the lattice) is basic; with no candidate that union is the
-    empty set, which is then not basic.
+    empty set, which is then not basic.  Both depend on U and V only
+    through U minus V, so each distinct difference is tried once.
     """
     index = space._index
     _require_lattice(index.lattice_violation)
     masks = index.masks
-    for u in masks:
-        for v in masks:
-            outside = u & ~v
-            join = 0
-            for w in masks:
-                if not w & outside:
-                    join |= w
-            if join not in index.mask_set:
-                return False
+    for outside in _differences(masks):
+        join = 0
+        for w in masks:
+            if not w & outside:
+                join |= w
+        if join not in index.mask_set:
+            return False
     return True

@@ -1,6 +1,7 @@
 import pytest
 
 from logictop.corpus import (
+    corpus_frames,
     corpus_logics,
     corpus_spaces,
     degenerate_quartet,
@@ -58,3 +59,17 @@ def wide_spaces():
 @pytest.fixture(scope="session")
 def quartet():
     return degenerate_quartet()
+
+
+@pytest.fixture
+def fresh_corpus():
+    """Empty corpus lists before and after the test.  The cached lists hold
+    the corpus spaces, and each space keeps its report, so a patched
+    library function neither meets a report built before it nor leaves
+    its own behind for later tests."""
+    caches = (corpus_frames, corpus_logics, corpus_spaces)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()

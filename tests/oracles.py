@@ -228,6 +228,17 @@ def oracle_lattice_violation(basis):
     return None
 
 
+def oracle_constructible_topology(space):
+    """The constructible refinement by the frozenset route, as (point
+    names, basis, basis names): every U minus V over the basic opens and
+    the carrier, then every union of those differences, sorted, named
+    C0, C1, ...  The input is not checked for spectrality."""
+    pool = set(space.basis) | {space.carrier}
+    differences = {u - v for u in pool for v in pool}
+    basis = tuple(sorted_sets(oracle_opens(space.n_points, differences)))
+    return space.point_names, basis, tuple(f"C{i}" for i in range(len(basis)))
+
+
 def oracle_prime_filters(basis):
     """The join-prime principal filters of a basis lattice, as sets of
     basis indices, sorted; properness is avoiding the empty open."""

@@ -11,7 +11,8 @@ generator words that must equal the randrange stream, and rejects every
 draw of the block that is no logic map at once, on bitmasks, before any
 analysis; that block gate must agree draw by draw with the per-map gate.
 Criterion 5's bitmask walk must find the frozenset walk's prime, or fail
-with the same witness and message.
+with the same witness and message.  A corpus run analyses each space
+object once.
 """
 
 import dataclasses
@@ -22,7 +23,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logictop import corpus, duality
+from logictop import corpus, duality, topology
 from logictop.builders import random_logic
 from logictop.connectives import prime_extension
 from logictop.core import AbstractLogic, ConnectiveTables, TheoryFamily, set_key, theory_spectrum
@@ -369,3 +370,22 @@ def test_run_all_runs_the_criteria_in_order():
     )
     assert [r.number for r in results] == list(range(1, 12))
     assert all(r.passed for r in results)
+
+
+def test_run_all_analyses_each_space_object_once(monkeypatch, fresh_corpus):
+    # with the spectra rebuilt as well, every space the run reads is a new
+    # object: each corpus space and each refinement is analysed exactly once
+    duality.logic_space.cache_clear()
+    built = []
+    real = topology._analyze
+
+    def counting(space):
+        built.append(space)
+        return real(space)
+
+    monkeypatch.setattr(topology, "_analyze", counting)
+    assert all(r.passed for r in corpus.run_all(4, 0))
+    assert len({id(space) for space in built}) == len(built)
+    assert len(built) == len(corpus.corpus_spaces(4)) + len(corpus._spectral_spaces(4)) == 59
+    for space in built:
+        assert topology.analyze_space(space) is topology.analyze_space(space) is space._report

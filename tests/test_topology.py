@@ -3,7 +3,7 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from logictop.corpus import discrete_two, indiscrete_two, one_point, lv3
 from logictop.duality import logic_space
@@ -32,6 +32,7 @@ from oracles import (
     oracle_adjunction,
     oracle_analyze_space,
     oracle_closure,
+    oracle_constructible_topology,
     oracle_has_implication,
     oracle_implication,
     oracle_is_distributive_space,
@@ -353,3 +354,40 @@ def _random_spaces(draw):
 @given(_random_spaces())
 def test_space_index_matches_the_frozenset_oracles(space):
     _assert_matches_the_oracles(space, space.basis)
+
+
+def _assert_refines_as_the_oracle(space, label):
+    """constructible_topology against the frozenset route: the same point
+    names, basis in order and basis names; a space that is not spectral
+    is refused."""
+    if not analyze_space(space).is_spectral:
+        with pytest.raises(NotSpectral):
+            constructible_topology(space)
+        return False
+    fine = constructible_topology(space)
+    assert (fine.point_names, fine.basis, fine.basis_names) == oracle_constructible_topology(space), label
+    return True
+
+
+def test_constructible_topology_matches_the_frozenset_route_on_the_wide_corpus(wide_spaces):
+    refined = sum(_assert_refines_as_the_oracle(space, name) for name, space in wide_spaces)
+    assert refined == 90
+
+
+# A family that is no basis ({a} = {a,b} ∩ {a,c} is not open) is still
+# called spectral; its refinement is not discrete, as {a} is no union of
+# differences.
+_NOT_A_BASIS = FiniteSpace(("a", "b", "c"), (frozenset(), frozenset({0, 1}), frozenset({0, 2}), frozenset({0, 1, 2})))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_spaces())
+@example(_NOT_A_BASIS)
+def test_constructible_topology_matches_the_frozenset_route(space):
+    _assert_refines_as_the_oracle(space, space.basis)
+
+
+def test_refinement_of_a_family_that_is_no_basis_is_not_discrete():
+    fine = constructible_topology(_NOT_A_BASIS)
+    assert frozenset({0}) not in fine.basis
+    assert len(fine.basis) < 1 << _NOT_A_BASIS.n_points
