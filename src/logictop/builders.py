@@ -15,7 +15,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import permutations
+from itertools import compress, permutations
 from typing import Iterable, Iterator, Sequence
 
 from .core import (AbstractLogic, ConnectiveTables, TheoryFamily, _check_indices, _close, _mask,
@@ -221,12 +221,18 @@ class FiniteLattice:
     def distributivity_witness(self) -> tuple[int, int, int] | None:
         """The first (a, b, c) with a & (b | c) != (a & b) | (a & c).
 
-        For each (a, b) the c-row is compared whole: a & (b | c) over c
-        is row a of meet picked at row b of join, and (a & b) | (a & c)
-        is row a & b of join picked at row a of meet.  Only a failing
-        row is scanned for its c.
+        A finite lattice is distributive exactly when sending x to the
+        set of join-irreducibles below it preserves joins: that map always
+        preserves meets and is one to one, so it then embeds the lattice
+        in a lattice of sets; and in a distributive lattice every
+        join-irreducible below a | b lies below a or below b.  This is
+        tested first, as n rows of masks.  Only a lattice that fails it
+        is scanned: for each (a, b) the c-row is compared whole, a & (b | c)
+        over c being row a of meet picked at row b of join, and
+        (a & b) | (a & c) row a & b of join picked at row a of meet; only
+        a failing row is scanned for its c.
         """
-        if not self.n:
+        if not self.n or self._joins_preserved_on_irreducibles():
             return None
         join, meet = self.join, self.meet
         by_join = [operator.itemgetter(*row) for row in join]
@@ -238,6 +244,24 @@ class FiniteLattice:
                         if meet_a[join[b][c]] != join[ab][meet_a[c]]:
                             return (a, b, c)
         return None
+
+    def _joins_preserved_on_irreducibles(self) -> bool:
+        """Whether below(a | b) == below(a) | below(b) for all a, b, with
+        below(x) the mask of the join-irreducibles under x.  x is
+        join-irreducible when the elements strictly below it have a join
+        other than x: the up-sets of those elements meet in more than x's
+        up-set (in all of the carrier when there is none, as for the
+        bottom, which is never join-irreducible)."""
+        up = _bitrows(self.leq)
+        full = (1 << self.n) - 1
+        irreducible = 0
+        for x, column in enumerate(zip(*self.leq)):
+            under = filter(up[x].__ne__, compress(up, column))
+            if reduce(operator.and_, under, full) != up[x]:
+                irreducible |= 1 << x
+        below = [mask & irreducible for mask in _bitrows(zip(*self.leq))]
+        return all([below[j] for j in row] == [mask | other for other in below]
+                   for mask, row in zip(below, self.join))
 
     @property
     def is_distributive(self) -> bool:
@@ -292,25 +316,28 @@ def _implication_table(masks: Sequence[int], upsets: Sequence[tuple[int, int]], 
     A -> B lies outside the family.
     """
     arrows, _ = _arrow_table(masks, upsets, index)
-    return None if arrows is None else tuple(tuple(index[arrow] for arrow in row) for row in arrows)
+    return None if arrows is None else tuple(tuple([index[arrow] for arrow in row]) for row in arrows)
+
+
+def _graded_masks(family: Iterable[PointSet]) -> tuple[list[PointSet], list[int]]:
+    """A family of point sets in graded order, and the same as bitmasks."""
+    elements = _graded_sets(family)
+    return elements, [_mask(s) for s in elements]
 
 
 def _heyting_of_sets(
-    point_names: tuple[str, ...], family: Iterable[PointSet], upsets: Sequence[tuple[int, int]]
+    point_names: tuple[str, ...], elements: list[PointSet], masks: list[int], upsets: Sequence[tuple[int, int]]
 ) -> FiniteLattice:
-    """The Heyting algebra of a union-closed family of point sets holding
-    the empty set, graded: the empty set first, the union of all last.
+    """The Heyting algebra of a lattice of point sets under union and
+    intersection, holding the empty set, given by _graded_masks: the
+    empty set first, the union of all last.
 
-    A family that is not closed under intersection raises
-    BasisNotLattice.  Join and meet are read off the inclusion order;
-    implication is the one of _implication_table.
+    Join and meet are read off the inclusion order; implication is the
+    one of _implication_table.
     """
-    elements = _graded_sets(family)
-    masks = [_mask(s) for s in elements]
-    _require_lattice(_lattice_violation(elements, masks))
     m = len(elements)
     names = tuple(_set_name(point_names, s) for s in elements)
-    leq = tuple(tuple(a <= b for b in elements) for a in elements)
+    leq = tuple(tuple([a <= b for b in elements]) for a in elements)
     impl = _implication_table(masks, upsets, {u: i for i, u in enumerate(masks)})
     return FiniteLattice(names, leq, impl=impl, top=m - 1, bottom=0)
 
@@ -325,7 +352,7 @@ def heyting_from_upsets(frame: FinitePoset) -> FiniteLattice:
     principal = [frame.upset(x) for x in range(frame.n)]
     family = _close((frozenset(), *principal), operator.or_)
     upsets = [(1 << x, _mask(up)) for x, up in enumerate(principal)]
-    return _heyting_of_sets(frame.element_names, family, upsets)
+    return _heyting_of_sets(frame.element_names, *_graded_masks(family), upsets)
 
 
 def logic_from_lattice_filters(lattice: FiniteLattice, *, proper: bool = True) -> AbstractLogic:
@@ -370,9 +397,11 @@ def open_set_lattice(space: FiniteSpace) -> FiniteLattice:
     specialization upset meets A inside B.
     """
     ops = space_opens(space)
+    elements, masks = _graded_masks(ops)
+    _require_lattice(_lattice_violation(elements, masks))
     covered = _mask(frozenset().union(*ops))
     upsets = [(bit, up) for bit, up in space._index.upsets if bit & covered]
-    return _heyting_of_sets(space.point_names, ops, upsets)
+    return _heyting_of_sets(space.point_names, elements, masks, upsets)
 
 
 def logic_from_topology(space: FiniteSpace) -> AbstractLogic:
@@ -472,6 +501,12 @@ def godel_witness(algebra: FiniteLattice) -> tuple[int, int, int, int] | None:
     """
     if not algebra.is_heyting:
         raise NotHeyting("the double-negation scan needs implication and bottom")
+    return _double_negation_scan(algebra)
+
+
+def _double_negation_scan(algebra: FiniteLattice) -> tuple[int, int, int, int] | None:
+    """godel_witness's scan, on an algebra already known to be Heyting,
+    such as one that heyting_from_upsets has just built."""
     neg = [algebra.impl[x][algebra.bottom] for x in range(algebra.n)]
     for p in range(algebra.n):
         for q in range(algebra.n):

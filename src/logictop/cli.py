@@ -19,7 +19,7 @@ import dataclasses
 import sys
 from collections.abc import Sequence
 
-from .builders import POSET_ENUMERATION_BOUND, godel_witness, heyting_from_upsets
+from .builders import POSET_ENUMERATION_BOUND, _double_negation_scan, godel_witness, heyting_from_upsets
 from .connectives import verify_connectives
 from .core import AbstractLogic, set_key, sorted_sets, theory_spectrum
 from .corpus import run_all
@@ -245,8 +245,12 @@ def _cmd_corpus(args) -> int:
 def _cmd_godel_witness(args) -> int:
     doc = _read_document(args)
     value = _expect(doc, "godel-witness", "poset", "lattice")
-    algebra = heyting_from_upsets(value) if doc.kind == "poset" else value
-    found = godel_witness(algebra)
+    if doc.kind == "poset":  # an upset algebra is Heyting by construction
+        algebra = heyting_from_upsets(value)
+        found = _double_negation_scan(algebra)
+    else:
+        algebra = value
+        found = godel_witness(algebra)
     if found is None:
         _emit_report(args, {"witness": None}, ["witness: none"])
         return 0

@@ -163,6 +163,48 @@ def _check_bound(logic: AbstractLogic, name: str, inside: bool) -> ConditionChec
     return ConditionCheck(name, True)
 
 
+def _signatures(logic: AbstractLogic, tps: list[ExprSet]) -> tuple[list[int], list[int]]:
+    """Each expression's signature, an int with bit i set when it lies in
+    the totally prime tps[i]; and for each i the mask of the primes above
+    it, bit j set when tps[i] lies inside tps[j]."""
+    sig = [0] * logic.universe_size
+    for i, t in enumerate(tps):
+        for a in t:
+            sig[a] |= 1 << i
+    up = [sum(1 << j for j, u in enumerate(tps) if t <= u) for t in tps]
+    return sig, up
+
+
+def _expected_signatures(name: str, sig: list[int], up: list[int]) -> list[int]:
+    """The signature each entry of the join, meet or impl table must have,
+    row by row, for its condition to hold on every totally prime theory.
+
+    a join b lies in a prime exactly when a or b does, and a meet b when
+    both do.  a -> b lies in prime i exactly when no prime above it holds
+    a and misses b; that depends only on sig[a] & ~sig[b], so each
+    distinct difference is worked out once.
+    """
+    if name == "join":
+        return [s | t for s in sig for t in sig]
+    if name == "meet":
+        return [s & t for s in sig for t in sig]
+    differences = [s & ~t for s in sig for t in sig]
+    arrows = {d: sum(1 << i for i, above in enumerate(up) if not above & d) for d in set(differences)}
+    return [arrows[d] for d in differences]
+
+
+def _check_signed(
+    logic: AbstractLogic, name: str, tps: list[ExprSet], rows, sig: list[int], up: list[int]
+) -> ConditionCheck:
+    """_check_table, answered first on the signatures: the whole table is
+    compared at once against every prime, and only a table that fails
+    there is scanned theory by theory for its witness."""
+    table = _table(logic, name)
+    if table is not None and [sig[e] for row in table for e in row] == _expected_signatures(name, sig, up):
+        return ConditionCheck(name, True)
+    return _check_table(logic, name, tps, rows)
+
+
 @lru_cache(maxsize=None)
 def verify_connectives(logic: AbstractLogic) -> ClassificationReport:
     """Check every applicable connective condition and classify the logic.
@@ -174,11 +216,12 @@ def verify_connectives(logic: AbstractLogic) -> ClassificationReport:
     upgrades a verdict.
     """
     tps = _tp_sorted(logic)
+    sig, up = _signatures(logic, tps)
     checks = (
-        _check_table(logic, "join", tps, _join_rows),
-        _check_table(logic, "meet", tps, _meet_rows),
+        _check_signed(logic, "join", tps, _join_rows, sig, up),
+        _check_signed(logic, "meet", tps, _meet_rows, sig, up),
         _check_neg(logic, tps),
-        _check_table(logic, "impl", tps, partial(_impl_rows, logic, tps)),
+        _check_signed(logic, "impl", tps, partial(_impl_rows, logic, tps), sig, up),
         _check_bound(logic, "top", True),
         _check_bound(logic, "bottom", False),
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator
 
 from .errors import EmptyGeneratorSet, NotTheories
@@ -257,22 +257,24 @@ class TheorySpectrum:
 
 def _close(seed: Iterable[ExprSet], op: Callable[[ExprSet, ExprSet], ExprSet]) -> frozenset[ExprSet]:
     """Smallest family containing seed and closed under a commutative,
-    idempotent binary set operation (``operator.and_`` or ``operator.or_``).
+    associative, idempotent binary operation (``operator.and_`` or
+    ``operator.or_``, on sets or on int bitmasks).
 
-    Each member is combined with every earlier member, new results
-    joining the end of the list, so every pair of the final family is
-    tried exactly once.  On a finite family, closing under the binary operation
-    already closes under every non-empty subfamily.
+    The family is grown one seed member g at a time: when the family so
+    far is closed, adding g and g combined with each member keeps it
+    closed, and a g already in the family adds nothing.  So the work is
+    one combination per seed member and member, not per pair of members.
+    The seed's own objects stand for their values in the result.  On a
+    finite family, closing under the binary operation already closes
+    under every non-empty subfamily.
     """
-    seen = set(seed)
-    family = list(seen)
-    for i, a in enumerate(family):
-        for b in family[:i]:
-            c = op(a, b)
-            if c not in seen:
-                seen.add(c)
-                family.append(c)
-    return frozenset(seen)
+    members = set(seed)
+    family: set = set()
+    for g in members:
+        if g not in family:
+            family.update(map(op, repeat(g), tuple(family)))
+            family.add(g)
+    return frozenset(members | family)  # a union keeps its left side's objects
 
 
 def close_under_intersection(universe_size: int, generators: Iterable[Iterable[int]]) -> TheoryFamily:

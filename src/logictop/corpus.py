@@ -395,6 +395,19 @@ def _extension_failure(logic: AbstractLogic, primes, t: frozenset[int], s: froze
     return None
 
 
+def _randrange_tables(n: int) -> tuple[bytes, bytes]:
+    """The translate table and the delete set of _randrange_block: byte b
+    maps to its top n.bit_length() bits, and the bytes whose top bits
+    are >= n are deleted.  The bytes with top bits v form one run of
+    256 >> bits, so the table is each v repeated over its run, and the
+    deleted bytes are those from n's run on."""
+    bits = n.bit_length()
+    run = 256 >> bits
+    keep = b"".join([bytes((v,)) * run for v in range(1 << bits)])
+    reject = bytes(range(n * run, 256))
+    return keep, reject
+
+
 def _randrange_block(rng: random.Random, n: int, count: int) -> bytes:
     """The next ``count`` values of ``rng.randrange(n)``, for 0 < n < 256.
 
@@ -408,8 +421,7 @@ def _randrange_block(rng: random.Random, n: int, count: int) -> bytes:
     if not 0 < n < 256:
         raise ValueError(f"randrange block needs 0 < n < 256, got {n}")
     bits = n.bit_length()
-    keep = bytes(b >> (8 - bits) for b in range(256))
-    reject = bytes(b for b in range(256) if b >> (8 - bits) >= n)
+    keep, reject = _randrange_tables(n)
     values = b""
     while len(values) < count:
         # About as many words as the rest needs; a shortfall draws again.
@@ -569,11 +581,14 @@ def criterion_godel_witness() -> CriterionResult:
 
 def criterion_constructible(max_points: int = 4) -> CriterionResult:
     """Constructible refinements of spectral spaces are Boolean; the
-    two-point chain space refines to the discrete space."""
+    two-point chain space refines to the discrete space.  Many spaces
+    refine to equal spaces, and each distinct one is analysed once."""
     failures = []
     spaces = _spectral_spaces(max_points)
+    refinements: dict[FiniteSpace, FiniteSpace] = {}
     for name, space in spaces:
         fine = constructible_topology(space)
+        fine = refinements.setdefault(fine, fine)
         if not analyze_space(fine).is_boolean:
             failures.append(f"{name}: refinement not Boolean")
     fine = constructible_topology(dict(corpus_spaces(max_points))["sierpinski"])

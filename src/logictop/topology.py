@@ -111,22 +111,16 @@ def _arrow_table(
 
     Returns the table of arrow masks and None, or None and the positions
     (i, j) of the first pair whose arrow leaves members.  A -> B depends
-    only on A minus B, so each distinct difference is computed once.
+    only on A minus B, so the arrow of each distinct difference is
+    computed once and all of them are tested at once; the rows are read
+    off by lookup, and the pairs are scanned in order only on a failure.
     """
-    arrows: dict[int, int] = {}
-    rows = []
-    for i, a in enumerate(masks):
-        row = []
-        for j, b in enumerate(masks):
-            outside = a & ~b
-            arrow = arrows.get(outside)
-            if arrow is None:
-                arrow = arrows[outside] = _arrow(upsets, outside, 0)
-            if arrow not in members:
-                return None, (i, j)
-            row.append(arrow)
-        rows.append(tuple(row))
-    return tuple(rows), None
+    arrows = {d: _arrow(upsets, d, 0) for d in _differences(masks)}
+    if all(map(members.__contains__, arrows.values())):
+        missing = [~b for b in masks]
+        return tuple(tuple([arrows[a & m] for m in missing]) for a in masks), None
+    return None, next((i, j) for i, a in enumerate(masks) for j, b in enumerate(masks)
+                      if arrows[a & ~b] not in members)
 
 
 @dataclass(frozen=True)
@@ -146,9 +140,9 @@ class SpaceIndex:
     first use) the first whose arrow is not basic.  Each tests all pairs
     at once and scans the pairs in order for the first witness only when
     the test fails; A -> B depends only on A minus B, so the implication
-    test takes the arrow of each distinct difference once.  The arrow
-    table is built here only up to a failing pair, and never kept;
-    space_logic builds the one it needs.
+    test takes the arrow of each distinct difference once.  No arrow
+    table is built here: on a failure _arrow_table only scans for the
+    pair, and space_logic builds the table it needs.
     """
 
     carrier: int

@@ -128,6 +128,27 @@ def test_heyting_adjunction_holds_on_upset_algebras(vframe):
                     assert lhs == rhs
 
 
+@st.composite
+def _frames(draw, max_points=6):
+    """A poset on 1 to max_points points: pairs i <= j of a random linear
+    order, closed by from_pairs."""
+    n = draw(st.integers(1, max_points))
+    order = draw(st.permutations([f"x{i}" for i in range(n)]))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(sorted), max_size=10))
+    return FinitePoset.from_pairs(order, [(order[i], order[j]) for i, j in pairs])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_frames())
+def test_upset_algebras_are_heyting_and_distributive(frame):
+    """heyting_from_upsets builds a Heyting algebra by construction, which
+    godel-witness relies on when it skips is_heyting for a poset."""
+    algebra = heyting_from_upsets(frame)
+    assert algebra.n == len(oracle_upsets(frame.leq))
+    assert oracle_is_heyting(algebra)
+    assert oracle_distributivity_witness(algebra) is None
+
+
 def test_lattice_rejects_missing_bounds():
     with pytest.raises(ValueError):
         FiniteLattice.from_leq(("a", "b"), ((True, False), (False, True)))

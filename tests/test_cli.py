@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from logictop import cli, duality
+from logictop.builders import FiniteLattice
 from logictop.cli import run_cli
 from logictop.corpus import discrete_two, l3, l22, sierpinski, v_frame
 from logictop.documents import Document, emit_document
@@ -181,6 +182,16 @@ def test_godel_witness_text(docs, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "witness: p={b} q={c} lhs={r,b,c} rhs={b,c}" in out
+
+
+def test_godel_witness_refuses_a_lattice_that_is_not_heyting(tmp_path, capsys):
+    # a poset's upset algebra skips the Heyting check; a lattice document
+    # still goes through it
+    chain = FiniteLattice.from_leq(("a", "b"), ((True, True), (False, True)))
+    path = tmp_path / "chain.json"
+    path.write_text(emit_document(Document("lattice", chain)), encoding="utf-8")
+    assert run_cli(["godel-witness", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == "error: the double-negation scan needs implication and bottom\n"
 
 
 def test_export_dot(docs, capsys):

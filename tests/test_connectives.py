@@ -1,10 +1,12 @@
 """Connective conditions, classification, and the prime machinery."""
 
+import random
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from logictop.builders import FinitePoset, heyting_from_upsets, logic_from_lattice_filters
 from logictop.connectives import (
     CONDITION_ORDER,
     ConditionCheck,
@@ -29,6 +31,7 @@ from oracles import (
     oracle_meet_condition,
     oracle_neg_condition,
     oracle_top_condition,
+    oracle_upsets,
 )
 
 ORACLES = {
@@ -223,3 +226,28 @@ def test_conditions_and_squares_match_the_loop_oracles(drawn, data):
         mapping = data.draw(st.one_of(st.just(identity), st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
         m = LogicMap(source, target, mapping)
         assert _connective_squares(m) == oracle_connective_squares(m)
+
+
+def _frame_with_upsets(rng: random.Random, size: int) -> FinitePoset:
+    """A random 6-point frame with exactly size upsets: pairs of a random
+    linear order, each kept with one random density, drawn until one fits."""
+    names = [f"x{i}" for i in range(6)]
+    while True:
+        order = rng.sample(names, 6)
+        density = rng.uniform(0, 0.3)
+        pairs = [(order[i], order[j]) for i in range(6) for j in range(i + 1, 6) if rng.random() < density]
+        frame = FinitePoset.from_pairs(names, pairs)
+        if len(oracle_upsets(frame.leq)) == size:
+            return frame
+
+
+@pytest.mark.parametrize("size, seed", [(48, 0), (48, 1), (64, 0)])
+def test_conditions_match_the_loop_oracle_on_large_filter_logics(size, seed):
+    # the filter logics of the largest 6-point frames, where every table
+    # condition holds and so is answered by the signature test alone
+    logic = logic_from_lattice_filters(heyting_from_upsets(_frame_with_upsets(random.Random(seed), size)))
+    assert logic.universe_size == size
+    report = verify_connectives(logic)
+    for name in CONDITION_ORDER:
+        assert report.condition(name) == ConditionCheck(name, *oracle_condition_check(logic, name)), name
+    assert report.classification in ("intuitionistic", "classical")

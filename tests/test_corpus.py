@@ -71,6 +71,14 @@ def test_randrange_block_is_the_randrange_stream(seed):
             assert corpus._randrange_block(random.Random(seed), n, count) == stream[:count], (n, count)
 
 
+def test_randrange_tables_match_the_per_byte_form():
+    for n in range(1, 256):
+        shift = 8 - n.bit_length()
+        keep = bytes(b >> shift for b in range(256))
+        reject = bytes(b for b in range(256) if b >> shift >= n)
+        assert corpus._randrange_tables(n) == (keep, reject), n
+
+
 @pytest.mark.parametrize("n", [0, 256])
 def test_randrange_block_rejects_a_bound_outside_one_byte(n):
     with pytest.raises(ValueError):
@@ -374,7 +382,8 @@ def test_run_all_runs_the_criteria_in_order():
 
 def test_run_all_analyses_each_space_object_once(monkeypatch, fresh_corpus):
     # with the spectra rebuilt as well, every space the run reads is a new
-    # object: each corpus space and each refinement is analysed exactly once
+    # object: each corpus space and each distinct refinement is analysed
+    # exactly once
     duality.logic_space.cache_clear()
     built = []
     real = topology._analyze
@@ -386,6 +395,7 @@ def test_run_all_analyses_each_space_object_once(monkeypatch, fresh_corpus):
     monkeypatch.setattr(topology, "_analyze", counting)
     assert all(r.passed for r in corpus.run_all(4, 0))
     assert len({id(space) for space in built}) == len(built)
-    assert len(built) == len(corpus.corpus_spaces(4)) + len(corpus._spectral_spaces(4)) == 59
+    refinements = {topology.constructible_topology(space) for _, space in corpus._spectral_spaces(4)}
+    assert len(built) == len(corpus.corpus_spaces(4)) + len(refinements) == 38
     for space in built:
         assert topology.analyze_space(space) is topology.analyze_space(space) is space._report
