@@ -93,7 +93,6 @@ from .topology import (
     SpaceReport,
     SpecializationOrder,
     analyze_space,
-    check_adjunction,
     closed_sets,
     closure,
     constructible_topology,

@@ -25,6 +25,7 @@ from .topology import (
     FiniteSpace,
     PointSet,
     _arrow_table,
+    _arrows,
     _lattice_violation,
     _require_lattice,
     opens as space_opens,
@@ -307,16 +308,15 @@ def _set_name(names: tuple[str, ...], s: frozenset[int]) -> str:
     return "{" + ",".join(names[i] for i in sorted(s)) + "}"
 
 
-def _implication_table(masks: Sequence[int], upsets: Sequence[tuple[int, int]], index: dict[int, int]):
+def _implication_table(masks: Sequence[int], arrows: dict[int, int], index: dict[int, int]):
     """The implication table of a family of point sets, as positions in it.
 
-    ``masks`` holds the family as bitmasks and ``index`` maps each to its
-    position.  A -> B collects the points of the (point bit, upset mask)
-    pairs whose upset meets A inside B.  The table is None when some
-    A -> B lies outside the family.
+    ``masks`` holds the family as bitmasks, ``arrows`` is their _arrows
+    and ``index`` maps each mask to its position.  The table is None
+    when some A -> B lies outside the family.
     """
-    arrows, _ = _arrow_table(masks, upsets, index)
-    return None if arrows is None else tuple(tuple([index[arrow] for arrow in row]) for row in arrows)
+    table, _ = _arrow_table(masks, arrows, index)
+    return None if table is None else tuple(tuple([index[arrow] for arrow in row]) for row in table)
 
 
 def _graded_masks(family: Iterable[PointSet]) -> tuple[list[PointSet], list[int]]:
@@ -338,7 +338,7 @@ def _heyting_of_sets(
     m = len(elements)
     names = tuple(_set_name(point_names, s) for s in elements)
     leq = tuple(tuple([a <= b for b in elements]) for a in elements)
-    impl = _implication_table(masks, upsets, {u: i for i, u in enumerate(masks)})
+    impl = _implication_table(masks, _arrows(masks, upsets), {u: i for i, u in enumerate(masks)})
     return FiniteLattice(names, leq, impl=impl, top=m - 1, bottom=0)
 
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
-from itertools import chain
+from functools import lru_cache, reduce
 from typing import Iterable
 
 from .core import (
@@ -89,69 +88,6 @@ def _table(logic: AbstractLogic, name: str):
     return getattr(logic.connectives, name)
 
 
-def _first_miss(actual: list, expected: list) -> int | None:
-    """The first position where two rows of equal length differ, or None."""
-    if actual == expected:
-        return None
-    return list(map(operator.ne, actual, expected)).index(True)
-
-
-def _join_rows(t: ExprSet, member: list[bool]):
-    # a join b lies in t exactly when a or b does: all of row a when a is in t
-    return map((member, [True] * len(member)).__getitem__, member)
-
-
-def _meet_rows(t: ExprSet, member: list[bool]):
-    # a meet b lies in t exactly when a and b do: none of row a unless a is in t
-    return map(([False] * len(member), member).__getitem__, member)
-
-
-def _impl_rows(logic: AbstractLogic, tps: list[ExprSet], t: ExprSet, member: list[bool]):
-    # a->b lies in t exactly when every totally prime extension of t
-    # containing a also contains b: b lies in the intersection of those
-    # extensions (every expression when there is none)
-    above = [u for u in tps if t <= u]
-    full = logic.full_set
-    for a in logic.exprs:
-        common = full.intersection(*(u for u in above if a in u))
-        yield list(map(common.__contains__, logic.exprs))
-
-
-def _check_table(logic: AbstractLogic, name: str, tps: list[ExprSet], rows) -> ConditionCheck:
-    """table[a][b] lies in each totally prime t exactly when row a of
-    rows(t, member) holds True at b, where member[x] says whether x lies
-    in t.  Each t compares the whole table at once; the first differing
-    entry, in (a, b) order, is the witness."""
-    table = _table(logic, name)
-    if table is None:
-        return ConditionCheck(name, None)
-    n = logic.universe_size
-    entries = list(chain.from_iterable(table))
-    for t in tps:
-        member = list(map(t.__contains__, logic.exprs))
-        k = _first_miss(list(map(member.__getitem__, entries)),
-                        list(chain.from_iterable(rows(t, member))))
-        if k is not None:
-            return ConditionCheck(name, False, (t, *divmod(k, n)))
-    return ConditionCheck(name, True)
-
-
-def _check_neg(logic: AbstractLogic, tps: list[ExprSet]) -> ConditionCheck:
-    # negation of a holds in t exactly when t together with a is
-    # inconsistent: when a lies in no theory above t
-    neg = _table(logic, "neg")
-    if neg is None:
-        return ConditionCheck("neg", None)
-    theories = logic.theories.theories
-    for t in tps:
-        member = list(map(t.__contains__, logic.exprs))
-        outside = logic.full_set.difference(*(u for u in theories if t <= u))
-        a = _first_miss(list(map(member.__getitem__, neg)), list(map(outside.__contains__, logic.exprs)))
-        if a is not None:
-            return ConditionCheck("neg", False, (t, a))
-    return ConditionCheck("neg", True)
-
-
 def _check_bound(logic: AbstractLogic, name: str, inside: bool) -> ConditionCheck:
     """The designated expression lies in every theory (inside) or in none."""
     e = _table(logic, name)
@@ -176,33 +112,51 @@ def _signatures(logic: AbstractLogic, tps: list[ExprSet]) -> tuple[list[int], li
 
 
 def _expected_signatures(name: str, sig: list[int], up: list[int]) -> list[int]:
-    """The signature each entry of the join, meet or impl table must have,
-    row by row, for its condition to hold on every totally prime theory.
+    """The signature each entry of the join, meet, neg or impl table must
+    have, row by row, for its condition to hold on every totally prime
+    theory.
 
     a join b lies in a prime exactly when a or b does, and a meet b when
     both do.  a -> b lies in prime i exactly when no prime above it holds
     a and misses b; that depends only on sig[a] & ~sig[b], so each
-    distinct difference is worked out once.
+    distinct difference is worked out once.  The negation of a lies in
+    prime i exactly when a lies in no theory above it; every theory lies
+    inside a maximal, hence prime, theory, so that is when no prime above
+    it holds a: the arrow of sig[a] alone.
     """
     if name == "join":
         return [s | t for s in sig for t in sig]
     if name == "meet":
         return [s & t for s in sig for t in sig]
-    differences = [s & ~t for s in sig for t in sig]
+    differences = sig if name == "neg" else [s & ~t for s in sig for t in sig]
     arrows = {d: sum(1 << i for i, above in enumerate(up) if not above & d) for d in set(differences)}
     return [arrows[d] for d in differences]
 
 
 def _check_signed(
-    logic: AbstractLogic, name: str, tps: list[ExprSet], rows, sig: list[int], up: list[int]
+    logic: AbstractLogic, name: str, tps: list[ExprSet], sig: list[int], up: list[int]
 ) -> ConditionCheck:
-    """_check_table, answered first on the signatures: the whole table is
-    compared at once against every prime, and only a table that fails
-    there is scanned theory by theory for its witness."""
+    """The join, meet, neg or impl condition, compared for the whole table
+    and every prime at once on the signatures.
+
+    Entry k differs from its condition on prime i when bit i of
+    sig[entry] ^ expected is set.  The lowest bit set in any entry names
+    the first failing prime in canonical order, and the first entry with
+    that bit, (a, b) = divmod(k, n), or a = k for neg, its first witness.
+    """
     table = _table(logic, name)
-    if table is not None and [sig[e] for row in table for e in row] == _expected_signatures(name, sig, up):
+    if table is None:
+        return ConditionCheck(name, None)
+    actual = [sig[e] for e in table] if name == "neg" else [sig[e] for row in table for e in row]
+    expected = _expected_signatures(name, sig, up)
+    if actual == expected:
         return ConditionCheck(name, True)
-    return _check_table(logic, name, tps, rows)
+    diffs = list(map(operator.xor, actual, expected))
+    bad = reduce(operator.or_, diffs)
+    low = bad & -bad
+    k = next(k for k, d in enumerate(diffs) if d & low)
+    place = (k,) if name == "neg" else divmod(k, logic.universe_size)
+    return ConditionCheck(name, False, (tps[low.bit_length() - 1], *place))
 
 
 @lru_cache(maxsize=None)
@@ -218,10 +172,7 @@ def verify_connectives(logic: AbstractLogic) -> ClassificationReport:
     tps = _tp_sorted(logic)
     sig, up = _signatures(logic, tps)
     checks = (
-        _check_signed(logic, "join", tps, _join_rows, sig, up),
-        _check_signed(logic, "meet", tps, _meet_rows, sig, up),
-        _check_neg(logic, tps),
-        _check_signed(logic, "impl", tps, partial(_impl_rows, logic, tps), sig, up),
+        *(_check_signed(logic, name, tps, sig, up) for name in ("join", "meet", "neg", "impl")),
         _check_bound(logic, "top", True),
         _check_bound(logic, "bottom", False),
     )

@@ -317,24 +317,6 @@ def is_theory(logic: AbstractLogic, S: Iterable[int]) -> bool:
     return _check_universe(logic.universe_size, S, "S") in logic.theories.theories
 
 
-def _is_prime(t: ExprSet, theories: frozenset[ExprSet]) -> bool:
-    """Intersection-irreducibility of one member of a finite family.
-
-    T fails to be prime exactly when some non-empty family excluding T
-    intersects to T.  Any witnessing family consists of strict supersets
-    of T, and then the set of all strict supersets also intersects to T,
-    so checking that single largest candidate family is exact.  No
-    distributivity is needed for this reduction.
-    """
-    strict = [u for u in theories if t < u]
-    if not strict:
-        return True
-    acc = strict[0]
-    for u in strict[1:]:
-        acc &= u
-    return acc != t
-
-
 @lru_cache(maxsize=None)
 def theory_spectrum(logic: AbstractLogic) -> TheorySpectrum:
     """Primes, totally primes, maximal theories, and the least generator set.
@@ -342,11 +324,24 @@ def theory_spectrum(logic: AbstractLogic) -> TheorySpectrum:
     On a finite family every intersecting subfamily is finite, so the
     prime and totally prime notions coincide; the spectrum stores one
     set for both, and the collapse is part of the contract.
+
+    One pass lists each theory's strict supersets.  A theory is maximal
+    when it has none.  It fails to be prime exactly when some non-empty
+    family excluding it intersects to it; any such family consists of
+    strict supersets, and then all of them intersect to it too, so it is
+    prime when it has none or their intersection differs from it.  No
+    distributivity is needed for this reduction.
     """
     ths = logic.theories.theories
-    primes = frozenset(t for t in ths if _is_prime(t, ths))
-    maximals = frozenset(t for t in ths if not any(t < u for u in ths))
-    return TheorySpectrum(primes=primes, maximals=maximals)
+    primes, maximals = set(), set()
+    for t in ths:
+        strict = [u for u in ths if t < u]
+        if not strict:
+            maximals.add(t)
+            primes.add(t)
+        elif frozenset.intersection(*strict) != t:
+            primes.add(t)
+    return TheorySpectrum(primes=frozenset(primes), maximals=frozenset(maximals))
 
 
 def is_generator_set(logic: AbstractLogic, G: Iterable[Iterable[int]]) -> bool:

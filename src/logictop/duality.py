@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .builders import _implication_table
-from .connectives import _first_miss, _table, verify_connectives
+from .connectives import _table, verify_connectives
 from .core import (
     AbstractLogic,
     ConnectiveTables,
@@ -209,7 +209,7 @@ def space_logic(space: FiniteSpace) -> AbstractLogic:
     index = {u: i for i, u in enumerate(masks)}
     join = tuple(tuple([index[u | v] for v in masks]) for u in masks)
     meet = tuple(tuple([index[u & v] for v in masks]) for u in masks)
-    impl = _implication_table(masks, space._index.upsets, index)
+    impl = _implication_table(masks, space._index.arrows, index)
     top = index.get(space._index.carrier)
     bottom = index.get(0)
     neg = None
@@ -403,6 +403,13 @@ def point_filter_embedding(space: FiniteSpace) -> PointMap:
     index = {p: i for i, p in enumerate(pres.points)}
     mapping = tuple(index[point_filter(space, x)] for x in range(space.n_points))
     return PointMap(space, pres.space, mapping)
+
+
+def _first_miss(actual: list, expected: list) -> int | None:
+    """The first position where two rows of equal length differ, or None."""
+    if actual == expected:
+        return None
+    return list(map(operator.ne, actual, expected)).index(True)
 
 
 def _connective_squares(m: LogicMap) -> list[tuple[str, bool, object]]:

@@ -64,10 +64,6 @@ class BasisNotLattice(WorkbenchError):
     """Some union or intersection of basis elements leaves the basis."""
 
 
-class NoImplication(WorkbenchError):
-    pass
-
-
 class NotSpectral(WorkbenchError):
     pass
 

@@ -27,7 +27,6 @@ from typing import Container, Iterable, Sequence
 from .core import _check_indices, _close, _mask, set_key, sorted_sets
 from .errors import (
     BasisNotLattice,
-    NoImplication,
     NotBasic,
     NotClosed,
     NotSpectral,
@@ -104,18 +103,23 @@ def _differences(masks: Sequence[int]) -> set[int]:
     return {a & ~b for a in masks for b in masks}
 
 
+def _arrows(masks: Sequence[int], upsets: Sequence[tuple[int, int]]) -> dict[int, int]:
+    """A -> B for every pair of the masks, keyed by A minus B, on which
+    alone it depends: the arrow of each distinct difference, once."""
+    return {d: _arrow(upsets, d, 0) for d in _differences(masks)}
+
+
 def _arrow_table(
-    masks: Sequence[int], upsets: Sequence[tuple[int, int]], members: Container[int]
+    masks: Sequence[int], arrows: dict[int, int], members: Container[int]
 ) -> tuple[tuple[tuple[int, ...], ...] | None, tuple[int, int] | None]:
     """Every arrow of the masks, row by row, while it stays in members.
 
-    Returns the table of arrow masks and None, or None and the positions
-    (i, j) of the first pair whose arrow leaves members.  A -> B depends
-    only on A minus B, so the arrow of each distinct difference is
-    computed once and all of them are tested at once; the rows are read
-    off by lookup, and the pairs are scanned in order only on a failure.
+    ``arrows`` is _arrows of the same masks, in any order.  Returns the
+    table of arrow masks and None, or None and the positions (i, j) of
+    the first pair whose arrow leaves members.  All arrows are tested at
+    once; the rows are read off by lookup, and the pairs are scanned in
+    order only on a failure.
     """
-    arrows = {d: _arrow(upsets, d, 0) for d in _differences(masks)}
     if all(map(members.__contains__, arrows.values())):
         missing = [~b for b in masks]
         return tuple(tuple([arrows[a & m] for m in missing]) for a in masks), None
@@ -136,12 +140,12 @@ class SpaceIndex:
     ``upsets`` pairs each point's bit with its specialization upset;
     ``opens`` and ``closed`` are the opens and their complements.
     ``lattice_violation`` is the first basic pair whose union or
-    intersection is not basic, and ``implication_witness`` (read on
-    first use) the first whose arrow is not basic.  Each tests all pairs
-    at once and scans the pairs in order for the first witness only when
-    the test fails; A -> B depends only on A minus B, so the implication
-    test takes the arrow of each distinct difference once.  No arrow
-    table is built here: on a failure _arrow_table only scans for the
+    intersection is not basic.  ``arrows`` (read on first use) holds
+    the arrow of each distinct difference of basic opens, which both
+    implication_witness and space_logic read; ``implication_witness`` is
+    the first basic pair whose arrow is not basic.  Each verdict tests all pairs at once and scans the pairs in
+    order for the first witness only when the test fails.  No arrow
+    table is kept here: on a failure _arrow_table only scans for the
     pair, and space_logic builds the table it needs.
     """
 
@@ -178,12 +182,15 @@ class SpaceIndex:
         )
 
     @cached_property
+    def arrows(self) -> dict[int, int]:
+        return _arrows(self.masks, self.upsets)
+
+    @cached_property
     def implication_witness(self) -> tuple[PointSet, PointSet] | None:
-        upsets, members = self.upsets, self.mask_set
-        if all(_arrow(upsets, d, 0) in members for d in _differences(self.masks)):
+        if self.mask_set.issuperset(self.arrows.values()):
             return None
-        _, bad = _arrow_table(self.masks, upsets, members)
-        return self.basis[bad[0]], self.basis[bad[1]]
+        _, (i, j) = _arrow_table(self.masks, self.arrows, self.mask_set)
+        return self.basis[i], self.basis[j]
 
     def closure(self, a: int) -> int:
         """The smallest closed superset of a: the carrier minus every
@@ -424,32 +431,6 @@ def is_distributive_space(space: FiniteSpace) -> DistributiveSpaceVerdict:
         diff = sorted(filters ^ points, key=set_key)[0]
         return DistributiveSpaceVerdict(False, bounded, ("filter-point-mismatch", diff))
     return DistributiveSpaceVerdict(True, bounded, None)
-
-
-def check_adjunction(space: FiniteSpace) -> tuple[bool, tuple | None]:
-    """W below U->V exactly when W meets U inside V, over all basic triples.
-
-    Both sides depend on U and V only through U minus V, so each distinct
-    difference is scanned once, for its first failing W (or None).
-    """
-    ok, witness = has_implication(space)
-    if not ok:
-        raise NoImplication(f"implication leaves the basis at {witness}", witness=witness)
-    index = space._index
-    masks = index.masks
-    failing: dict[int, int | None] = {}
-    for i, u in enumerate(masks):
-        for j, v in enumerate(masks):
-            outside = u & ~v
-            if outside not in failing:
-                arrow = _arrow(index.upsets, outside, 0)
-                failing[outside] = next(
-                    (k for k, w in enumerate(masks) if (not w & ~arrow) != (not w & outside)), None
-                )
-            k = failing[outside]
-            if k is not None:
-                return False, (index.basis[i], index.basis[j], index.basis[k])
-    return True, None
 
 
 def analyze_space(space: FiniteSpace) -> SpaceReport:

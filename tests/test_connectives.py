@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logictop.builders import FinitePoset, heyting_from_upsets, logic_from_lattice_filters
+from logictop.builders import FinitePoset, heyting_from_upsets, logic_from_lattice_filters, random_logic
 from logictop.connectives import (
     CONDITION_ORDER,
     ConditionCheck,
@@ -16,7 +16,7 @@ from logictop.connectives import (
     prime_extension,
     verify_connectives,
 )
-from logictop.core import AbstractLogic, close_under_intersection, is_consistent, theory_spectrum
+from logictop.core import AbstractLogic, ConnectiveTables, close_under_intersection, is_consistent, theory_spectrum
 from logictop.corpus import corpus_logics
 from logictop.duality import LogicMap, _connective_squares
 from logictop.errors import MissingJoin, NotDistributive, PreconditionViolated
@@ -195,26 +195,39 @@ _EDITABLE = ("join", "meet", "impl", "neg")
 
 @st.composite
 def _edited_logics(draw):
-    """A logic of corpus_logics(4) (which ends with the degenerate quartet)
-    and a copy with zero to three of its join, meet, impl or neg entries
-    set to any index."""
-    _, logic = draw(st.sampled_from(corpus_logics(4)))
+    """A logic with tables and a copy with zero to three of its join,
+    meet, impl or neg entries set to any index.  The logic is one of
+    corpus_logics(4) (which ends with the degenerate quartet), each of
+    its tables kept or replaced by a fully random one, or a random_logic
+    on 1 to 8 expressions with four fully random tables."""
+    if draw(st.booleans()):
+        logic = random_logic(draw(st.integers(1, 8)), draw(st.integers(0, 2**16)))
+    else:
+        _, logic = draw(st.sampled_from(corpus_logics(4)))
     c, n = logic.connectives, logic.universe_size
-    tables = {name: [list(row) for row in getattr(c, name)] if name != "neg" else list(c.neg)
-              for name in _EDITABLE if getattr(c, name) is not None}
+    row = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    tables = {}
+    for name in _EDITABLE:
+        own = None if c is None else getattr(c, name)
+        if c is None or (own is not None and draw(st.booleans())):
+            own = draw(row) if name == "neg" else [draw(row) for _ in range(n)]
+        if own is not None:
+            tables[name] = own
+    logic = AbstractLogic(logic.expr_names, logic.theories,
+                          ConnectiveTables(**tables) if c is None else replace(c, **tables))
+    tables = {name: list(t) if name == "neg" else [list(r) for r in t] for name, t in tables.items()}
     for _ in range(draw(st.integers(0, 3))):
         name = draw(st.sampled_from(sorted(tables)))
-        a, value = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        if name == "neg":
-            tables[name][a] = value
-        else:
-            tables[name][a][draw(st.integers(0, n - 1))] = value
-    return logic, AbstractLogic(logic.expr_names, logic.theories, replace(c, **tables))
+        cells = tables[name] if name == "neg" else tables[name][draw(st.integers(0, n - 1))]
+        cells[draw(st.integers(0, n - 1))] = draw(st.integers(0, n - 1))
+    return logic, AbstractLogic(logic.expr_names, logic.theories, replace(logic.connectives, **tables))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_edited_logics(), st.data())
 def test_conditions_and_squares_match_the_loop_oracles(drawn, data):
+    # a failing condition's prime is the lowest differing signature bit,
+    # and its witness the first entry differing there
     logic, edited = drawn
     report = verify_connectives(edited)
     for name in CONDITION_ORDER:

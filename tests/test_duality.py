@@ -123,22 +123,33 @@ def _fresh(space):
 
 
 def test_space_logic_builds_the_arrow_table_once(monkeypatch, small_spaces):
-    calls = []
-    real = topology._arrow_table
+    # space_logic builds one arrow table, and the arrows it reads are the
+    # ones analyze_space and roundtrip_space read: one _arrows per space
+    calls = {"_arrow_table": 0, "_arrows": 0}
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(name):
+        real = getattr(topology, name)
 
-    monkeypatch.setattr(topology, "_arrow_table", counting)
-    monkeypatch.setattr(builders, "_arrow_table", counting)
+        def count(*args):
+            calls[name] += 1
+            return real(*args)
+        return count
+
+    for name in calls:
+        wrapped = counting(name)
+        monkeypatch.setattr(topology, name, wrapped)
+        monkeypatch.setattr(builders, name, wrapped)
     built = 0
     for name, space in small_spaces:
         if not is_distributive_space(space).distributive:
             continue
-        calls.clear()
-        space_logic.__wrapped__(_fresh(space))
-        assert len(calls) == 1, name
+        space = _fresh(space)
+        calls.update(_arrow_table=0, _arrows=0)
+        space_logic.__wrapped__(space)
+        assert calls["_arrow_table"] == 1, name
+        analyze_space(space)
+        roundtrip_space(space)
+        assert calls["_arrows"] == 1, name
         built += 1
     assert built > 1
 

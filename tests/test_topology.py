@@ -5,13 +5,12 @@ import dataclasses
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from logictop.corpus import discrete_two, indiscrete_two, one_point, lv3
+from logictop.corpus import discrete_two, indiscrete_two, one_point
 from logictop.duality import logic_space
-from logictop.errors import BasisNotLattice, NoImplication, NotBasic, NotClosed, NotSpectral
+from logictop.errors import BasisNotLattice, NotBasic, NotClosed, NotSpectral
 from logictop.topology import (
     FiniteSpace,
     analyze_space,
-    check_adjunction,
     closed_sets,
     closure,
     constructible_topology,
@@ -244,15 +243,8 @@ def test_one_point_space_is_distributive_but_unbounded():
 def test_adjunction_on_vframe_spectrum(vframe_logic):
     space = logic_space(vframe_logic).space
     assert len(space.basis) == 5
-    assert check_adjunction(space) == (True, None)
-
-
-def test_adjunction_requires_implication():
-    space = logic_space(lv3()).space
-    no_impl = FiniteSpace(("x", "y"), (frozenset({0}), frozenset({1})))
-    del space
-    with pytest.raises(NoImplication):
-        check_adjunction(no_impl)
+    assert has_implication(space)[0]
+    assert oracle_adjunction(space.n_points, space.basis) == (True, None)
 
 
 def test_constructible_topology_discretizes(small_spaces, chain_space):
@@ -298,10 +290,8 @@ def _assert_matches_the_oracles(space, label):
     impl = oracle_has_implication(n, basis)
     assert has_implication(space) == impl, label
     if impl[0]:
-        assert check_adjunction(space) == oracle_adjunction(n, basis), label
-    else:
-        with pytest.raises(NoImplication):
-            check_adjunction(space)
+        # the adjunction is a theorem once every arrow is basic
+        assert oracle_adjunction(n, basis) == (True, None), label
     upsets = oracle_specialization_upsets(n, basis)
     covered = frozenset().union(*basis)
     opens_meet = all(u & v in ops for u in ops for v in ops)
