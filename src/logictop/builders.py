@@ -145,7 +145,7 @@ def _bound_table(masks: list[int], what: str) -> tuple[tuple[int, ...], ...]:
     index = {mask: i for i, mask in enumerate(masks)}
     rows = []
     for a, mask in enumerate(masks):
-        row = tuple(map(index.get, map(mask.__and__, masks)))
+        row = tuple([index.get(mask & b) for b in masks])
         if None in row:
             raise ValueError(f"no {what} bound for {a},{row.index(None)}")
         rows.append(row)

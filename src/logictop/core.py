@@ -84,14 +84,13 @@ class TheoryFamily:
             raise ValueError("theory family must be non-empty")
         for t in fixed:
             _check_universe(self.universe_size, t, "theory")
-        # one theory at a time on bitmasks; a failing row is scanned again
-        # in the family's own order, which names the same first missing pair
+        # every pair i < j at once on bitmasks; only a failing family is
+        # scanned in its own order, which names the first missing pair
         members = tuple(fixed)
-        masks = tuple(map(_mask, members))
-        present = frozenset(masks)
-        for a, mask in zip(members, masks):
-            if present.issuperset(map(mask.__and__, masks)):
-                continue
+        masks = [_mask(t) for t in members]
+        if frozenset(masks).issuperset({a & b for i, a in enumerate(masks) for b in masks[i + 1:]}):
+            return
+        for a in members:
             for b in members:
                 if a & b not in fixed:
                     raise ValueError(f"family not intersection-closed: {set_key(a)} ∩ {set_key(b)} missing")

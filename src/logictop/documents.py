@@ -24,6 +24,7 @@ a hand-written input listed only the covering pairs.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain
@@ -48,13 +49,40 @@ class Document:
             raise ValueError(f"unknown document kind {self.kind!r}")
 
 
+# SHA-256 digest of a text -> the Document parsed from it, for the life
+# of the process; refused texts are not kept
+_DOCUMENTS: dict[bytes, Document] = {}
+
+
 def parse_document(text: str) -> Document:
+    """The document that text spells.  Equal texts give one shared object,
+    so its indices and cached facts are computed once per process;
+    documents are immutable, so sharing is safe.  A refused text is
+    parsed again, and refused at the same path, on every call."""
+    import hashlib  # on first use: importing logictop parses nothing
+
+    # surrogatepass: any str has a digest, even one read with surrogateescape
+    key = hashlib.sha256(text.encode("utf-8", "surrogatepass")).digest()
+    doc = _DOCUMENTS.get(key)
+    if doc is None:
+        doc = _DOCUMENTS[key] = _parse(text)
+    return doc
+
+
+def _parse(text: str) -> Document:
     try:
-        return _document_from_obj(json.loads(text), "")
-    except json.JSONDecodeError as e:
-        raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}", witness=(e.lineno, e.colno)) from None
+        return _document_from_obj(_decode(text), "")
     except RecursionError:
         raise ParseError("document nested too deeply") from None
+
+
+def _decode(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}", witness=(e.lineno, e.colno)) from None
+    except ValueError:  # an int literal past the interpreter's conversion limit
+        raise ParseError(f"an integer has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def emit_document(doc: Document) -> str:

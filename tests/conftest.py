@@ -11,6 +11,7 @@ from logictop.corpus import (
     sierpinski,
     v_frame,
 )
+from logictop.documents import _DOCUMENTS
 
 
 @pytest.fixture(scope="session")
@@ -73,3 +74,13 @@ def fresh_corpus():
     yield
     for cache in caches:
         cache.cache_clear()
+
+
+@pytest.fixture
+def fresh_documents():
+    """Empty the table of parsed documents before and after the test, so
+    each text it parses is parsed afresh, into objects whose indices and
+    reports no earlier test has built, and none is left for later tests."""
+    _DOCUMENTS.clear()
+    yield
+    _DOCUMENTS.clear()

@@ -10,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from logictop import cli, duality
+from logictop import cli, core, duality
 from logictop.builders import FiniteLattice
 from logictop.cli import run_cli
-from logictop.corpus import discrete_two, l3, l22, sierpinski, v_frame
+from logictop.corpus import discrete_two, l3, l22, lv3, sierpinski, v_frame
 from logictop.documents import Document, emit_document
 from logictop.duality import LogicMap, PointMap
 
@@ -255,6 +255,33 @@ def test_non_utf8_input_file_exits_2(tmp_path, capsys):
     binary.write_bytes(b"\xff\xfe{}")
     assert run_cli(["classify", "--input", str(binary)]) == 2
     assert "error: input is not UTF-8" in capsys.readouterr().err
+
+
+def test_an_integer_past_the_conversion_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"kind": "logic", "exprs": ["a"], "theories": [[' + "9" * 5000 + "]]}", encoding="utf-8")
+    assert run_cli(["classify", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: an integer has more than {sys.get_int_max_str_digits()} digits\n"
+
+
+def test_commands_on_one_file_parse_it_once(tmp_path, capsys, monkeypatch, fresh_documents):
+    # names no other test gives this logic, so no value cache knows it
+    logic = lv3()
+    logic = dataclasses.replace(logic, expr_names=tuple(f"once-{name}" for name in logic.expr_names))
+    path = tmp_path / "logic.json"
+    path.write_text(emit_document(Document("logic", logic)), encoding="utf-8")
+    decoded, indexed = [], []
+    loads, of = json.loads, core.LogicIndex.of.__func__
+    monkeypatch.setattr(json, "loads", lambda *args, **kwargs: decoded.append(1) or loads(*args, **kwargs))
+    monkeypatch.setattr(core.LogicIndex, "of", classmethod(lambda cls, l: indexed.append(l) or of(cls, l)))
+    for command in ("classify", "spectrum", "space", "dualize", "roundtrip"):
+        assert run_cli([command, "--input", str(path)]) == 0, command
+    capsys.readouterr()
+    assert len(decoded) == 1
+    # the logic's and its dual's
+    assert len(indexed) == 2 and indexed[0] == logic and indexed[1] is not indexed[0]
 
 
 def test_basis_names_of_the_wrong_length_are_reported_at_their_path(capsys, monkeypatch):

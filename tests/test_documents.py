@@ -10,9 +10,9 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from logictop.builders import FinitePoset, heyting_from_upsets
+from logictop.builders import FinitePoset, heyting_from_upsets, random_logic
 from logictop.cli import run_cli
 from logictop.core import AbstractLogic
 from logictop.corpus import (
@@ -26,7 +26,7 @@ from logictop.corpus import (
     sierpinski,
     v_frame,
 )
-from logictop.documents import Document, _encode, emit_document, parse_document
+from logictop.documents import _DOCUMENTS, KINDS, Document, _encode, emit_document, parse_document
 from logictop.dot import export_dot
 from logictop.duality import LogicMap, PointMap
 from logictop.errors import ParseError, SchemaError
@@ -465,3 +465,118 @@ def test_non_ascii_names_are_accepted_and_written_as_text():
     text = emit_document(Document("logic", logic))
     assert all(f'"{name}"' in text for name in names)
     assert parse_document(text) == Document("logic", logic)
+
+
+def test_the_same_text_returns_the_same_object(fresh_documents):
+    text = emit_document(Document("logic", lv3()))
+    first = parse_document(text)
+    assert parse_document(text) is first
+    assert first == Document("logic", lv3())
+    assert len(_DOCUMENTS) == 1
+
+
+def test_a_text_that_differs_in_whitespace_is_parsed_apart(fresh_documents):
+    text = emit_document(Document("logic", lv3()))
+    compact = json.dumps(json.loads(text))
+    assert compact != text
+    first, second = parse_document(text), parse_document(compact)
+    assert second == first and second is not first
+    assert second.value is not first.value
+    assert len(_DOCUMENTS) == 2
+
+
+def test_a_refused_text_is_refused_at_the_same_path_every_time(fresh_documents):
+    text = '{"kind": "logic", "exprs": ["a", "b"], "theories": [[0], [1]]}'
+    for _ in range(3):
+        with pytest.raises(SchemaError) as err:
+            parse_document(text)
+        assert err.value.path == "/theories"
+    with pytest.raises(ParseError):
+        parse_document('{"kind": bogus}')
+    assert _DOCUMENTS == {}
+
+
+@pytest.mark.parametrize("text, message", [
+    # lone surrogates as UTF-8 mode's stdin, with surrogateescape, hands
+    # over undecodable bytes: in a name, and outside any string
+    ('{"kind": "logic", "exprs": ["a\udcff"], "theories": [[0]]}', "error: /exprs/0: "),
+    ('{"kind": "logic", \udcff}', "error: line 1, column 19: "),
+])
+def test_a_lone_surrogate_on_stdin_exits_2(fresh_documents, capsys, text, message):
+    with mock.patch.object(sys, "stdin", io.StringIO(text)):
+        assert run_cli(["classify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(message)
+    assert _DOCUMENTS == {}
+
+
+_LONG_INTEGER = '{"kind": "logic", "exprs": ["a"], "theories": [[' + "9" * 5000 + "]]}"
+
+
+def _kind_objects():
+    """An object naming a document kind, with up to five more keys drawn
+    from the documents' keys or arbitrary, holding arbitrary JSON values."""
+    keys = ("exprs", "theories", "connectives", "elements", "leq", "impl", "top", "bottom",
+            "points", "basis", "basis_names", "source", "target", "map")
+    return st.builds(
+        lambda kind, rest: {"kind": kind, **rest},
+        st.sampled_from(KINDS),
+        st.dictionaries(st.sampled_from(keys) | st.text(max_size=3), _JSON, max_size=5),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.builds(json.dumps, _JSON | _kind_objects()),
+    st.builds(lambda doc, text: emit_document(doc)[:len(text)], st.sampled_from(samples()), st.text()),
+))
+@example(_LONG_INTEGER)
+@example("[" + "1" * 5000 + "]")
+def test_any_text_is_a_document_or_a_refusal(text):
+    kept = len(_DOCUMENTS)
+    try:
+        doc = parse_document(text)
+    except (ParseError, SchemaError):
+        assert len(_DOCUMENTS) == kept
+        return
+    assert isinstance(doc, Document)
+    assert parse_document(text) is doc
+
+
+def test_an_integer_past_the_conversion_limit_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse_document(_LONG_INTEGER)
+    assert str(err.value) == f"an integer has more than {sys.get_int_max_str_digits()} digits"
+
+
+@st.composite
+def _random_values(draw):
+    """A random logic on 1-8 expressions or a random space on up to five
+    points, with named basis elements or not."""
+    if draw(st.booleans()):
+        return "logic", random_logic(draw(st.integers(1, 8)), draw(st.integers(0, 2**32)))
+    n = draw(st.integers(0, 5))
+    points = st.frozensets(st.integers(0, n - 1), max_size=n) if n else st.just(frozenset())
+    basis = draw(st.lists(points, unique=True, max_size=8))
+    names = draw(st.sampled_from([(), tuple(f"B{i}" for i in range(len(basis)))]))
+    return "space", FiniteSpace(tuple(f"p{x}" for x in range(n)), tuple(basis), names)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_values(), st.randoms(use_true_random=False))
+def test_emit_after_parse_is_idempotent(drawn, rng):
+    kind, value = drawn
+    canonical = emit_document(Document(kind, value))
+    # the same object written by hand: compact, its sets in another order
+    obj = json.loads(canonical)
+    for row in obj.get("theories", []):
+        rng.shuffle(row)
+    rng.shuffle(obj.get("theories", []))
+    text = json.dumps(obj)
+    doc = parse_document(text)
+    assert doc.value == value
+    once = emit_document(doc)
+    assert once == canonical
+    assert emit_document(parse_document(once)) == once
+    assert parse_document(text) is doc
