@@ -12,7 +12,9 @@ from .builders import (
     FinitePoset,
     POSET_ENUMERATION_BOUND,
     RANDOM_LOGIC_BOUND,
+    UPSET_BOUND,
     enumerate_posets,
+    frame_godel_witness,
     godel_witness,
     heyting_from_upsets,
     is_strongly_connected,

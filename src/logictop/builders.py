@@ -24,6 +24,7 @@ from .errors import BoundExceeded, EmptyGeneratorSet, NotDistributiveLattice, No
 from .topology import (
     FiniteSpace,
     PointSet,
+    _arrow,
     _arrow_table,
     _arrows,
     _lattice_violation,
@@ -36,7 +37,9 @@ LeqMatrix = tuple[tuple[bool, ...], ...]
 
 def _bitrows(rows: Iterable[Sequence[bool]]) -> list[int]:
     """Each row of a boolean matrix as a bitmask: bit j is set when row[j]."""
-    return [sum(1 << j for j, v in enumerate(row) if v) for row in rows]
+    rows = list(rows)
+    bits = [1 << j for j in range(max(map(len, rows), default=0))]
+    return [sum(compress(bits, row)) for row in rows]
 
 
 def _lowest(mask: int) -> int:
@@ -246,13 +249,15 @@ class FiniteLattice:
                             return (a, b, c)
         return None
 
-    def _joins_preserved_on_irreducibles(self) -> bool:
-        """Whether below(a | b) == below(a) | below(b) for all a, b, with
-        below(x) the mask of the join-irreducibles under x.  x is
-        join-irreducible when the elements strictly below it have a join
-        other than x: the up-sets of those elements meet in more than x's
-        up-set (in all of the carrier when there is none, as for the
-        bottom, which is never join-irreducible)."""
+    def _below_irreducibles(self) -> list[int]:
+        """For each element x, the mask of the join-irreducibles under x.
+        x is join-irreducible when the elements strictly below it have a
+        join other than x: the up-sets of those elements meet in more than
+        x's up-set (in all of the carrier when there is none, as for the
+        bottom, which is never join-irreducible).
+
+        The map is one to one and carries meets to intersections; it
+        carries joins to unions exactly when the lattice is distributive."""
         up = _bitrows(self.leq)
         full = (1 << self.n) - 1
         irreducible = 0
@@ -260,7 +265,12 @@ class FiniteLattice:
             under = filter(up[x].__ne__, compress(up, column))
             if reduce(operator.and_, under, full) != up[x]:
                 irreducible |= 1 << x
-        below = [mask & irreducible for mask in _bitrows(zip(*self.leq))]
+        return [mask & irreducible for mask in _bitrows(zip(*self.leq))]
+
+    def _joins_preserved_on_irreducibles(self) -> bool:
+        """Whether below(a | b) == below(a) | below(b) for all a, b, with
+        below the _below_irreducibles masks."""
+        below = self._below_irreducibles()
         return all([below[j] for j in row] == [mask | other for other in below]
                    for mask, row in zip(below, self.join))
 
@@ -342,17 +352,29 @@ def _heyting_of_sets(
     return FiniteLattice(names, leq, impl=impl, top=m - 1, bottom=0)
 
 
+def _graded_upsets(
+    frame: FinitePoset, limit: int | None = None
+) -> tuple[list[PointSet], list[int], list[tuple[int, int]]]:
+    """A frame's upsets in _graded_masks order, as point sets and as
+    bitmasks, and each point's bit paired with its principal upset's mask.
+
+    The upsets are the unions of principal upsets, the empty union
+    included.  More than ``limit`` of them raise BoundExceeded while they
+    are grown, before the family gets much larger.
+    """
+    principal = [frame.upset(x) for x in range(frame.n)]
+    family = _close((frozenset(), *principal), operator.or_, limit)
+    upsets = [(1 << x, _mask(up)) for x, up in enumerate(principal)]
+    return (*_graded_masks(family), upsets)
+
+
 def heyting_from_upsets(frame: FinitePoset) -> FiniteLattice:
     """The Heyting algebra of upsets of a frame.
 
-    The upsets are the unions of principal upsets, the empty union
-    included.  Join is union, meet is intersection, and A -> B collects
-    the points whose upset meets A inside B.
+    Join is union, meet is intersection, and A -> B collects the points
+    whose upset meets A inside B.
     """
-    principal = [frame.upset(x) for x in range(frame.n)]
-    family = _close((frozenset(), *principal), operator.or_)
-    upsets = [(1 << x, _mask(up)) for x, up in enumerate(principal)]
-    return _heyting_of_sets(frame.element_names, *_graded_masks(family), upsets)
+    return _heyting_of_sets(frame.element_names, *_graded_upsets(frame))
 
 
 def logic_from_lattice_filters(lattice: FiniteLattice, *, proper: bool = True) -> AbstractLogic:
@@ -495,23 +517,59 @@ def godel_witness(algebra: FiniteLattice) -> tuple[int, int, int, int] | None:
     """First pair where negation fails to carry meets to joins classically.
 
     Scans (p, q) in index order for ~(~p & ~q) differing from ~~p v ~~q,
-    with ~x read as x -> bottom.  Boolean algebras return nothing; the
-    first hit is the obstruction to translating classical disjunction
-    into a prime-preserving map.
+    with ~x read as x -> bottom, and returns (p, q) and those two
+    elements.  Boolean algebras return nothing; the first hit is the
+    obstruction to translating classical disjunction into a
+    prime-preserving map.
+
+    A Heyting algebra is distributive, so its _below_irreducibles masks
+    carry meet to & and join to |, and the scan runs on them.
     """
     if not algebra.is_heyting:
         raise NotHeyting("the double-negation scan needs implication and bottom")
-    return _double_negation_scan(algebra)
+    neg = [row[algebra.bottom] for row in algebra.impl]
+    return _double_negation_scan(algebra._below_irreducibles(), neg)
 
 
-def _double_negation_scan(algebra: FiniteLattice) -> tuple[int, int, int, int] | None:
-    """godel_witness's scan, on an algebra already known to be Heyting,
-    such as one that heyting_from_upsets has just built."""
-    neg = [algebra.impl[x][algebra.bottom] for x in range(algebra.n)]
-    for p in range(algebra.n):
-        for q in range(algebra.n):
-            lhs = neg[algebra.meet[neg[p]][neg[q]]]
-            rhs = algebra.join[neg[neg[p]]][neg[neg[q]]]
-            if lhs != rhs:
-                return (p, q, lhs, rhs)
+# Every poset on at most 10 points has at most 2**10 upsets.
+UPSET_BOUND = 1024
+
+
+def frame_godel_witness(frame: FinitePoset) -> tuple[tuple[int, int, int, int], tuple[str, ...]] | None:
+    """godel_witness(heyting_from_upsets(frame)) and the names of its four
+    elements, read off the upset masks without building the algebra.
+
+    A frame with more than UPSET_BOUND upsets raises BoundExceeded while
+    they are grown, before anything is scanned.
+    """
+    elements, masks, upsets = _graded_upsets(frame, UPSET_BOUND)
+    index = {m: i for i, m in enumerate(masks)}
+    found = _double_negation_scan(masks, [index[_arrow(upsets, m, 0)] for m in masks])
+    if found is None:
+        return None
+    return found, tuple(_set_name(frame.element_names, elements[i]) for i in found)
+
+
+def _double_negation_scan(masks: Sequence[int], neg: Sequence[int]) -> tuple[int, int, int, int] | None:
+    """godel_witness's scan, on distinct element masks on which meet is &
+    and join is |, with ~x the element neg[x].
+
+    ~(~p & ~q) and ~~p | ~~q depend on p only through u = ~p, so each
+    row p is compared whole, once per distinct u; only a failing row is
+    scanned for its q.
+    """
+    negated = [masks[x] for x in neg]
+    neg_of = dict(zip(masks, negated))
+    doubled = [neg_of[u] for u in negated]
+    clean = set()
+    for p, (u, uu) in enumerate(zip(negated, doubled)):
+        if u in clean:
+            continue
+        lhs = [neg_of[u & v] for v in negated]
+        rhs = [uu | vv for vv in doubled]
+        if lhs != rhs:
+            q = next(q for q, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+            index = {m: i for i, m in enumerate(masks)}
+            return p, q, index[lhs[q]], index[rhs[q]]
+        clean.add(u)
     return None

@@ -19,7 +19,7 @@ import dataclasses
 import sys
 from collections.abc import Sequence
 
-from .builders import POSET_ENUMERATION_BOUND, _double_negation_scan, godel_witness, heyting_from_upsets
+from .builders import POSET_ENUMERATION_BOUND, UPSET_BOUND, frame_godel_witness, godel_witness
 from .connectives import verify_connectives
 from .core import AbstractLogic, set_key, sorted_sets, theory_spectrum
 from .corpus import run_all
@@ -34,7 +34,7 @@ from .duality import (
     space_logic,
     stable_iff_disjunction,
 )
-from .errors import ParseError, SchemaError, WorkbenchError
+from .errors import BoundExceeded, ParseError, SchemaError, WorkbenchError
 
 
 class _UsageError(Exception):
@@ -245,16 +245,19 @@ def _cmd_corpus(args) -> int:
 def _cmd_godel_witness(args) -> int:
     doc = _read_document(args)
     value = _expect(doc, "godel-witness", "poset", "lattice")
-    if doc.kind == "poset":  # an upset algebra is Heyting by construction
-        algebra = heyting_from_upsets(value)
-        found = _double_negation_scan(algebra)
+    if doc.kind == "poset":
+        try:
+            named = frame_godel_witness(value)
+        except BoundExceeded:
+            raise SchemaError(f"more than {UPSET_BOUND} upsets; godel-witness scans posets with at "
+                              f"most {UPSET_BOUND}", "/elements") from None
     else:
-        algebra = value
-        found = godel_witness(algebra)
-    if found is None:
+        found = godel_witness(value)
+        named = None if found is None else (found, [value.element_names[i] for i in found])
+    if named is None:
         _emit_report(args, {"witness": None}, ["witness: none"])
         return 0
-    p, q, lhs, rhs = (algebra.element_names[i] for i in found)
+    found, (p, q, lhs, rhs) = named
     lines = [f"witness: p={p} q={q} lhs={lhs} rhs={rhs}"]
     _emit_report(args, {"witness": list(found)}, lines)
     return 0
@@ -267,7 +270,8 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and each subcommand's own parser by name."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", metavar="PATH", help="document to read (default: stdin)")
     common.add_argument("--output", metavar="PATH", help="where to write (default: stdout)")
@@ -301,16 +305,35 @@ def _build_parser() -> argparse.ArgumentParser:
     corpus.add_argument("--jobs", default="1", metavar="N",
                         help="accepted for compatibility and without effect: the corpus runs in one "
                              "process; must be a positive integer (default 1)")
-    return parser
+    return parser, sub.choices
 
 
-# Built once per process: parsing leaves no state in it.
-_PARSER = _build_parser()
+# Built once per process: parsing leaves no state in them.
+_PARSER, _COMMANDS = _build_parser()
+
+
+def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
+    """argv as _PARSER reads it, parsed once.
+
+    _PARSER hands everything after a command name to that command's own
+    parser; when that parser takes every argument, its answer is used
+    directly.  Anything else (no command, an unknown one, arguments left
+    over) goes through _PARSER, so usage messages and exit codes are its
+    own.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def run_cli(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator
 
-from .errors import EmptyGeneratorSet, NotTheories
+from .errors import BoundExceeded, EmptyGeneratorSet, NotTheories
 
 ExprSet = frozenset[int]
 
@@ -254,7 +254,9 @@ class TheorySpectrum:
         return self.primes
 
 
-def _close(seed: Iterable[ExprSet], op: Callable[[ExprSet, ExprSet], ExprSet]) -> frozenset[ExprSet]:
+def _close(
+    seed: Iterable[ExprSet], op: Callable[[ExprSet, ExprSet], ExprSet], limit: int | None = None
+) -> frozenset[ExprSet]:
     """Smallest family containing seed and closed under a commutative,
     associative, idempotent binary operation (``operator.and_`` or
     ``operator.or_``, on sets or on int bitmasks).
@@ -266,6 +268,10 @@ def _close(seed: Iterable[ExprSet], op: Callable[[ExprSet, ExprSet], ExprSet]) -
     The seed's own objects stand for their values in the result.  On a
     finite family, closing under the binary operation already closes
     under every non-empty subfamily.
+
+    A family that grows past ``limit`` members raises BoundExceeded at
+    once: each seed member at most doubles it, so the work stays within
+    about twice the limit however large the closure would be.
     """
     members = set(seed)
     family: set = set()
@@ -273,6 +279,8 @@ def _close(seed: Iterable[ExprSet], op: Callable[[ExprSet, ExprSet], ExprSet]) -
         if g not in family:
             family.update(map(op, repeat(g), tuple(family)))
             family.add(g)
+            if limit is not None and len(family) > limit:
+                raise BoundExceeded(f"the closure has more than {limit} members")
     return frozenset(members | family)  # a union keeps its left side's objects
 
 

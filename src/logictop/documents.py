@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain
 from json.encoder import encode_basestring
+from operator import itemgetter
 
 from .builders import FiniteLattice, FinitePoset
 from .core import AbstractLogic, ConnectiveTables, TheoryFamily
@@ -318,14 +319,20 @@ def _document_from_obj(obj, path: str) -> Document:
 
 # emission
 
+# The decimal text of each int an index row of a document holds in
+# practice, fixed at import; a row with any other int, negative or past
+# the table, is written through str().
+_DECIMALS = {i: str(i) for i in range(1024)}
+
 
 def _encode(obj, newline: str) -> str:
     """json.dumps(obj, indent=2, ensure_ascii=False) for the document
     shapes: dicts with string keys, lists, ints and strings.
 
     ``newline`` is a line break plus the indentation of the line obj
-    starts on.  Rows of ints or of strings are joined in one pass; any
-    other scalar goes to json.dumps, so True still reads true.
+    starts on.  Rows of ints or of strings are joined in one pass, ints
+    read off _DECIMALS; any other scalar goes to json.dumps, so True
+    still reads true.
     """
     kind = type(obj)
     if kind is str:
@@ -341,7 +348,10 @@ def _encode(obj, newline: str) -> str:
             return "{" + inner + ("," + inner).join(items) + newline + "}"
         types = set(map(type, obj))
         if types == {int}:
-            items = map(str, obj)
+            try:
+                items = itemgetter(*obj)(_DECIMALS) if len(obj) > 1 else (_DECIMALS[obj[0]],)
+            except KeyError:  # negative, or past the table
+                items = map(str, obj)
         elif types == {str}:
             items = map(encode_basestring, obj)
         else:

@@ -796,6 +796,20 @@ def oracle_distributivity_witness(lattice):
     return None
 
 
+def oracle_double_negation_scan(algebra):
+    """The first (p, q, lhs, rhs) with lhs = ~(~p & ~q) differing from
+    rhs = ~~p | ~~q, read off the join, meet and impl tables of a Heyting
+    algebra (~x = x -> bottom), pair by pair; None when there is none."""
+    neg = [algebra.impl[x][algebra.bottom] for x in range(algebra.n)]
+    for p in range(algebra.n):
+        for q in range(algebra.n):
+            lhs = neg[algebra.meet[neg[p]][neg[q]]]
+            rhs = algebra.join[neg[neg[p]]][neg[neg[q]]]
+            if lhs != rhs:
+                return (p, q, lhs, rhs)
+    return None
+
+
 def oracle_connective_squares(m):
     """(name, ok, witness) for each connective on both sides of m, read
     through the map one pair at a time: the first failing (a, b), the

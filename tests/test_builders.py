@@ -11,6 +11,7 @@ from logictop.builders import (
     FinitePoset,
     POSET_ENUMERATION_BOUND,
     enumerate_posets,
+    frame_godel_witness,
     godel_witness,
     heyting_from_upsets,
     is_strongly_connected,
@@ -20,7 +21,7 @@ from logictop.builders import (
     random_logic,
 )
 from logictop.corpus import POSET_COUNTS, antichain, chain, corpus_frames, corpus_spaces, discrete_two, indiscrete_two, sierpinski, v_frame
-from logictop.core import sorted_sets
+from logictop.core import _close, sorted_sets
 from logictop.errors import BasisNotLattice, BoundExceeded, EmptyGeneratorSet, NotDistributiveLattice, NotHeyting
 from logictop.topology import FiniteSpace
 
@@ -31,6 +32,7 @@ from oracles import (
     oracle_open_implication,
     oracle_opens,
     oracle_distributivity_witness,
+    oracle_double_negation_scan,
     oracle_is_heyting,
     oracle_lattice_error,
     oracle_lattice_tables,
@@ -142,7 +144,8 @@ def _frames(draw, max_points=6):
 @given(_frames())
 def test_upset_algebras_are_heyting_and_distributive(frame):
     """heyting_from_upsets builds a Heyting algebra by construction, which
-    godel-witness relies on when it skips is_heyting for a poset."""
+    frame_godel_witness relies on when it scans a frame's upsets without
+    building their algebra or checking it."""
     algebra = heyting_from_upsets(frame)
     assert algebra.n == len(oracle_upsets(frame.leq))
     assert oracle_is_heyting(algebra)
@@ -359,20 +362,62 @@ def test_godel_witness_on_vframe(vframe):
     names = algebra.element_names
     assert got == (names.index("{b}"), names.index("{c}"),
                    names.index("{r,b,c}"), names.index("{b,c}"))
-    # brute scan: the returned pair is the first failure in index order
-    neg = [algebra.impl[x][algebra.bottom] for x in range(algebra.n)]
-    scan = [
-        (p, q)
-        for p in range(algebra.n)
-        for q in range(algebra.n)
-        if neg[algebra.meet[neg[p]][neg[q]]] != algebra.join[neg[neg[p]]][neg[neg[q]]]
-    ]
-    assert scan and scan[0] == got[:2]
+    assert got == oracle_double_negation_scan(algebra)
+    assert frame_godel_witness(vframe) == (got, ("{b}", "{c}", "{r,b,c}", "{b,c}"))
+
+
+def _assert_both_scans_match_the_table_oracle(frame):
+    algebra = heyting_from_upsets(frame)
+    expected = oracle_double_negation_scan(algebra)
+    assert godel_witness(algebra) == expected
+    named = frame_godel_witness(frame)
+    if expected is None:
+        assert named is None
+    else:
+        assert named == (expected, tuple(algebra.element_names[i] for i in expected))
+
+
+def test_both_scan_routes_match_the_table_oracle_on_the_corpus_frames():
+    frames = [frame for _, frame in corpus_frames(5)]
+    assert len(frames) == 87
+    for frame in frames:
+        _assert_both_scans_match_the_table_oracle(frame)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_frames(max_points=7))
+def test_both_scan_routes_match_the_table_oracle(frame):
+    _assert_both_scans_match_the_table_oracle(frame)
 
 
 def test_godel_witness_absent_on_boolean_algebras():
     for k in range(5):
         assert godel_witness(heyting_from_upsets(antichain(k))) is None
+        assert frame_godel_witness(antichain(k)) is None
+
+
+def test_the_upset_scan_refuses_past_its_bound():
+    # the 10-point antichain, just inside the bound, is scanned in test_cli
+    assert builders.UPSET_BOUND == 1024
+    with pytest.raises(BoundExceeded):
+        frame_godel_witness(antichain(11))
+
+
+def test_a_closure_stops_growing_once_past_its_limit():
+    """Forty singletons close to 2**40 unions; with a limit of 1024 the
+    closure gives up after at most twice that many."""
+    calls = 0
+
+    def union(a, b):
+        nonlocal calls
+        calls += 1
+        if calls > 8 * 1024:
+            raise AssertionError("the closure kept growing past its limit")
+        return a | b
+
+    with pytest.raises(BoundExceeded):
+        _close([frozenset({i}) for i in range(40)], union, 1024)
+    assert calls <= 2 * 1024
 
 
 def test_godel_witness_needs_heyting_structure():

@@ -13,7 +13,7 @@ import pytest
 from logictop import cli, core, duality
 from logictop.builders import FiniteLattice
 from logictop.cli import run_cli
-from logictop.corpus import discrete_two, l3, l22, lv3, sierpinski, v_frame
+from logictop.corpus import antichain, discrete_two, l3, l22, lv3, sierpinski, v_frame
 from logictop.documents import Document, emit_document
 from logictop.duality import LogicMap, PointMap
 
@@ -185,13 +185,26 @@ def test_godel_witness_text(docs, capsys):
 
 
 def test_godel_witness_refuses_a_lattice_that_is_not_heyting(tmp_path, capsys):
-    # a poset's upset algebra skips the Heyting check; a lattice document
-    # still goes through it
+    # a poset's upsets are scanned with no algebra built or checked; a
+    # lattice document still goes through the Heyting check
     chain = FiniteLattice.from_leq(("a", "b"), ((True, True), (False, True)))
     path = tmp_path / "chain.json"
     path.write_text(emit_document(Document("lattice", chain)), encoding="utf-8")
     assert run_cli(["godel-witness", "--input", str(path)]) == 1
     assert capsys.readouterr().err == "error: the double-negation scan needs implication and bottom\n"
+
+
+def test_godel_witness_bounds_the_upsets_of_a_poset(tmp_path, capsys):
+    # 2**10 upsets are scanned; 2**11 are refused before any scan, at the
+    # elements that make them
+    for k, code, out, err in [
+        (10, 0, "witness: none\n", ""),
+        (11, 2, "", "error: /elements: more than 1024 upsets; godel-witness scans posets with at most 1024\n"),
+    ]:
+        path = tmp_path / f"antichain{k}.json"
+        path.write_text(emit_document(Document("poset", antichain(k))), encoding="utf-8")
+        assert run_cli(["godel-witness", "--input", str(path)]) == code
+        assert capsys.readouterr() == (out, err)
 
 
 def test_export_dot(docs, capsys):
@@ -422,10 +435,60 @@ def test_the_reused_parser_answers_as_a_fresh_one(docs, capsys, monkeypatch):
     for argv in steps:
         reused = answer(argv)
         with monkeypatch.context() as fresh:
-            fresh.setattr(cli, "_PARSER", cli._build_parser())
+            parser, commands = cli._build_parser()
+            fresh.setattr(cli, "_PARSER", parser)
+            fresh.setattr(cli, "_COMMANDS", commands)
             assert answer(argv) == reused, argv
         codes.append(reused[0])
     assert codes == [2, 2, 0, 0, 0, 1, 0, 1, 0]
+
+
+def test_the_command_parser_answers_as_the_full_parser(docs, capsys, monkeypatch):
+    """A command's own parser serves argv only when it takes every
+    argument; anything else goes through the full parser.  Either way
+    run_cli answers as the full parser alone would."""
+    l3_path, v_path = str(docs / "l3.json"), str(docs / "v.json")
+    edges = [
+        [], ["-h"], ["--help"], ["no-such-command"], ["classif", "--input", l3_path],
+        ["--format", "json", "classify", "--input", l3_path],
+        ["classify", "--input", l3_path], ["classify", f"--input={l3_path}"], ["classify", "--inp", l3_path],
+        ["classify", "--in", l3_path, "--form", "json"], ["classify", "--input", l3_path, "extra"],
+        ["classify", "--input", l3_path, "--bogus"], ["classify", "--input"],
+        ["classify", "--format", "xml", "--input", l3_path], ["classify", "-h"],
+        ["classify", "--input", l3_path, "--", "more"],
+        ["classify", "--input", str(docs / "l22.json"), "--input", l3_path],
+        ["godel-witness", "--input", v_path, "--format=json"], ["export-dot", "--input", v_path, "--help"],
+        ["corpus", "--max-points", "x"], ["corpus", "--max-point", "1", "--jobs", "0"],
+    ]
+
+    def answer(argv):
+        code = run_cli(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    full_parses = []
+    parse_args = cli._PARSER.parse_args
+    monkeypatch.setattr(cli._PARSER, "parse_args", lambda argv: full_parses.append(argv) or parse_args(argv))
+    direct, refused = [], []
+    for argv in edges:
+        full_parses.clear()
+        mine = answer(argv)
+        took_full = bool(full_parses)
+        with monkeypatch.context() as full:
+            full.setattr(cli, "_COMMANDS", {})
+            assert answer(argv) == mine, argv
+        if took_full:
+            continue
+        try:
+            args = cli._parse_args(argv)
+        except SystemExit:
+            refused.append(argv)
+        else:
+            direct.append(argv)
+            assert args == parse_args(argv), argv
+        capsys.readouterr()
+    assert direct == [edges[i] for i in (6, 7, 8, 9, 16, 17, 20)]
+    assert refused == [edges[i] for i in (12, 13, 14, 18, 19)]
 
 
 def test_run_cli_builds_no_parser(docs, capsys, monkeypatch):

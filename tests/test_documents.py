@@ -364,6 +364,24 @@ def test_the_encoder_writes_any_json_value_as_the_standard_library(value):
     assert _encode(value, "\n") == json.dumps(value, indent=2, ensure_ascii=False)
 
 
+# Rows as wide as a 64-expression table and wider: indices, ints on
+# both sides of the encoder's text table and below zero, and bools,
+# which must still read true and false.
+_ROWS = st.one_of(
+    st.lists(st.integers(0, 70), max_size=70),
+    st.lists(st.integers(-3, 1100), max_size=70),
+    st.lists(st.integers(), max_size=70),
+    st.lists(st.booleans(), max_size=70),
+    st.lists(st.integers(0, 3) | st.booleans(), max_size=70),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_ROWS, max_size=70))
+def test_the_encoder_writes_tables_of_int_rows_as_the_standard_library(table):
+    assert _encode(table, "\n") == json.dumps(table, indent=2, ensure_ascii=False)
+
+
 def _positions(obj, path=()):
     """The path of every value in a JSON tree, the root included."""
     out = [path]
