@@ -19,8 +19,6 @@ from .builders import (
     heyting_from_upsets,
     is_strongly_connected,
     logic_from_lattice_filters,
-    logic_from_topology,
-    open_set_lattice,
     random_logic,
 )
 from .connectives import (
@@ -28,8 +26,6 @@ from .connectives import (
     ConditionCheck,
     DegeneratePrimeReport,
     check_degenerate_primes,
-    disjunctive_closure,
-    join_stable_theories,
     prime_extension,
     verify_connectives,
 )
@@ -40,10 +36,6 @@ from .core import (
     TheorySpectrum,
     close_under_intersection,
     consequence,
-    is_consistent,
-    is_generator_set,
-    is_theory,
-    logically_equivalent,
     quotient_logic,
     set_key,
     sorted_sets,
@@ -82,7 +74,6 @@ from .duality import (
     roundtrip_space,
     space_logic,
     stable_iff_disjunction,
-    theory_preimage_map,
 )
 from .errors import (
     BoundExceeded,
@@ -95,12 +86,10 @@ from .topology import (
     SpaceReport,
     SpecializationOrder,
     analyze_space,
-    closed_sets,
     closure,
     constructible_topology,
     generic_point,
     has_implication,
-    implication_open,
     irreducible_closed_sets,
     is_distributive_space,
     is_heyting_basis,

@@ -1,9 +1,9 @@
 """Constructors for the instance corpus.
 
-Frames give upset algebras, lattices give filter logics, topologies give
-open-set logics; alongside these sit an exact enumerator for small
-posets, a seeded random intersection structure, and the double-negation
-witness showing why the Godel translation cannot preserve primes.
+Frames give upset algebras and lattices give filter logics; alongside
+these sit an exact enumerator for small posets, a seeded random
+intersection structure, and the double-negation witness showing why the
+Godel translation cannot preserve primes.
 
 Lattice elements produced here are ordered by size first and contents
 second, so the bottom sits at index 0 and the top at the last index.
@@ -21,16 +21,7 @@ from typing import Iterable, Iterator, Sequence
 from .core import (AbstractLogic, ConnectiveTables, TheoryFamily, _check_indices, _close, _mask,
                    close_under_intersection, set_key)
 from .errors import BoundExceeded, EmptyGeneratorSet, NotDistributiveLattice, NotHeyting
-from .topology import (
-    FiniteSpace,
-    PointSet,
-    _arrow,
-    _arrow_table,
-    _arrows,
-    _lattice_violation,
-    _require_lattice,
-    opens as space_opens,
-)
+from .topology import PointSet, _arrow, _arrow_table, _arrows
 
 LeqMatrix = tuple[tuple[bool, ...], ...]
 
@@ -131,13 +122,6 @@ class FinitePoset:
 
     def upset(self, i: int) -> frozenset[int]:
         return frozenset(j for j in range(self.n) if self.leq[i][j])
-
-    def downset(self, i: int) -> frozenset[int]:
-        return frozenset(j for j in range(self.n) if self.leq[j][i])
-
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        """Pairs (i, j) with j directly above i; the Hasse diagram edges."""
-        return cover_edges(self.leq)
 
 
 def _bound_table(masks: list[int], what: str) -> tuple[tuple[int, ...], ...]:
@@ -329,52 +313,35 @@ def _implication_table(masks: Sequence[int], arrows: dict[int, int], index: dict
     return None if table is None else tuple(tuple([index[arrow] for arrow in row]) for row in table)
 
 
-def _graded_masks(family: Iterable[PointSet]) -> tuple[list[PointSet], list[int]]:
-    """A family of point sets in graded order, and the same as bitmasks."""
-    elements = _graded_sets(family)
-    return elements, [_mask(s) for s in elements]
-
-
-def _heyting_of_sets(
-    point_names: tuple[str, ...], elements: list[PointSet], masks: list[int], upsets: Sequence[tuple[int, int]]
-) -> FiniteLattice:
-    """The Heyting algebra of a lattice of point sets under union and
-    intersection, holding the empty set, given by _graded_masks: the
-    empty set first, the union of all last.
-
-    Join and meet are read off the inclusion order; implication is the
-    one of _implication_table.
-    """
-    m = len(elements)
-    names = tuple(_set_name(point_names, s) for s in elements)
-    leq = tuple(tuple([a <= b for b in elements]) for a in elements)
-    impl = _implication_table(masks, _arrows(masks, upsets), {u: i for i, u in enumerate(masks)})
-    return FiniteLattice(names, leq, impl=impl, top=m - 1, bottom=0)
-
-
 def _graded_upsets(
     frame: FinitePoset, limit: int | None = None
 ) -> tuple[list[PointSet], list[int], list[tuple[int, int]]]:
-    """A frame's upsets in _graded_masks order, as point sets and as
-    bitmasks, and each point's bit paired with its principal upset's mask.
+    """A frame's upsets in graded order (size, then contents: the empty
+    set first, the carrier last), as point sets and as bitmasks, and each
+    point's bit paired with its principal upset's mask.
 
     The upsets are the unions of principal upsets, the empty union
     included.  More than ``limit`` of them raise BoundExceeded while they
     are grown, before the family gets much larger.
     """
     principal = [frame.upset(x) for x in range(frame.n)]
-    family = _close((frozenset(), *principal), operator.or_, limit)
+    elements = _graded_sets(_close((frozenset(), *principal), operator.or_, limit))
     upsets = [(1 << x, _mask(up)) for x, up in enumerate(principal)]
-    return (*_graded_masks(family), upsets)
+    return elements, [_mask(s) for s in elements], upsets
 
 
 def heyting_from_upsets(frame: FinitePoset) -> FiniteLattice:
     """The Heyting algebra of upsets of a frame.
 
     Join is union, meet is intersection, and A -> B collects the points
-    whose upset meets A inside B.
+    whose upset meets A inside B: the table of _implication_table.  Join
+    and meet are read off the inclusion order.
     """
-    return _heyting_of_sets(frame.element_names, *_graded_upsets(frame))
+    elements, masks, upsets = _graded_upsets(frame)
+    names = tuple(_set_name(frame.element_names, s) for s in elements)
+    leq = tuple(tuple([a <= b for b in elements]) for a in elements)
+    impl = _implication_table(masks, _arrows(masks, upsets), {u: i for i, u in enumerate(masks)})
+    return FiniteLattice(names, leq, impl=impl, top=len(elements) - 1, bottom=0)
 
 
 def logic_from_lattice_filters(lattice: FiniteLattice, *, proper: bool = True) -> AbstractLogic:
@@ -409,26 +376,6 @@ def logic_from_lattice_filters(lattice: FiniteLattice, *, proper: bool = True) -
         bottom=lattice.bottom,
     )
     return AbstractLogic(lattice.element_names, TheoryFamily(n, theories), tables)
-
-
-def open_set_lattice(space: FiniteSpace) -> FiniteLattice:
-    """All opens of a finite space as a Heyting algebra.
-
-    The opens must be closed under intersection, or BasisNotLattice is
-    raised.  A -> B collects the points lying in some open whose
-    specialization upset meets A inside B.
-    """
-    ops = space_opens(space)
-    elements, masks = _graded_masks(ops)
-    _require_lattice(_lattice_violation(elements, masks))
-    covered = _mask(frozenset().union(*ops))
-    upsets = [(bit, up) for bit, up in space._index.upsets if bit & covered]
-    return _heyting_of_sets(space.point_names, elements, masks, upsets)
-
-
-def logic_from_topology(space: FiniteSpace) -> AbstractLogic:
-    """The filter logic of a space's full open-set algebra."""
-    return logic_from_lattice_filters(open_set_lattice(space))
 
 
 def is_strongly_connected(frame: FinitePoset) -> bool:

@@ -195,22 +195,6 @@ def verify_connectives(logic: AbstractLogic) -> ClassificationReport:
     return replace(report, classification=label)
 
 
-def join_stable_theories(logic: AbstractLogic) -> frozenset[ExprSet]:
-    """Theories t with: a join b in t implies a in t or b in t, for all a, b.
-
-    In a distributive logic this family coincides with the prime theories.
-    """
-    c = logic.connectives
-    if c is None:
-        raise MissingJoin("logic has no join table")
-    out = set()
-    for t in logic.theories.theories:
-        if all((c.join[a][b] not in t) or (a in t or b in t)
-               for a in logic.exprs for b in logic.exprs):
-            out.add(t)
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
 class DegeneratePrimeReport:
     no_valid_formula: bool
@@ -240,27 +224,6 @@ def check_degenerate_primes(logic: AbstractLogic) -> DegeneratePrimeReport:
         no_inconsistent_formula=not report.has_inconsistent_formula,
         full_set_is_prime=logic.full_set in ths,
     )
-
-
-def disjunctive_closure(logic: AbstractLogic, B: Iterable[int]) -> ExprSet:
-    """Least superset of B closed under the join table (pairwise fixpoint)."""
-    c = logic.connectives
-    if c is None:
-        raise MissingJoin("disjunctive closure needs a join table")
-    b = _check_universe(logic.universe_size, B, "B")
-    if not b:
-        raise PreconditionViolated("disjunctive closure of the empty set is not defined")
-    out = set(b)
-    changed = True
-    while changed:
-        changed = False
-        for x in list(out):
-            for y in list(out):
-                j = c.join[x][y]
-                if j not in out:
-                    out.add(j)
-                    changed = True
-    return frozenset(out)
 
 
 def prime_extension(logic: AbstractLogic, T: Iterable[int], S: Iterable[int]) -> ExprSet:

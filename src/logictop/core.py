@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator
 
-from .errors import BoundExceeded, EmptyGeneratorSet, NotTheories
+from .errors import BoundExceeded, EmptyGeneratorSet
 
 ExprSet = frozenset[int]
 
@@ -179,11 +179,6 @@ class AbstractLogic:
     def full_set(self) -> ExprSet:
         return frozenset(self.exprs)
 
-    @property
-    def is_regular(self) -> bool:
-        """True when the full expression set is not itself a theory."""
-        return self.full_set not in self.theories
-
     @cached_property
     def _index(self) -> LogicIndex:
         return LogicIndex.of(self)
@@ -292,12 +287,6 @@ def close_under_intersection(universe_size: int, generators: Iterable[Iterable[i
     return TheoryFamily(universe_size, _close(gens, operator.and_))
 
 
-def is_consistent(logic: AbstractLogic, A: Iterable[int]) -> bool:
-    """A set is consistent when some theory contains it."""
-    a = _check_universe(logic.universe_size, A, "A")
-    return any(a <= t for t in logic.theories.theories)
-
-
 def consequence(logic: AbstractLogic, A: Iterable[int]) -> ExprSet:
     """Intersection of all theories containing A.
 
@@ -313,15 +302,6 @@ def consequence(logic: AbstractLogic, A: Iterable[int]) -> ExprSet:
             out &= t
             covered = True
     return out if covered else logic.full_set
-
-
-def is_theory(logic: AbstractLogic, S: Iterable[int]) -> bool:
-    """Membership in the family.
-
-    For intersection structures this coincides with the closure reading:
-    S is a theory iff S is consistent and equals its own consequence set.
-    """
-    return _check_universe(logic.universe_size, S, "S") in logic.theories.theories
 
 
 @lru_cache(maxsize=None)
@@ -349,41 +329,6 @@ def theory_spectrum(logic: AbstractLogic) -> TheorySpectrum:
         elif frozenset.intersection(*strict) != t:
             primes.add(t)
     return TheorySpectrum(primes=frozenset(primes), maximals=frozenset(maximals))
-
-
-def is_generator_set(logic: AbstractLogic, G: Iterable[Iterable[int]]) -> bool:
-    """True when every theory is an intersection of a non-empty subset of G.
-
-    For a fixed theory T the only candidate worth trying is the subfamily
-    of all members of G containing T: its intersection is the smallest
-    reachable superset of T.
-    """
-    gs = [frozenset(g) for g in G]
-    for g in gs:
-        if g not in logic.theories.theories:
-            raise NotTheories(f"generator candidate {set_key(g)} is not a theory", witness=g)
-    for t in logic.theories.theories:
-        above = [g for g in gs if t <= g]
-        if not above:
-            return False
-        acc = above[0]
-        for g in above[1:]:
-            acc &= g
-        if acc != t:
-            return False
-    return True
-
-
-def logically_equivalent(logic: AbstractLogic, a: int, b: int) -> bool:
-    """Equal membership columns: a and b lie in exactly the same theories.
-
-    This is mutual consequence read off the family directly, as the
-    class ids of the logic's index that quotient_logic groups by.
-    """
-    if not (0 <= a < logic.universe_size and 0 <= b < logic.universe_size):
-        raise ValueError(f"expression index out of range: {(a, b)}")
-    class_of = logic._index.class_of
-    return class_of[a] == class_of[b]
 
 
 def quotient_logic(logic: AbstractLogic) -> tuple[AbstractLogic, tuple[int, ...]]:

@@ -38,7 +38,6 @@ from .core import (
     AbstractLogic,
     ConnectiveTables,
     TheoryFamily,
-    _mask,
     sorted_sets,
     theory_spectrum,
 )

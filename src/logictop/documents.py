@@ -15,6 +15,10 @@ constructor that takes the field, which checks it once.  When a document
 is refused, one walk over the index fields read so far names the first
 fault in reading order; if they hold none, the refusal stands.
 
+A space document is refused at its basis path when the basis closes
+under union to more than OPEN_BOUND opens; the count is taken once per
+distinct text, before any analysis of the space starts.
+
 Orders travel as pairs of element names; reflexive and transitive
 closure is applied on parse, and the full non-reflexive order is
 written on emit, so a document stays stable under reparsing even when
@@ -34,8 +38,8 @@ from operator import itemgetter
 from .builders import FiniteLattice, FinitePoset
 from .core import AbstractLogic, ConnectiveTables, TheoryFamily
 from .duality import LogicMap, PointMap
-from .errors import ParseError, SchemaError
-from .topology import FiniteSpace
+from .errors import BoundExceeded, ParseError, SchemaError
+from .topology import OPEN_BOUND, FiniteSpace, opens
 
 KINDS = ("logic", "poset", "lattice", "space", "logic_map", "point_map")
 
@@ -280,10 +284,15 @@ def _parse_space(obj: dict, path: str) -> FiniteSpace:
             basis_names = _as_names(obj["basis_names"], f"{path}/basis_names")
             if basis_names and len(basis_names) != len(sets):
                 _fail(f"{path}/basis_names", "one display name per basis element")
-        return _built(f"{path}/basis", FiniteSpace, names, sets, basis_names)
+        space = _built(f"{path}/basis", FiniteSpace, names, sets, basis_names)
     except SchemaError:
         _explain(read)
         raise
+    try:
+        opens(space)  # once per distinct text: parse_document keeps each document it parsed
+    except BoundExceeded:
+        _fail(f"{path}/basis", f"more than {OPEN_BOUND} opens; space documents may have at most {OPEN_BOUND}")
+    return space
 
 
 def _parse_endpoint(obj, path: str, kind: str):

@@ -32,7 +32,6 @@ from .errors import (
     MissingJoin,
     NotDistributive,
     NotDistributiveSpace,
-    NotLogicMap,
     NotSpectralMap,
     NotStable,
 )
@@ -249,16 +248,6 @@ def _theory_preimages(src: LogicIndex, tgt: LogicIndex, fibers: list[int]) -> tu
             return preimages, t
         preimages.append(pre)
     return preimages, None
-
-
-def theory_preimage_map(m: LogicMap) -> tuple[tuple[ExprSet, ExprSet], ...]:
-    """Each target theory with its preimage, in canonical target order."""
-    src, tgt = m.source._index, m.target._index
-    preimages, bad = _theory_preimages(src, tgt, _fibers(m.mapping, m.target.universe_size))
-    if bad is not None:
-        raise NotLogicMap(f"preimage of {set_key(bad)} is not a theory", witness=(bad, m.preimage(bad)))
-    theory_of = dict(zip(src.masks, src.theories))
-    return tuple((t, theory_of[pre]) for t, pre in zip(tgt.theories, preimages))
 
 
 def analyze_logic_map(m: LogicMap) -> MapAnalysis:

@@ -26,12 +26,6 @@ class BoundExceeded(WorkbenchError):
     pass
 
 
-# core-logic preconditions
-
-class NotTheories(WorkbenchError):
-    """A set offered as a subfamily contains a non-theory."""
-
-
 # connective verification
 
 class MissingJoin(WorkbenchError):
@@ -56,10 +50,6 @@ class NotClosed(WorkbenchError):
     pass
 
 
-class NotBasic(WorkbenchError):
-    pass
-
-
 class BasisNotLattice(WorkbenchError):
     """Some union or intersection of basis elements leaves the basis."""
 
@@ -73,10 +63,6 @@ class NotDistributiveSpace(WorkbenchError):
 
 
 # maps
-
-class NotLogicMap(WorkbenchError):
-    """Some theory preimage is not a theory; witness holds the theory."""
-
 
 class NotStable(WorkbenchError):
     pass

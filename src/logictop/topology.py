@@ -27,7 +27,6 @@ from typing import Container, Iterable, Sequence
 from .core import _check_indices, _close, _mask, set_key, sorted_sets
 from .errors import (
     BasisNotLattice,
-    NotBasic,
     NotClosed,
     NotSpectral,
 )
@@ -212,16 +211,8 @@ class SpecializationOrder:
     point_names: tuple[str, ...]
     matrix: tuple[tuple[bool, ...], ...]
 
-    def leq(self, x: int, y: int) -> bool:
-        return self.matrix[x][y]
-
     def upset(self, x: int) -> PointSet:
         return frozenset(y for y in range(len(self.point_names)) if self.matrix[x][y])
-
-    @property
-    def is_antisymmetric(self) -> bool:
-        n = len(self.point_names)
-        return all(not (self.matrix[x][y] and self.matrix[y][x]) for x in range(n) for y in range(n) if x != y)
 
 
 @dataclass(frozen=True)
@@ -245,14 +236,18 @@ class DistributiveSpaceVerdict:
     witness: tuple | None = None
 
 
+# Every space on at most 10 points has at most 2**10 opens.
+OPEN_BOUND = 1024
+
+
 @lru_cache(maxsize=None)
 def opens(space: FiniteSpace) -> frozenset[PointSet]:
-    """All unions of basis elements, including the empty union."""
-    return _close((frozenset(), *space.basis), operator.or_)
+    """All unions of basis elements, including the empty union.
 
-
-def closed_sets(space: FiniteSpace) -> frozenset[PointSet]:
-    return frozenset(_members(c) for c in space._index.closed)
+    More than OPEN_BOUND of them raise BoundExceeded while they are
+    grown, before the family gets much larger.
+    """
+    return _close((frozenset(), *space.basis), operator.or_, OPEN_BOUND)
 
 
 def closure(space: FiniteSpace, A: Iterable[int]) -> PointSet:
@@ -318,21 +313,6 @@ def specialization_order(space: FiniteSpace) -> SpecializationOrder:
         for x in range(n)
     )
     return SpecializationOrder(space.point_names, matrix)
-
-
-def implication_open(space: FiniteSpace, U: Iterable[int], V: Iterable[int]) -> PointSet:
-    """The set of points x whose upset meets U only inside V.
-
-    This is the candidate Heyting implication of two basic opens; whether
-    it lands back in the basis is has_implication's question.
-    """
-    u = frozenset(U)
-    v = frozenset(V)
-    if u not in space.basis:
-        raise NotBasic(f"U={set_key(u)} is not basic", witness=u)
-    if v not in space.basis:
-        raise NotBasic(f"V={set_key(v)} is not basic", witness=v)
-    return _members(_arrow(space._index.upsets, _mask(u), _mask(v)))
 
 
 def has_implication(space: FiniteSpace) -> tuple[bool, tuple[PointSet, PointSet] | None]:

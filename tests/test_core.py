@@ -11,23 +11,19 @@ from logictop.core import (
     TheoryFamily,
     close_under_intersection,
     consequence,
-    is_consistent,
-    is_generator_set,
-    is_theory,
-    logically_equivalent,
     quotient_logic,
     set_key,
     sorted_sets,
     theory_spectrum,
 )
 from logictop.duality import LogicMap, analyze_logic_map
-from logictop.errors import NotTheories
 from logictop.builders import random_logic
 from logictop.corpus import corpus_logics
 
 from oracles import (
     oracle_close,
     oracle_consequence,
+    oracle_consistent,
     oracle_equivalent,
     oracle_family_error,
     oracle_generates,
@@ -187,17 +183,18 @@ def test_consequence_is_monotone_and_idempotent(small_logics):
             continue
         for a in all_subsets(logic.universe_size):
             ca = consequence(logic, a)
-            assert a <= ca or not is_consistent(logic, a)
+            assert a <= ca or not oracle_consistent(logic, a)
             assert consequence(logic, ca) == ca or ca == logic.full_set
 
 
 def test_is_theory_and_consistency(chain3_logic):
-    assert is_theory(chain3_logic, {2})
-    assert is_theory(chain3_logic, {1, 2})
-    assert not is_theory(chain3_logic, {1})
-    assert not is_theory(chain3_logic, set())
-    assert is_consistent(chain3_logic, {1})
-    assert not is_consistent(chain3_logic, {0})
+    theories = chain3_logic.theories
+    assert frozenset({2}) in theories and oracle_is_theory(chain3_logic, {2})
+    assert frozenset({1, 2}) in theories and oracle_is_theory(chain3_logic, {1, 2})
+    assert frozenset({1}) not in theories and not oracle_is_theory(chain3_logic, {1})
+    assert frozenset() not in theories and not oracle_is_theory(chain3_logic, set())
+    assert oracle_consistent(chain3_logic, {1})
+    assert not oracle_consistent(chain3_logic, {0})
 
 
 def _with_random_logics(small_logics):
@@ -208,13 +205,13 @@ def _with_random_logics(small_logics):
 def test_membership_matches_closure_reading(small_logics):
     for name, logic in _with_random_logics(small_logics):
         for s in all_subsets(logic.universe_size):
-            assert is_theory(logic, s) == oracle_is_theory(logic, s), (name, set_key(s))
+            assert (s in logic.theories) == oracle_is_theory(logic, s), (name, set_key(s))
 
 
 def test_full_set_is_not_a_theory_in_regular_logics(chain3_logic, boolean4_logic):
     for logic in (chain3_logic, boolean4_logic):
-        assert logic.is_regular
-        assert not is_theory(logic, logic.full_set)
+        assert logic.full_set not in logic.theories
+        assert not oracle_is_theory(logic, logic.full_set)
 
 
 def test_spectrum_matches_definition_oracles(small_logics):
@@ -263,42 +260,39 @@ def test_worked_spectra(chain3_logic, boolean4_logic, vframe_logic):
 
 def test_generator_sets(boolean4_logic):
     spectrum = theory_spectrum(boolean4_logic)
-    assert is_generator_set(boolean4_logic, spectrum.totally_primes)
-    assert oracle_generates(boolean4_logic.theories.theories, spectrum.totally_primes)
+    theories = boolean4_logic.theories.theories
+    assert oracle_generates(theories, spectrum.totally_primes)
     # dropping either prime loses the theory it alone recovers
     for g in spectrum.totally_primes:
-        rest = spectrum.totally_primes - {g}
-        assert not is_generator_set(boolean4_logic, rest)
-
-
-def test_generator_set_rejects_non_theories(chain3_logic):
-    with pytest.raises(NotTheories):
-        is_generator_set(chain3_logic, [frozenset({0})])
+        assert not oracle_generates(theories, spectrum.totally_primes - {g})
 
 
 def test_minimal_generators_are_minimal(small_logics):
     for name, logic in small_logics:
         gens = theory_spectrum(logic).minimal_generators
-        assert is_generator_set(logic, gens), name
+        theories = logic.theories.theories
+        assert oracle_generates(theories, gens), name
         for g in gens:
-            assert not is_generator_set(logic, gens - {g}), name
+            assert not oracle_generates(theories, gens - {g}), name
 
 
 def test_logically_equivalent(chain3_logic):
     theories = chain3_logic.theories.theories
+    class_of = chain3_logic._index.class_of
     for a in chain3_logic.exprs:
         for b in chain3_logic.exprs:
             expected = {t for t in theories if a in t} == {t for t in theories if b in t}
-            assert logically_equivalent(chain3_logic, a, b) == expected
+            assert (class_of[a] == class_of[b]) == expected
 
 
 def test_equivalence_matches_mutual_consequence(small_logics):
     logics = _with_random_logics(small_logics)
     assert any(quotient_logic(logic)[0].universe_size < logic.universe_size for _, logic in logics)
     for name, logic in logics:
+        class_of = logic._index.class_of
         for a in logic.exprs:
             for b in logic.exprs:
-                assert logically_equivalent(logic, a, b) == oracle_equivalent(logic, a, b), (name, a, b)
+                assert (class_of[a] == class_of[b]) == oracle_equivalent(logic, a, b), (name, a, b)
 
 
 def test_quotient_collapses_duplicate_columns():

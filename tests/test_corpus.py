@@ -32,9 +32,8 @@ from logictop.duality import (
     _fibers,
     _theory_preimages,
     analyze_logic_map,
-    theory_preimage_map,
 )
-from logictop.errors import NotLogicMap, PreconditionViolated, PrimalityFailure
+from logictop.errors import PreconditionViolated, PrimalityFailure
 
 from oracles import (
     oracle_analyze_logic_map,
@@ -284,12 +283,8 @@ def _assert_gate_matches(src, tgt, mapping):
     if bad is None:
         pulled = [_mask(a for a in src.exprs if mapping[a] in t) for t in corpus.sorted_sets(tgt.theories)]
         assert preimages == pulled, mapping
-        assert [_mask(pre) for _, pre in theory_preimage_map(m)] == pulled, mapping
     else:
-        assert expected["witnesses"][0] == ("is_logic_map", (bad, m.preimage(bad))), mapping
-        with pytest.raises(NotLogicMap) as err:
-            theory_preimage_map(m)
-        assert err.value.witness == (bad, m.preimage(bad)), mapping
+        assert expected["witnesses"][0] == analysis.witnesses[0] == ("is_logic_map", (bad, m.preimage(bad))), mapping
     if src.universe_size <= 8:
         assert corpus._logic_map_draws(src, tgt, bytes(mapping), 1) == bytes([bad is not None]), mapping
     else:

@@ -21,6 +21,8 @@ from logictop.duality import (
     DisjunctionCheck,
     LogicMap,
     PointMap,
+    _fibers,
+    _theory_preimages,
     analyze_logic_map,
     basic_open_embedding,
     dual_logic_map,
@@ -33,10 +35,9 @@ from logictop.duality import (
     sorted_primes,
     space_logic,
     stable_iff_disjunction,
-    theory_preimage_map,
 )
-from logictop.errors import NotDistributive, NotLogicMap, NotSpectralMap, NotStable, WorkbenchError
-from logictop.topology import FiniteSpace, analyze_space, has_implication, is_distributive_space
+from logictop.errors import NotDistributive, NotSpectralMap, NotStable, WorkbenchError
+from logictop.topology import FiniteSpace, _members, analyze_space, has_implication, is_distributive_space
 
 from oracles import (
     oracle_analyze_logic_map,
@@ -171,7 +172,10 @@ def test_space_logic_back_and_forth_preserves_names(chain3_logic):
 
 def test_theory_preimage_map_of_collapse(boolean4_logic):
     h = LogicMap(boolean4_logic, boolean4_logic, (0, 2, 0, 3))
-    pairs = dict(theory_preimage_map(h))
+    index = boolean4_logic._index
+    preimages, bad = _theory_preimages(index, index, _fibers(h.mapping, 4))
+    assert bad is None and analyze_logic_map(h).is_logic_map
+    pairs = {t: _members(pre) for t, pre in zip(index.theories, preimages)}
     assert pairs == {
         frozenset({3}): frozenset({3}),
         frozenset({1, 3}): frozenset({3}),
@@ -180,10 +184,11 @@ def test_theory_preimage_map_of_collapse(boolean4_logic):
 
 
 def test_preimage_map_rejects_non_logic_maps(boolean4_logic):
-    # sending everything to top pulls {top} back to the whole language
+    # sending a and b to top pulls the theory {a, top} back to {a, b, top}
     h = LogicMap(boolean4_logic, boolean4_logic, (0, 3, 3, 3))
-    with pytest.raises(NotLogicMap):
-        theory_preimage_map(h)
+    analysis = analyze_logic_map(h)
+    assert not analysis.is_logic_map
+    assert analysis.witnesses[0] == ("is_logic_map", (frozenset({1, 3}), frozenset({1, 2, 3})))
 
 
 def test_analysis_of_identity_and_swap(boolean4_logic):
