@@ -15,7 +15,6 @@ output (``classify``, ``spectrum``, witnesses) never fails by itself.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from collections.abc import Sequence
 
@@ -64,16 +63,25 @@ def _write(args, text: str) -> None:
 
 
 def _jsonable(x):
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        return {f.name: _jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
-    if isinstance(x, (set, frozenset)):
+    """A report as JSON values: a dataclass as an object of its fields,
+    sets as sorted arrays, tuples as arrays.
+
+    Dispatches on the exact type.  A report class's fields are read off
+    its ``__dataclass_fields__``, which lists what ``dataclasses.fields``
+    does since no report class declares a ClassVar or InitVar.
+    """
+    kind = type(x)
+    if kind is list or kind is tuple:
+        return [_jsonable(e) for e in x]
+    if kind is dict:
+        return {k: _jsonable(v) for k, v in x.items()}
+    if kind is set or kind is frozenset:
         if all(isinstance(e, frozenset) for e in x):
             return [_jsonable(e) for e in sorted_sets(x)]
         return sorted(x, key=repr) if not all(isinstance(e, int) for e in x) else sorted(x)
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(e) for e in x]
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
+    fields = getattr(kind, "__dataclass_fields__", None)
+    if fields is not None:
+        return {name: _jsonable(getattr(x, name)) for name in fields}
     return x
 
 

@@ -151,7 +151,15 @@ class ConnectiveTables:
 
 @dataclass(frozen=True)
 class AbstractLogic:
-    """Expression names, a theory family, and optional connective tables."""
+    """Expression names, a theory family, and optional connective tables.
+
+    The value-keyed caches hash a logic on every lookup, so its hash is
+    computed once per object: the value the generated ``__hash__`` gives,
+    read off ``_hash``.  Like ``_index``, it lives in the object's
+    ``__dict__``.  It is valid only within one process, since str hashes
+    are salted per process: a logic pickled after it was hashed carries
+    a stale one.
+    """
 
     expr_names: tuple[str, ...]
     theories: TheoryFamily
@@ -178,6 +186,13 @@ class AbstractLogic:
     @property
     def full_set(self) -> ExprSet:
         return frozenset(self.exprs)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.expr_names, self.theories, self.connectives))
 
     @cached_property
     def _index(self) -> LogicIndex:

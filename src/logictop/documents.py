@@ -15,9 +15,18 @@ constructor that takes the field, which checks it once.  When a document
 is refused, one walk over the index fields read so far names the first
 fault in reading order; if they hold none, the refusal stands.
 
+parse_document keeps each document it accepts for the life of the
+process, keyed by the SHA-256 digest of its text.  A map's endpoint is
+looked up in the same table, under the digest of its canonical text,
+before it is parsed: an endpoint written as emit_document writes it
+shares one object with the equal standalone document, and the two
+endpoints of an identity map are one object.  An endpoint is parsed
+only on a miss, at its own path; the endpoints parsed on the way are
+kept only when the whole document is accepted.
+
 A space document is refused at its basis path when the basis closes
 under union to more than OPEN_BOUND opens; the count is taken once per
-distinct text, before any analysis of the space starts.
+distinct text or endpoint, before any analysis of the space starts.
 
 Orders travel as pairs of element names; reflexive and transitive
 closure is applied on parse, and the full non-reflexive order is
@@ -55,7 +64,8 @@ class Document:
 
 
 # SHA-256 digest of a text -> the Document parsed from it, for the life
-# of the process; refused texts are not kept
+# of the process: each accepted document's text and the canonical text of
+# each map endpoint parsed on the way; refused texts are not kept
 _DOCUMENTS: dict[bytes, Document] = {}
 
 
@@ -63,20 +73,28 @@ def parse_document(text: str) -> Document:
     """The document that text spells.  Equal texts give one shared object,
     so its indices and cached facts are computed once per process;
     documents are immutable, so sharing is safe.  A refused text is
-    parsed again, and refused at the same path, on every call."""
-    import hashlib  # on first use: importing logictop parses nothing
-
-    # surrogatepass: any str has a digest, even one read with surrogateescape
-    key = hashlib.sha256(text.encode("utf-8", "surrogatepass")).digest()
+    parsed again, and refused at the same path, on every call, and
+    leaves the table as it was."""
+    key = _digest(text)
     doc = _DOCUMENTS.get(key)
     if doc is None:
-        doc = _DOCUMENTS[key] = _parse(text)
+        endpoints: dict[bytes, Document] = {}
+        doc = _parse(text, endpoints)
+        _DOCUMENTS.update(endpoints)
+        _DOCUMENTS[key] = doc
     return doc
 
 
-def _parse(text: str) -> Document:
+def _digest(text: str) -> bytes:
+    import hashlib  # on first use: importing logictop parses nothing
+
+    # surrogatepass: any str has a digest, even one read with surrogateescape
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).digest()
+
+
+def _parse(text: str, endpoints: dict) -> Document:
     try:
-        return _document_from_obj(_decode(text), "")
+        return _document_from_obj(_decode(text), "", endpoints)
     except RecursionError:
         raise ParseError("document nested too deeply") from None
 
@@ -93,7 +111,7 @@ def _decode(text: str):
 def emit_document(doc: Document) -> str:
     """The document's canonical text: exactly
     ``json.dumps(obj, indent=2, ensure_ascii=False)`` plus a newline."""
-    return _encode(_FORMATS[doc.kind][1](doc.value), "\n") + "\n"
+    return _encode(_EMITTERS[doc.kind](doc.value), "\n") + "\n"
 
 
 # parsing
@@ -289,24 +307,42 @@ def _parse_space(obj: dict, path: str) -> FiniteSpace:
         _explain(read)
         raise
     try:
-        opens(space)  # once per distinct text: parse_document keeps each document it parsed
+        opens(space)  # once per distinct text or endpoint: parse_document keeps what it accepts
     except BoundExceeded:
         _fail(f"{path}/basis", f"more than {OPEN_BOUND} opens; space documents may have at most {OPEN_BOUND}")
     return space
 
 
-def _parse_endpoint(obj, path: str, kind: str):
-    doc = _document_from_obj(obj, path)
+def _parse_endpoint(obj, path: str, kind: str, endpoints: dict):
+    """The value of the kind that the endpoint obj spells.
+
+    An object of that kind is looked up first, under the digest of its
+    canonical text, among the documents kept and the endpoints parsed
+    so far; a miss is parsed at path and noted in endpoints.  Anything
+    else is parsed, and refused, as it stands.
+    """
+    key = doc = None
+    if type(obj) is dict and obj.get("kind") == kind:
+        try:
+            key = _digest(_encode(obj, "\n") + "\n")
+        except RecursionError:  # a value nested past the encoder's reach: the parse refuses it
+            pass
+        else:
+            doc = _DOCUMENTS.get(key) or endpoints.get(key)
+    if doc is None:
+        doc = _document_from_obj(obj, path, endpoints)
+        if key is not None:
+            endpoints[key] = doc
     if doc.kind != kind:
         _fail(f"{path}/kind", f"expected a {kind} document")
     return doc.value
 
 
-def _parse_map(kind: str, obj: dict, path: str) -> LogicMap | PointMap:
+def _parse_map(kind: str, obj: dict, path: str, endpoints: dict) -> LogicMap | PointMap:
     endpoint, cls, size = _MAPS[kind]
     _as_object(obj, path, ("kind", "source", "target", "map"))
-    source = _parse_endpoint(_require(obj, "source", path), f"{path}/source", endpoint)
-    target = _parse_endpoint(_require(obj, "target", path), f"{path}/target", endpoint)
+    source = _parse_endpoint(_require(obj, "source", path), f"{path}/source", endpoint, endpoints)
+    target = _parse_endpoint(_require(obj, "target", path), f"{path}/target", endpoint, endpoints)
     read: list = []
     try:
         row = _index_field(read, _require(obj, "map", path), f"{path}/map", getattr(target, size),
@@ -317,13 +353,15 @@ def _parse_map(kind: str, obj: dict, path: str) -> LogicMap | PointMap:
         raise
 
 
-def _document_from_obj(obj, path: str) -> Document:
+def _document_from_obj(obj, path: str, endpoints: dict) -> Document:
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
     kind = obj.get("kind")
     if kind not in KINDS:
         _fail(f"{path}/kind", f"expected one of {', '.join(KINDS)}")
-    return Document(kind, _FORMATS[kind][0](obj, path))
+    if kind in _MAPS:
+        return Document(kind, _parse_map(kind, obj, path, endpoints))
+    return Document(kind, _PARSERS[kind](obj, path))
 
 
 # emission
@@ -340,14 +378,18 @@ def _encode(obj, newline: str) -> str:
 
     ``newline`` is a line break plus the indentation of the line obj
     starts on.  Rows of ints or of strings are joined in one pass, ints
-    read off _DECIMALS; any other scalar goes to json.dumps, so True
-    still reads true.
+    read off _DECIMALS; booleans and null are written here, and any
+    other scalar (a float) goes to json.dumps.
     """
     kind = type(obj)
     if kind is str:
         return encode_basestring(obj)
     if kind is int:
         return str(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
     if kind is dict or kind is list:
         if not obj:
             return "{}" if kind is dict else "[]"
@@ -430,7 +472,7 @@ def _space_to_obj(space: FiniteSpace) -> dict:
 
 
 def _map_to_obj(kind: str, m: LogicMap | PointMap) -> dict:
-    endpoint_to_obj = _FORMATS[_MAPS[kind][0]][1]
+    endpoint_to_obj = _EMITTERS[_MAPS[kind][0]]
     return {
         "kind": kind,
         "source": endpoint_to_obj(m.source),
@@ -445,11 +487,18 @@ _MAPS = {
     "point_map": ("space", PointMap, "n_points"),
 }
 
-# kind: (parser, emitter)
-_FORMATS = {
-    "logic": (_parse_logic, _logic_to_obj),
-    "poset": (_parse_poset, _poset_to_obj),
-    "lattice": (_parse_lattice, _lattice_to_obj),
-    "space": (_parse_space, _space_to_obj),
-    **{kind: (partial(_parse_map, kind), partial(_map_to_obj, kind)) for kind in _MAPS},
+# the parser of each kind that is no map; maps go through _parse_map
+_PARSERS = {
+    "logic": _parse_logic,
+    "poset": _parse_poset,
+    "lattice": _parse_lattice,
+    "space": _parse_space,
+}
+
+_EMITTERS = {
+    "logic": _logic_to_obj,
+    "poset": _poset_to_obj,
+    "lattice": _lattice_to_obj,
+    "space": _space_to_obj,
+    **{kind: partial(_map_to_obj, kind) for kind in _MAPS},
 }

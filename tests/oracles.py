@@ -5,6 +5,7 @@ in full, conditions are checked by quantifying over whole power sets.
 Tests compare the package's cleverer code against these.
 """
 
+import dataclasses
 import json
 import random
 from itertools import chain, combinations, permutations
@@ -12,7 +13,7 @@ from itertools import chain, combinations, permutations
 from logictop import corpus
 from logictop.builders import FiniteLattice
 from logictop.core import set_key, sorted_sets, theory_spectrum
-from logictop.documents import _FORMATS
+from logictop.documents import _EMITTERS
 from logictop.duality import analyze_logic_map
 from logictop.errors import PrimalityFailure
 
@@ -878,4 +879,20 @@ def oracle_connective_squares(m):
 
 def oracle_emit(doc):
     """A document's canonical text through the standard library encoder."""
-    return json.dumps(_FORMATS[doc.kind][1](doc.value), indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(_EMITTERS[doc.kind](doc.value), indent=2, ensure_ascii=False) + "\n"
+
+
+def oracle_jsonable(x):
+    """A report as JSON values, read by reflection: every dataclass through
+    ``dataclasses.fields``, every container by ``isinstance``."""
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        return {f.name: oracle_jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, (set, frozenset)):
+        if all(isinstance(e, frozenset) for e in x):
+            return [oracle_jsonable(e) for e in sorted_sets(x)]
+        return sorted(x, key=repr) if not all(isinstance(e, int) for e in x) else sorted(x)
+    if isinstance(x, (list, tuple)):
+        return [oracle_jsonable(e) for e in x]
+    if isinstance(x, dict):
+        return {k: oracle_jsonable(v) for k, v in x.items()}
+    return x

@@ -1,6 +1,7 @@
 """Exit codes, output shapes, and determinism of the command line."""
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -9,14 +10,39 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logictop import cli, core, duality
 from logictop.builders import FiniteLattice
 from logictop.cli import run_cli
-from logictop.corpus import antichain, discrete_two, l3, l22, lv3, sierpinski, v_frame
-from logictop.documents import Document, emit_document
-from logictop.duality import LogicMap, PointMap
+from logictop.connectives import verify_connectives
+from logictop.core import theory_spectrum
+from logictop.corpus import (
+    antichain,
+    corpus_logics,
+    discrete_two,
+    l3,
+    l22,
+    lv3,
+    run_all,
+    sierpinski,
+    v_frame,
+)
+from logictop.documents import Document, _encode, emit_document
+from logictop.duality import (
+    LogicMap,
+    PointMap,
+    analyze_logic_map,
+    is_spectral_map,
+    logic_space,
+    roundtrip_logic,
+    roundtrip_space,
+    stable_iff_disjunction,
+)
+from logictop.errors import WorkbenchError
 from logictop.topology import FiniteSpace
+
+from oracles import oracle_jsonable
 
 
 @pytest.fixture()
@@ -438,6 +464,44 @@ def test_json_reports_are_written_as_documents_are(docs, capsys, tmp_path):
         outputs.append(capsys.readouterr().out)
         assert outputs[-1] == json.dumps(json.loads(outputs[-1]), indent=2, ensure_ascii=False) + "\n", argv
     assert '"ä"' in outputs[3]
+
+
+_REPORT_LOGICS = [logic for _, logic in corpus_logics(3)]
+
+
+def _reports_of(m: LogicMap) -> list:
+    """Every report a command writes about m and its source, as it nests them."""
+    spectrum = theory_spectrum(m.source)
+    analysis = analyze_logic_map(m)
+    reports = [
+        verify_connectives(m.source),
+        {"primes": spectrum.primes, "maximals": spectrum.maximals},
+        analysis,
+        {"analysis": analysis, "disjunction": stable_iff_disjunction(m, analysis)},
+    ]
+    with contextlib.suppress(WorkbenchError):
+        reports.append(roundtrip_logic(m.source, m))
+    with contextlib.suppress(WorkbenchError):
+        space = logic_space(m.source).space
+        reports.append(roundtrip_space(space))
+        spectral, witness = is_spectral_map(PointMap(space, space, (0,) * space.n_points))
+        reports.append({"is_spectral_map": spectral, "witness": witness})
+    return reports
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_REPORT_LOGICS), st.sampled_from(_REPORT_LOGICS), st.data())
+def test_json_reports_read_as_the_reflective_oracle(source, target, data):
+    """Bools, nulls, witnesses and nested reports are written as the
+    standard library writes what dataclasses.fields reads off them."""
+    mapping = data.draw(st.lists(st.integers(0, target.universe_size - 1),
+                                 min_size=source.universe_size, max_size=source.universe_size))
+    reports = _reports_of(LogicMap(source, target, tuple(mapping)))
+    reports += [run_all(max_points=1), {"witness": None}, {"witness": [1, 2]}]
+    for report in reports:
+        expected = oracle_jsonable(report)
+        assert cli._jsonable(report) == expected
+        assert _encode(cli._jsonable(report), "\n") == json.dumps(expected, indent=2, ensure_ascii=False)
 
 
 SUBCOMMANDS = (

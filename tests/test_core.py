@@ -322,3 +322,14 @@ def test_set_key_and_sorted_sets():
 def test_random_logic_is_reproducible():
     assert random_logic(6, 3) == random_logic(6, 3)
     assert random_logic(6, 3) != random_logic(6, 4)
+
+
+def test_a_logic_is_hashed_once_to_the_generated_value():
+    for name, shared in corpus_logics(4):
+        logic = replace(shared)  # a fresh object: no test has hashed it yet
+        fields = (logic.expr_names, logic.theories, logic.connectives)
+        assert "_hash" not in vars(logic)
+        assert hash(logic) == hash(fields) == hash(shared), name
+        assert vars(logic)["_hash"] == hash(fields)
+        renamed = replace(logic, expr_names=tuple(f"r{a}" for a in logic.exprs))
+        assert hash(renamed) == hash((renamed.expr_names, logic.theories, logic.connectives)), name

@@ -28,8 +28,8 @@ from logictop.corpus import (
 )
 from logictop.documents import _DOCUMENTS, KINDS, Document, _encode, emit_document, parse_document
 from logictop.dot import export_dot
-from logictop.duality import LogicMap, PointMap
-from logictop.errors import ParseError, SchemaError
+from logictop.duality import LogicMap, PointMap, basic_open_embedding
+from logictop.errors import ParseError, SchemaError, WorkbenchError
 from logictop.topology import FiniteSpace
 
 from oracles import oracle_emit
@@ -154,6 +154,21 @@ def test_deep_nesting_is_a_parse_error():
     nested = '{"kind": "logic_map", "map": [], "source": ' * 400 + "{}" + "}" * 400
     with pytest.raises(ParseError):
         parse_document(nested)
+
+
+@pytest.mark.parametrize("endpoint", ["source", "target"])
+def test_an_endpoint_key_nested_past_the_encoder_is_refused_at_the_key(endpoint):
+    # 600 arrays deep: json decodes it, the canonical encoder cannot recurse
+    # that far, and the parse refuses the key before it reads the value
+    obj = json.loads(emit_document(Document("logic_map", LogicMap(l22(), l22(), (0, 1, 2, 3)))))
+    obj[endpoint]["junk"] = json.loads("[" * 600 + "]" * 600)
+    with pytest.raises(RecursionError):
+        _encode(obj[endpoint], "\n")
+    kept = dict(_DOCUMENTS)
+    with pytest.raises(SchemaError) as err:
+        parse_document(json.dumps(obj))
+    assert str(err.value) == f"/{endpoint}/junk: unexpected key"
+    assert _DOCUMENTS == kept
 
 
 def test_map_length_must_match_source():
@@ -360,19 +375,22 @@ _JSON = st.recursive(
 
 @settings(max_examples=300, deadline=None)
 @given(_JSON)
+@example(True)
+@example(None)
+@example({"status": False, "witness": None, "rows": [[True, None], [], [0, False]]})
 def test_the_encoder_writes_any_json_value_as_the_standard_library(value):
     assert _encode(value, "\n") == json.dumps(value, indent=2, ensure_ascii=False)
 
 
 # Rows as wide as a 64-expression table and wider: indices, ints on
-# both sides of the encoder's text table and below zero, and bools,
-# which must still read true and false.
+# both sides of the encoder's text table and below zero, and bools and
+# nulls, which must still read true, false and null.
 _ROWS = st.one_of(
     st.lists(st.integers(0, 70), max_size=70),
     st.lists(st.integers(-3, 1100), max_size=70),
     st.lists(st.integers(), max_size=70),
     st.lists(st.booleans(), max_size=70),
-    st.lists(st.integers(0, 3) | st.booleans(), max_size=70),
+    st.lists(st.integers(0, 3) | st.booleans() | st.none(), max_size=70),
 )
 
 
@@ -526,6 +544,74 @@ def test_a_lone_surrogate_on_stdin_exits_2(fresh_documents, capsys, text, messag
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(message)
     assert _DOCUMENTS == {}
+
+
+def _map_text(m) -> str:
+    return emit_document(Document("logic_map" if isinstance(m, LogicMap) else "point_map", m))
+
+
+def test_an_identity_maps_endpoints_are_one_object(fresh_documents):
+    logic_map = parse_document(_map_text(LogicMap(lv3(), lv3(), tuple(lv3().exprs)))).value
+    assert logic_map.source is logic_map.target
+    point_map = parse_document(_map_text(PointMap(sierpinski(), sierpinski(), (1, 1)))).value
+    assert point_map.source is point_map.target
+    # each map and its one endpoint
+    assert len(_DOCUMENTS) == 4
+
+
+def test_an_endpoint_is_the_standalone_documents_value(fresh_documents):
+    logic = parse_document(emit_document(Document("logic", l22()))).value
+    m = parse_document(_map_text(LogicMap(l22(), l3(), (0, 2, 1, 2)))).value
+    assert m.source is logic
+    assert m.target == l3()
+    # the target's canonical text, given after the map, is not parsed again
+    with mock.patch.object(json, "loads", side_effect=AssertionError("decoded")):
+        assert parse_document(emit_document(Document("logic", l3()))).value is m.target
+    assert len(_DOCUMENTS) == 3
+
+
+@pytest.mark.parametrize("edit, path, message", [
+    (lambda obj: obj["map"].__setitem__(3, 9), "/map/3", "index 9 out of range 0..3"),
+    (lambda obj: obj["target"]["theories"].append([7]), "/target/theories/3/0", "index 7 out of range 0..3"),
+], ids=["map", "target"])
+def test_a_refused_map_keeps_none_of_its_endpoints(fresh_documents, edit, path, message):
+    kept = parse_document(emit_document(Document("logic", l3())))
+    obj = json.loads(_map_text(LogicMap(l22(), l22(), (0, 1, 2, 3))))
+    edit(obj)
+    for text in (json.dumps(obj), json.dumps(obj, indent=2)):
+        with pytest.raises(SchemaError) as err:
+            parse_document(text)
+        assert str(err.value) == f"{path}: {message}"
+        assert list(_DOCUMENTS.values()) == [kept]
+
+
+def test_a_non_canonical_endpoint_gives_an_equal_value(fresh_documents):
+    logic = parse_document(emit_document(Document("logic", lv3()))).value
+    obj = json.loads(_map_text(LogicMap(lv3(), lv3(), tuple(lv3().exprs))))
+    # compact text: each endpoint re-encodes to the canonical text
+    assert parse_document(json.dumps(obj)).value.source is logic
+    # reordered keys and theories: another text, an equal value
+    obj["source"] = dict(reversed(obj["source"].items()))
+    obj["source"]["theories"].reverse()
+    m = parse_document(json.dumps(obj)).value
+    assert m.source == logic and m.source is not logic
+    assert m.target is logic
+
+
+def test_an_emitted_endpoint_re_encodes_to_its_standalone_text():
+    """The key a map endpoint is looked up under is the digest of exactly
+    the text emit_document writes for it alone."""
+    maps = [doc for doc in samples() + _corpus_documents() if doc.kind in ("logic_map", "point_map")]
+    for _, logic in corpus_logics(3):
+        with contextlib.suppress(WorkbenchError):  # a logic with no dual logic of its spectrum
+            maps.append(Document("logic_map", basic_open_embedding(logic)))
+    assert {doc.kind for doc in maps} == {"logic_map", "point_map"}
+    for doc in maps:
+        obj = json.loads(emit_document(doc))
+        kind = "logic" if doc.kind == "logic_map" else "space"
+        for endpoint in ("source", "target"):
+            text = emit_document(Document(kind, getattr(doc.value, endpoint)))
+            assert _encode(obj[endpoint], "\n") + "\n" == text
 
 
 _LONG_INTEGER = '{"kind": "logic", "exprs": ["a"], "theories": [[' + "9" * 5000 + "]]}"
