@@ -189,19 +189,6 @@ class FiniteLattice:
         if self.bottom is not None and up[self.bottom] != full:
             raise ValueError("declared bottom is not least")
 
-    @classmethod
-    def from_leq(cls, element_names: Iterable[str], leq: LeqMatrix) -> "FiniteLattice":
-        """The lattice of an order, with its greatest and least elements
-        declared; an order that is no lattice raises ValueError.  The
-        bounds are read off the order's rows before the one build: every
-        row holds the top, and the bottom's row is full."""
-        rows = _bitrows(leq)
-        full = (1 << len(rows)) - 1
-        common = reduce(operator.and_, rows, full)
-        top = _lowest(common) if common else None
-        bottom = rows.index(full) if full in rows else None
-        return cls(element_names, leq, top=top, bottom=bottom)
-
     @property
     def n(self) -> int:
         return len(self.element_names)
@@ -259,10 +246,6 @@ class FiniteLattice:
                    for mask, row in zip(below, self.join))
 
     @property
-    def is_distributive(self) -> bool:
-        return self.distributivity_witness() is None
-
-    @property
     def is_heyting(self) -> bool:
         """Implication and bottom present, and the adjunction actually holds.
 
@@ -289,10 +272,6 @@ class FiniteLattice:
                 if below[w] != down[self.impl[x][y]]:
                     return False
         return True
-
-    def poset(self) -> FinitePoset:
-        return FinitePoset(self.element_names, self.leq)
-
 
 def _graded_sets(sets: Iterable[frozenset[int]]) -> list[frozenset[int]]:
     return sorted(sets, key=lambda s: (len(s), set_key(s)))

@@ -77,10 +77,6 @@ class ClassificationReport:
         return self._ok("join", "meet", "neg", "impl")
 
 
-def _tp_sorted(logic: AbstractLogic) -> list[ExprSet]:
-    return sorted_sets(theory_spectrum(logic).totally_primes)
-
-
 def _table(logic: AbstractLogic, name: str):
     """The named connective table or designated index, None when absent."""
     if logic.connectives is None:
@@ -169,14 +165,14 @@ def verify_connectives(logic: AbstractLogic) -> ClassificationReport:
     totally prime theories coinciding).  An absent connective never
     upgrades a verdict.
     """
-    tps = _tp_sorted(logic)
+    spectrum = theory_spectrum(logic)
+    tps = sorted_sets(spectrum.totally_primes)
     sig, up = _signatures(logic, tps)
     checks = (
         *(_check_signed(logic, name, tps, sig, up) for name in ("join", "meet", "neg", "impl")),
         _check_bound(logic, "top", True),
         _check_bound(logic, "bottom", False),
     )
-    spectrum = theory_spectrum(logic)
     report = ClassificationReport(
         conditions=checks,
         classification="none",

@@ -211,13 +211,15 @@ class LogicIndex:
     Built lazily, once per AbstractLogic object (its ``_index``).
     ``theories`` follows sorted_sets order and ``primes`` the graded
     order (size, then contents), so scanning either finds the same first
-    witness as scanning the frozensets.  ``masks`` holds the theories as
-    bitmasks; ``mask_set`` and ``prime_mask_set`` answer membership of a
-    bitmask among the theories and among the primes.  ``class_of[a]``
-    numbers the membership column of expression a by first appearance:
-    two expressions share a class id exactly when they lie in the same
-    theories, and class ids ascend with the smallest member of their
-    class.
+    witness as scanning the frozensets.  logic_space numbers its points
+    in the primes' order: smaller primes come first, so the generic
+    point of a chain of primes takes the lowest index.  ``masks`` holds
+    the theories as bitmasks; ``mask_set`` and ``prime_mask_set`` answer
+    membership of a bitmask among the theories and among the primes.
+    ``class_of[a]`` numbers the membership column of expression a by
+    first appearance: two expressions share a class id exactly when they
+    lie in the same theories, and class ids ascend with the smallest
+    member of their class.
     """
 
     theories: tuple[ExprSet, ...]

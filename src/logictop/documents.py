@@ -11,9 +11,11 @@ with errors carrying a JSON-pointer path like /theories/0/0.
 
 The document layer checks the shape and entry types of each index field
 (theories, basis, tables, map rows) and leaves the range to the
-constructor that takes the field, which checks it once.  When a document
-is refused, one walk over the index fields read so far names the first
-fault in reading order; if they hold none, the refusal stands.
+constructor that takes the field, which checks it once.  Each kind's
+parser notes the index fields it reads; when a document is refused,
+_document_from_obj, the one refusal path, walks the fields read so far
+and names the first fault in reading order; if they hold none, the
+refusal stands.
 
 parse_document keeps each document it accepts for the life of the
 process, keyed by the SHA-256 digest of its text.  A map's endpoint is
@@ -239,73 +241,58 @@ def _explain(read: list) -> None:
         _walk(*field)
 
 
-def _parse_logic(obj: dict, path: str) -> AbstractLogic:
+def _parse_logic(obj: dict, path: str, read: list) -> AbstractLogic:
     _as_object(obj, path, ("kind", "exprs", "theories", "connectives"))
     names = _as_names(_require(obj, "exprs", path), f"{path}/exprs")
     n = len(names)
-    read: list = []
-    try:
-        sets = _index_field(read, _require(obj, "theories", path), f"{path}/theories", n, _SETS)
-        family = _built(f"{path}/theories", TheoryFamily, n, frozenset(map(frozenset, sets)))
-        tables = None
-        if "connectives" in obj:
-            cp = f"{path}/connectives"
-            c = _as_object(obj["connectives"], cp, ("join", "meet", "impl", "neg", "top", "bottom"))
-            if "join" not in c:
-                _fail(f"{cp}/join", "missing required key")
-            shapes = {"join": (n, n), "meet": (n, n), "impl": (n, n), "neg": (n,)}
-            kwargs = {key: _index_field(read, c[key], f"{cp}/{key}", n, shape)
-                      for key, shape in shapes.items() if key in c}
-            for key in ("top", "bottom"):
-                if key in c:
-                    kwargs[key] = _as_index(c[key], f"{cp}/{key}", n)
-            tables = ConnectiveTables(**kwargs)
-        return _built(path, AbstractLogic, names, family, tables)
-    except SchemaError:
-        _explain(read)
-        raise
+    sets = _index_field(read, _require(obj, "theories", path), f"{path}/theories", n, _SETS)
+    family = _built(f"{path}/theories", TheoryFamily, n, frozenset(map(frozenset, sets)))
+    tables = None
+    if "connectives" in obj:
+        cp = f"{path}/connectives"
+        c = _as_object(obj["connectives"], cp, ("join", "meet", "impl", "neg", "top", "bottom"))
+        if "join" not in c:
+            _fail(f"{cp}/join", "missing required key")
+        shapes = {"join": (n, n), "meet": (n, n), "impl": (n, n), "neg": (n,)}
+        kwargs = {key: _index_field(read, c[key], f"{cp}/{key}", n, shape)
+                  for key, shape in shapes.items() if key in c}
+        for key in ("top", "bottom"):
+            if key in c:
+                kwargs[key] = _as_index(c[key], f"{cp}/{key}", n)
+        tables = ConnectiveTables(**kwargs)
+    return _built(path, AbstractLogic, names, family, tables)
 
 
-def _parse_poset(obj: dict, path: str) -> FinitePoset:
+def _parse_poset(obj: dict, path: str, read: list) -> FinitePoset:
     _as_object(obj, path, ("kind", "elements", "leq"))
     names = _as_names(_require(obj, "elements", path), f"{path}/elements")
     pairs = _as_name_pairs(_require(obj, "leq", path), f"{path}/leq", names)
     return _built(f"{path}/leq", FinitePoset.from_pairs, names, pairs)
 
 
-def _parse_lattice(obj: dict, path: str) -> FiniteLattice:
+def _parse_lattice(obj: dict, path: str, read: list) -> FiniteLattice:
     _as_object(obj, path, ("kind", "elements", "leq", "impl", "top", "bottom"))
     names = _as_names(_require(obj, "elements", path), f"{path}/elements")
     n = len(names)
     pairs = _as_name_pairs(_require(obj, "leq", path), f"{path}/leq", names)
     order = _built(f"{path}/leq", FinitePoset.from_pairs, names, pairs)
-    read: list = []
-    try:
-        impl = _index_field(read, obj["impl"], f"{path}/impl", n, (n, n)) if "impl" in obj else None
-        lattice = _built(f"{path}/leq", FiniteLattice, names, order.leq, impl=impl)
-        top = _as_index(obj["top"], f"{path}/top", n) if "top" in obj else None
-        bottom = _as_index(obj["bottom"], f"{path}/bottom", n) if "bottom" in obj else None
-        return _built(path, replace, lattice, top=top, bottom=bottom)
-    except SchemaError:
-        _explain(read)
-        raise
+    impl = _index_field(read, obj["impl"], f"{path}/impl", n, (n, n)) if "impl" in obj else None
+    lattice = _built(f"{path}/leq", FiniteLattice, names, order.leq, impl=impl)
+    top = _as_index(obj["top"], f"{path}/top", n) if "top" in obj else None
+    bottom = _as_index(obj["bottom"], f"{path}/bottom", n) if "bottom" in obj else None
+    return _built(path, replace, lattice, top=top, bottom=bottom)
 
 
-def _parse_space(obj: dict, path: str) -> FiniteSpace:
+def _parse_space(obj: dict, path: str, read: list) -> FiniteSpace:
     _as_object(obj, path, ("kind", "points", "basis", "basis_names"))
     names = _as_names(_require(obj, "points", path), f"{path}/points")
-    read: list = []
-    try:
-        sets = _index_field(read, _require(obj, "basis", path), f"{path}/basis", len(names), _SETS)
-        basis_names = ()
-        if "basis_names" in obj:
-            basis_names = _as_names(obj["basis_names"], f"{path}/basis_names")
-            if basis_names and len(basis_names) != len(sets):
-                _fail(f"{path}/basis_names", "one display name per basis element")
-        space = _built(f"{path}/basis", FiniteSpace, names, sets, basis_names)
-    except SchemaError:
-        _explain(read)
-        raise
+    sets = _index_field(read, _require(obj, "basis", path), f"{path}/basis", len(names), _SETS)
+    basis_names = ()
+    if "basis_names" in obj:
+        basis_names = _as_names(obj["basis_names"], f"{path}/basis_names")
+        if basis_names and len(basis_names) != len(sets):
+            _fail(f"{path}/basis_names", "one display name per basis element")
+    space = _built(f"{path}/basis", FiniteSpace, names, sets, basis_names)
     try:
         opens(space)  # once per distinct text or endpoint: parse_document keeps what it accepts
     except BoundExceeded:
@@ -338,30 +325,32 @@ def _parse_endpoint(obj, path: str, kind: str, endpoints: dict):
     return doc.value
 
 
-def _parse_map(kind: str, obj: dict, path: str, endpoints: dict) -> LogicMap | PointMap:
+def _parse_map(kind: str, obj: dict, path: str, read: list, endpoints: dict) -> LogicMap | PointMap:
     endpoint, cls, size = _MAPS[kind]
     _as_object(obj, path, ("kind", "source", "target", "map"))
     source = _parse_endpoint(_require(obj, "source", path), f"{path}/source", endpoint, endpoints)
     target = _parse_endpoint(_require(obj, "target", path), f"{path}/target", endpoint, endpoints)
-    read: list = []
-    try:
-        row = _index_field(read, _require(obj, "map", path), f"{path}/map", getattr(target, size),
-                           (getattr(source, size),))
-        return _built(f"{path}/map", cls, source, target, row)
-    except SchemaError:
-        _explain(read)
-        raise
+    row = _index_field(read, _require(obj, "map", path), f"{path}/map", getattr(target, size),
+                       (getattr(source, size),))
+    return _built(f"{path}/map", cls, source, target, row)
 
 
 def _document_from_obj(obj, path: str, endpoints: dict) -> Document:
+    """The document obj spells, at path; the one refusal path, which
+    explains a refusal from the index fields the parser noted in read."""
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
     kind = obj.get("kind")
     if kind not in KINDS:
         _fail(f"{path}/kind", f"expected one of {', '.join(KINDS)}")
-    if kind in _MAPS:
-        return Document(kind, _parse_map(kind, obj, path, endpoints))
-    return Document(kind, _PARSERS[kind](obj, path))
+    read: list = []
+    try:
+        if kind in _MAPS:
+            return Document(kind, _parse_map(kind, obj, path, read, endpoints))
+        return Document(kind, _PARSERS[kind](obj, path, read))
+    except SchemaError:
+        _explain(read)
+        raise
 
 
 # emission

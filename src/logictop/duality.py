@@ -153,21 +153,12 @@ class DualityReport:
     witnesses: tuple[tuple[str, object], ...] = ()
 
 
-def sorted_primes(logic: AbstractLogic) -> tuple[ExprSet, ...]:
-    """Totally prime theories in canonical (size, then contents) order.
-
-    Graded so that smaller primes come first; the generic point of a
-    chain of primes then takes the lowest index.
-    """
-    return logic._index.primes
-
-
 @lru_cache(maxsize=None)
 def logic_space(logic: AbstractLogic) -> SpectrumPresentation:
     """The prime spectrum of a distributive logic, extents as basis."""
     if not verify_connectives(logic).is_distributive:
         raise NotDistributive("the spectrum construction needs join and meet to hold")
-    primes = sorted_primes(logic)
+    primes = logic._index.primes
     point_names = tuple(f"p{i}" for i in range(len(primes)))
     basis: list[PointSet] = []
     names: list[str] = []

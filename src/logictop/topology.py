@@ -139,13 +139,14 @@ class SpaceIndex:
     ``upsets`` pairs each point's bit with its specialization upset;
     ``opens`` and ``closed`` are the opens and their complements.
     ``lattice_violation`` is the first basic pair whose union or
-    intersection is not basic.  ``arrows`` (read on first use) holds
-    the arrow of each distinct difference of basic opens, which both
-    implication_witness and space_logic read; ``implication_witness`` is
-    the first basic pair whose arrow is not basic.  Each verdict tests all pairs at once and scans the pairs in
-    order for the first witness only when the test fails.  No arrow
-    table is kept here: on a failure _arrow_table only scans for the
-    pair, and space_logic builds the table it needs.
+    intersection is not basic.  ``arrows`` holds the arrow of each
+    distinct difference of basic opens, which space_logic reads too;
+    ``implication_witness`` is the first basic pair whose arrow is not
+    basic.  Both are built with the index.  Each verdict tests all pairs
+    at once and scans the pairs in order for the first witness only when
+    the test fails.  No arrow table is kept here: on a failure
+    _arrow_table only scans for the pair, and space_logic builds the
+    table it needs.
     """
 
     carrier: int
@@ -157,6 +158,8 @@ class SpaceIndex:
     opens: frozenset[int]
     closed: frozenset[int]
     lattice_violation: tuple[PointSet, PointSet] | None
+    arrows: dict[int, int]
+    implication_witness: tuple[PointSet, PointSet] | None
 
     @classmethod
     def of(cls, space: FiniteSpace) -> SpaceIndex:
@@ -168,6 +171,11 @@ class SpaceIndex:
         order = specialization_order(space)
         upsets = tuple((1 << x, _mask(order.upset(x))) for x in range(space.n_points))
         open_masks = frozenset(_mask(o) for o in opens(space))
+        arrows = _arrows(masks, upsets)
+        witness = None
+        if not mask_set.issuperset(arrows.values()):
+            _, (i, j) = _arrow_table(masks, arrows, mask_set)
+            witness = basis[i], basis[j]
         return cls(
             carrier=carrier,
             listed=listed,
@@ -178,18 +186,9 @@ class SpaceIndex:
             opens=open_masks,
             closed=frozenset(carrier & ~o for o in open_masks),
             lattice_violation=_lattice_violation(basis, masks),
+            arrows=arrows,
+            implication_witness=witness,
         )
-
-    @cached_property
-    def arrows(self) -> dict[int, int]:
-        return _arrows(self.masks, self.upsets)
-
-    @cached_property
-    def implication_witness(self) -> tuple[PointSet, PointSet] | None:
-        if self.mask_set.issuperset(self.arrows.values()):
-            return None
-        _, (i, j) = _arrow_table(self.masks, self.arrows, self.mask_set)
-        return self.basis[i], self.basis[j]
 
     def closure(self, a: int) -> int:
         """The smallest closed superset of a: the carrier minus every
@@ -219,6 +218,8 @@ class SpecializationOrder:
 class SpaceReport:
     is_T0: bool
     covers_carrier: bool
+    # equals covers_carrier: the carrier is open exactly when it is a
+    # union of basic opens, that is when no point is uncovered
     is_compact: bool
     is_sober: bool
     is_spectral: bool
@@ -267,10 +268,6 @@ def _t0_witness(space: FiniteSpace) -> tuple[int, int] | None:
             return seen[profile], x
         seen[profile] = x
     return None
-
-
-def is_t0(space: FiniteSpace) -> bool:
-    return _t0_witness(space) is None
 
 
 def point_filter(space: FiniteSpace, x: int) -> frozenset[int]:
@@ -396,7 +393,7 @@ def is_distributive_space(space: FiniteSpace) -> DistributiveSpaceVerdict:
     bounded = 0 in index.mask_set and index.carrier in index.mask_set
     if space.uncovered:
         return DistributiveSpaceVerdict(False, bounded, ("carrier-not-covered", None))
-    if not is_t0(space):
+    if _t0_witness(space) is not None:
         return DistributiveSpaceVerdict(False, bounded, ("not-T0", None))
     extra = index.opens - index.mask_set - {0}
     if extra:
@@ -438,8 +435,6 @@ def _analyze(space: FiniteSpace) -> SpaceReport:
     if not covers:
         witnesses.append(("covers_carrier", min(uncovered)))
 
-    compact = index.carrier in ops
-
     sober = True
     for f in irreducible_closed_sets(space):
         point, unique = generic_point(space, f)
@@ -472,7 +467,7 @@ def _analyze(space: FiniteSpace) -> SpaceReport:
     return SpaceReport(
         is_T0=t0,
         covers_carrier=covers,
-        is_compact=compact,
+        is_compact=covers,
         is_sober=sober,
         is_spectral=spectral,
         is_boolean=boolean,

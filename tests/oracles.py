@@ -7,11 +7,13 @@ Tests compare the package's cleverer code against these.
 
 import dataclasses
 import json
+import operator
 import random
+from functools import reduce
 from itertools import chain, combinations, permutations
 
 from logictop import corpus
-from logictop.builders import FiniteLattice
+from logictop.builders import FiniteLattice, _bitrows, _lowest
 from logictop.core import set_key, sorted_sets, theory_spectrum
 from logictop.documents import _EMITTERS
 from logictop.duality import analyze_logic_map
@@ -502,6 +504,19 @@ def oracle_order_error(leq):
                     if leq[j][k] and not leq[i][k]:
                         return f"order not transitive at {i},{j},{k}"
     return None
+
+
+def lattice_from_leq(element_names, leq):
+    """The lattice of an order, with its greatest and least elements
+    declared; an order that is no lattice raises ValueError.  The
+    bounds are read off the order's rows before the one build: every
+    row holds the top, and the bottom's row is full."""
+    rows = _bitrows(leq)
+    full = (1 << len(rows)) - 1
+    common = reduce(operator.and_, rows, full)
+    top = _lowest(common) if common else None
+    bottom = rows.index(full) if full in rows else None
+    return FiniteLattice(element_names, leq, top=top, bottom=bottom)
 
 
 def oracle_lattice_tables(leq):

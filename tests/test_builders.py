@@ -27,6 +27,7 @@ from logictop.topology import FiniteSpace, _arrow, _members, specialization_orde
 
 from oracles import (
     canonical_form,
+    lattice_from_leq,
     oracle_canonical_matrix,
     oracle_labeled_posets,
     oracle_open_implication,
@@ -175,7 +176,7 @@ def test_frames_past_the_enumeration_bound_roundtrip_onto_their_points(frame):
 
 def test_lattice_rejects_missing_bounds():
     with pytest.raises(ValueError):
-        FiniteLattice.from_leq(("a", "b"), ((True, False), (False, True)))
+        lattice_from_leq(("a", "b"), ((True, False), (False, True)))
 
 
 def test_from_leq_builds_the_lattice_once(monkeypatch):
@@ -186,13 +187,13 @@ def test_from_leq_builds_the_lattice_once(monkeypatch):
     post_init = FiniteLattice.__post_init__
     monkeypatch.setattr(FiniteLattice, "__post_init__", lambda self: builds.append(self) or post_init(self))
     t, f = True, False
-    up = FiniteLattice.from_leq("abc", ((t, t, t), (f, t, t), (f, f, t)))
-    down = FiniteLattice.from_leq("abc", ((t, f, f), (t, t, f), (t, t, t)))
+    up = lattice_from_leq("abc", ((t, t, t), (f, t, t), (f, f, t)))
+    down = lattice_from_leq("abc", ((t, f, f), (t, t, f), (t, t, t)))
     assert len(builds) == 2
     assert (up.top, up.bottom, down.top, down.bottom) == (2, 0, 0, 2)
     for lattice in _bounded_lattices(4):
         assert (lattice.top, lattice.bottom) == (lattice.n - 1, 0)
-    empty = FiniteLattice.from_leq((), ())
+    empty = lattice_from_leq((), ())
     assert (empty.n, empty.top, empty.bottom) == (0, None, None)
     for names, leq, message in (
         ("ab", ((t, f), (f, t)), "no least upper bound for 0,1"),
@@ -201,7 +202,7 @@ def test_from_leq_builds_the_lattice_once(monkeypatch):
         ("ab", ((t, t), (t, t)), "order not antisymmetric at 0,1"),
     ):
         with pytest.raises(ValueError) as err:
-            FiniteLattice.from_leq(names, leq)
+            lattice_from_leq(names, leq)
         assert str(err.value) == message
 
 
@@ -255,12 +256,11 @@ def test_filter_logic_rejects_non_distributive():
     names = ("0", "a", "b", "c", "1")
     pairs = [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")]
     poset = FinitePoset.from_pairs(names, pairs)
-    lattice = FiniteLattice.from_leq(names, poset.leq)
+    lattice = lattice_from_leq(names, poset.leq)
     with pytest.raises(NotDistributiveLattice) as err:
         logic_from_lattice_filters(lattice)
     assert err.value.witness is not None
     assert lattice.distributivity_witness() is not None
-    assert not lattice.is_distributive
 
 
 def test_open_set_lattice_of_sierpinski_is_chain():
@@ -437,7 +437,7 @@ def test_a_closure_stops_growing_once_past_its_limit():
 
 
 def test_godel_witness_needs_heyting_structure():
-    lattice = FiniteLattice.from_leq(("a", "b"), ((True, True), (False, True)))
+    lattice = lattice_from_leq(("a", "b"), ((True, True), (False, True)))
     with pytest.raises(NotHeyting):
         godel_witness(lattice)
 
@@ -534,7 +534,7 @@ def _bounded_lattices(max_points):
     out = []
     for names, leq in _bounded_orders(max_points):
         try:
-            out.append(FiniteLattice.from_leq(names, leq))
+            out.append(lattice_from_leq(names, leq))
         except ValueError:
             pass
     return out
@@ -587,7 +587,7 @@ def test_distributivity_witness_matches_the_loop_oracle(lattice, rng):
     order = list(range(n))
     rng.shuffle(order)
     leq = [[lattice.leq[order[i]][order[j]] for j in range(n)] for i in range(n)]
-    relabelled = FiniteLattice.from_leq([lattice.element_names[i] for i in order], leq)
+    relabelled = lattice_from_leq([lattice.element_names[i] for i in order], leq)
     assert relabelled.distributivity_witness() == oracle_distributivity_witness(relabelled)
 
 

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logictop import cli, core, duality
-from logictop.builders import FiniteLattice
 from logictop.cli import run_cli
 from logictop.connectives import verify_connectives
 from logictop.core import theory_spectrum
@@ -42,7 +41,7 @@ from logictop.duality import (
 from logictop.errors import WorkbenchError
 from logictop.topology import FiniteSpace
 
-from oracles import oracle_jsonable
+from oracles import lattice_from_leq, oracle_jsonable
 
 
 @pytest.fixture()
@@ -214,7 +213,7 @@ def test_godel_witness_text(docs, capsys):
 def test_godel_witness_refuses_a_lattice_that_is_not_heyting(tmp_path, capsys):
     # a poset's upsets are scanned with no algebra built or checked; a
     # lattice document still goes through the Heyting check
-    chain = FiniteLattice.from_leq(("a", "b"), ((True, True), (False, True)))
+    chain = lattice_from_leq(("a", "b"), ((True, True), (False, True)))
     path = tmp_path / "chain.json"
     path.write_text(emit_document(Document("lattice", chain)), encoding="utf-8")
     assert run_cli(["godel-witness", "--input", str(path)]) == 1

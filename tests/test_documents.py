@@ -321,6 +321,27 @@ def test_the_first_of_two_bad_entries_is_reported():
     assert str(err.value) == "/connectives/join/2/1: expected an integer"
 
 
+_UNJOINED = {"kind": "lattice", "elements": ["a", "b"], "leq": []}
+
+
+@pytest.mark.parametrize("obj, message", [
+    # the impl field is read, and walked, before the order is built
+    ({**_UNJOINED, "impl": [[0, 5], [1, 1]]}, "/impl/0/1: index 5 out of range 0..1"),
+    # the order is built before top is read
+    ({**_UNJOINED, "impl": [[0, 1], [1, 1]], "top": "x"}, "/leq: no least upper bound for 0,1"),
+    # the basis is walked before its names are read
+    ({"kind": "space", "points": ["x", "y"], "basis": [[0], [0, 7]], "basis_names": ["U", 3]},
+     "/basis/1/1: index 7 out of range 0..1"),
+    # the theories are walked before the connectives are read
+    ({"kind": "logic", "exprs": ["a", "b"], "theories": [[0], [0, 9]], "connectives": {"meet": [[0, 0], [0, 1]]}},
+     "/theories/1/1: index 9 out of range 0..1"),
+])
+def test_a_document_with_faults_in_two_fields_is_refused_at_the_first_read(obj, message):
+    with pytest.raises(SchemaError) as err:
+        parse_document(json.dumps(obj))
+    assert str(err.value) == message
+
+
 def _corpus_documents():
     """Every document kind, built from the corpus."""
     logics = [logic for _, logic in corpus_logics(4)]

@@ -32,7 +32,6 @@ from logictop.duality import (
     point_filter_embedding,
     roundtrip_logic,
     roundtrip_space,
-    sorted_primes,
     space_logic,
     stable_iff_disjunction,
 )
@@ -77,7 +76,7 @@ def test_logic_space_of_vframe_logic(vframe_logic):
 
 
 def test_primes_order_is_graded(vframe_logic):
-    primes = sorted_primes(vframe_logic)
+    primes = vframe_logic._index.primes
     assert [len(p) for p in primes] == sorted(len(p) for p in primes)
 
 

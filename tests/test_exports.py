@@ -1,4 +1,5 @@
-"""The package exports only what the program itself uses."""
+"""The package exports only what the program itself uses, and its classes
+define no public member that the program does not read."""
 
 import ast
 from pathlib import Path
@@ -14,6 +15,9 @@ ALLOWED = {
     "quotient_logic": "the property tests build their quotient instances with it",
     "is_strongly_connected": "criterion 9's prelinearity check is to call it",
 }
+
+# (class, member) defined for the tests alone, each for a stated reason
+ALLOWED_MEMBERS: dict[tuple[str, str], str] = {}
 
 
 def _exports() -> set[str]:
@@ -36,6 +40,24 @@ def _references(path: Path) -> set[str]:
     return found
 
 
+def _attributes(path: Path) -> set[str]:
+    """Every attribute name path's code reads, as _references walks it."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)}
+
+
+def _public_members() -> set[tuple[str, str]]:
+    """(class, member) for each public method, property and classmethod
+    defined in a class of the package."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                found.update((node.name, item.name) for item in node.body
+                             if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+    return found
+
+
 def test_every_export_has_a_caller_in_the_program():
     files = [*(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"), *(ROOT / "demos").glob("*.py")]
     used = set().union(*map(_references, files))
@@ -44,3 +66,11 @@ def test_every_export_has_a_caller_in_the_program():
     unused = exports - used
     assert sorted(unused - set(ALLOWED)) == [], "exported, but nothing in src/ or demos/ calls it"
     assert sorted(set(ALLOWED) - unused) == [], "allowed, but now called or no longer exported"
+
+
+def test_every_public_member_is_read_by_the_program():
+    files = [*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py")]
+    read = set().union(*map(_attributes, files))
+    unread = {(cls, name) for cls, name in _public_members() if name not in read}
+    assert sorted(unread - set(ALLOWED_MEMBERS)) == [], "defined, but nothing in src/ or demos/ reads it"
+    assert sorted(set(ALLOWED_MEMBERS) - unread) == [], "allowed, but now read or no longer defined"
