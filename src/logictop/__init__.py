@@ -11,7 +11,6 @@ from .builders import (
     FiniteLattice,
     FinitePoset,
     POSET_ENUMERATION_BOUND,
-    RANDOM_LOGIC_BOUND,
     UPSET_BOUND,
     enumerate_posets,
     frame_godel_witness,
@@ -19,7 +18,6 @@ from .builders import (
     heyting_from_upsets,
     is_strongly_connected,
     logic_from_lattice_filters,
-    random_logic,
 )
 from .connectives import (
     ClassificationReport,
@@ -36,7 +34,6 @@ from .core import (
     TheorySpectrum,
     close_under_intersection,
     consequence,
-    quotient_logic,
     set_key,
     sorted_sets,
     theory_spectrum,
@@ -84,7 +81,6 @@ from .errors import (
 from .topology import (
     FiniteSpace,
     SpaceReport,
-    SpecializationOrder,
     analyze_space,
     closure,
     constructible_topology,
@@ -96,7 +92,6 @@ from .topology import (
     opens,
     point_filter,
     prime_filters_on_basis,
-    specialization_order,
 )
 
 __version__ = "0.1.0"

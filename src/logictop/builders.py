@@ -1,9 +1,8 @@
 """Constructors for the instance corpus.
 
 Frames give upset algebras and lattices give filter logics; alongside
-these sit an exact enumerator for small posets, a seeded random
-intersection structure, and the double-negation witness showing why the
-Godel translation cannot preserve primes.
+these sit an exact enumerator for small posets and the double-negation
+witness showing why the Godel translation cannot preserve primes.
 
 Lattice elements produced here are ordered by size first and contents
 second, so the bottom sits at index 0 and the top at the last index.
@@ -12,14 +11,12 @@ second, so the bottom sits at index 0 and the top at the last index.
 from __future__ import annotations
 
 import operator
-import random
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress, permutations
 from typing import Iterable, Iterator, Sequence
 
-from .core import (AbstractLogic, ConnectiveTables, TheoryFamily, _check_indices, _close, _mask,
-                   close_under_intersection, set_key)
+from .core import AbstractLogic, ConnectiveTables, TheoryFamily, _check_indices, _close, _mask, set_key
 from .errors import BoundExceeded, EmptyGeneratorSet, NotDistributiveLattice, NotHeyting
 from .topology import PointSet, _arrow, _arrow_table, _arrows
 
@@ -63,20 +60,21 @@ def _check_order(leq: LeqMatrix) -> tuple[list[int], list[int]]:
     return up, down
 
 
-def cover_edges(matrix: LeqMatrix) -> tuple[tuple[int, int], ...]:
-    """Pairs (i, j), i below j, with nothing strictly between them.
+def cover_edges(up: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """Pairs (i, j), i below j, with nothing strictly between them; bit
+    j of up[i] is set when i lies below j.
 
-    Works on any preorder matrix: strictly between means distinct from
-    both ends, so points equivalent under a non-antisymmetric order are
+    Works on any preorder: strictly between means distinct from both
+    ends, so points equivalent under a non-antisymmetric order are
     joined both ways.
     """
-    n = len(matrix)
+    n = len(up)
+    down = [sum(1 << i for i, row in enumerate(up) if row >> j & 1) for j in range(n)]
     return tuple(
         (i, j)
-        for i in range(n)
+        for i, row in enumerate(up)
         for j in range(n)
-        if i != j and matrix[i][j]
-        and not any(k != i and k != j and matrix[i][k] and matrix[k][j] for k in range(n))
+        if i != j and row >> j & 1 and not row & down[j] & ~(1 << i | 1 << j)
     )
 
 
@@ -420,23 +418,6 @@ def enumerate_posets(n: int) -> Iterator[FinitePoset]:
     names = tuple(f"x{i}" for i in range(n))
     for leq in sorted(mats):
         yield FinitePoset(names, leq)
-
-
-RANDOM_LOGIC_BOUND = 12
-
-
-def random_logic(n: int, seed: int) -> AbstractLogic:
-    """A reproducible random intersection structure on n expressions."""
-    if not 1 <= n <= RANDOM_LOGIC_BOUND:
-        raise BoundExceeded(f"random logics support 1..{RANDOM_LOGIC_BOUND} expressions, got {n}")
-    rng = random.Random(seed)
-    count = rng.randint(1, max(2, n))
-    generators = [
-        frozenset(a for a in range(n) if rng.random() < 0.5)
-        for _ in range(count)
-    ]
-    theories = close_under_intersection(n, generators)
-    return AbstractLogic(tuple(f"e{i}" for i in range(n)), theories)
 
 
 def godel_witness(algebra: FiniteLattice) -> tuple[int, int, int, int] | None:

@@ -346,46 +346,3 @@ def theory_spectrum(logic: AbstractLogic) -> TheorySpectrum:
         elif frozenset.intersection(*strict) != t:
             primes.add(t)
     return TheorySpectrum(primes=frozenset(primes), maximals=frozenset(maximals))
-
-
-def quotient_logic(logic: AbstractLogic) -> tuple[AbstractLogic, tuple[int, ...]]:
-    """Collapse logically equivalent expressions to one representative each.
-
-    Representatives are the smallest index of each equivalence class, kept
-    in ascending order.  Theories are unions of whole classes (equivalent
-    expressions share every theory) so transporting them through the
-    projection is well defined; connective tables are transported through
-    the representatives.  The projection is a normal, stable and
-    surjective logic map; the duality module's analyzer confirms that.
-    """
-    projection = logic._index.class_of
-    reps: list[int] = []
-    for a, c in enumerate(projection):
-        if c == len(reps):
-            reps.append(a)
-
-    names = tuple(logic.expr_names[rep] for rep in reps)
-    theories = TheoryFamily(
-        len(reps),
-        frozenset(frozenset(projection[a] for a in t) for t in logic.theories.theories),
-    )
-
-    tables = None
-    if logic.connectives is not None:
-        c = logic.connectives
-
-        def move(table):
-            if table is None:
-                return None
-            return tuple(tuple(projection[table[i][j]] for j in reps) for i in reps)
-
-        tables = ConnectiveTables(
-            join=move(c.join),
-            meet=move(c.meet),
-            impl=move(c.impl),
-            neg=tuple(projection[c.neg[i]] for i in reps) if c.neg is not None else None,
-            top=projection[c.top] if c.top is not None else None,
-            bottom=projection[c.bottom] if c.bottom is not None else None,
-        )
-
-    return AbstractLogic(names, theories, tables), projection

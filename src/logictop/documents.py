@@ -366,38 +366,65 @@ def _encode(obj, newline: str) -> str:
     shapes: dicts with string keys, lists, ints and strings.
 
     ``newline`` is a line break plus the indentation of the line obj
-    starts on.  Rows of ints or of strings are joined in one pass, ints
-    read off _DECIMALS; booleans and null are written here, and any
-    other scalar (a float) goes to json.dumps.
+    starts on.  The text is written into one list of parts and joined
+    once, so each level of nesting is copied once, not once per
+    enclosing level.  Each level takes two stack frames (_write and
+    _write_container): a value nested past about 490 levels raises
+    RecursionError, on which _parse_endpoint parses the endpoint as it
+    stands.
     """
+    parts: list[str] = []
+    _write(obj, newline, parts)
+    return "".join(parts)
+
+
+def _write(obj, newline: str, parts: list[str]) -> None:
+    """Append obj's text to parts.  Booleans and null are written here,
+    and any other scalar (a float) goes to json.dumps."""
     kind = type(obj)
     if kind is str:
-        return encode_basestring(obj)
-    if kind is int:
-        return str(obj)
-    if kind is bool:
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if kind is dict or kind is list:
-        if not obj:
-            return "{}" if kind is dict else "[]"
-        inner = newline + "  "
-        if kind is dict:
-            items = [f"{encode_basestring(k)}: {_encode(v, inner)}" for k, v in obj.items()]
-            return "{" + inner + ("," + inner).join(items) + newline + "}"
+        parts.append(encode_basestring(obj))
+    elif kind is int:
+        parts.append(str(obj))
+    elif kind is bool:
+        parts.append("true" if obj else "false")
+    elif obj is None:
+        parts.append("null")
+    elif kind is dict or kind is list:
+        if obj:
+            _write_container(obj, kind is dict, newline, parts)
+        else:
+            parts.append("{}" if kind is dict else "[]")
+    else:
+        parts.append(json.dumps(obj))
+
+
+def _write_container(obj, is_dict: bool, newline: str, parts: list[str]) -> None:
+    """Append the text of a non-empty dict or list.  Rows of ints or of
+    strings are joined in one pass, ints read off _DECIMALS."""
+    inner = newline + "  "
+    lead, sep = ("{" if is_dict else "[") + inner, "," + inner
+    if is_dict:
+        for k, v in obj.items():
+            parts += (lead, encode_basestring(k), ": ")
+            lead = sep
+            _write(v, inner, parts)
+    else:
         types = set(map(type, obj))
         if types == {int}:
             try:
                 items = itemgetter(*obj)(_DECIMALS) if len(obj) > 1 else (_DECIMALS[obj[0]],)
             except KeyError:  # negative, or past the table
                 items = map(str, obj)
+            parts += (lead, sep.join(items))
         elif types == {str}:
-            items = map(encode_basestring, obj)
+            parts += (lead, sep.join(map(encode_basestring, obj)))
         else:
-            items = [_encode(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    return json.dumps(obj)
+            for v in obj:
+                parts.append(lead)
+                lead = sep
+                _write(v, inner, parts)
+    parts.append(newline + ("}" if is_dict else "]"))
 
 
 def _order_pairs(names: tuple[str, ...], leq) -> list[list[str]]:

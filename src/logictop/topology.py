@@ -13,7 +13,8 @@ checks compare the two routes.
 
 Each space compiles what the analyses scan once, lazily, into a
 SpaceIndex of int bitmasks (bit x for point x); the readers scan the
-masks and hand point sets back as frozensets.  Its SpaceReport is built
+masks and hand point sets back as frozensets; the specialization order
+is kept only there, one upset mask per point.  Its SpaceReport is built
 once too, on first reading, and kept next to the index.
 """
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Container, Iterable, Sequence
 
 from .core import _check_indices, _close, _mask, set_key, sorted_sets
@@ -136,17 +137,18 @@ class SpaceIndex:
     space's own order.  ``basis`` follows sorted_sets order, so scanning it
     finds the same first witness as scanning the sorted frozensets;
     ``masks`` holds it as bitmasks and ``mask_set`` answers membership.
-    ``upsets`` pairs each point's bit with its specialization upset;
-    ``opens`` and ``closed`` are the opens and their complements.
-    ``lattice_violation`` is the first basic pair whose union or
-    intersection is not basic.  ``arrows`` holds the arrow of each
-    distinct difference of basic opens, which space_logic reads too;
-    ``implication_witness`` is the first basic pair whose arrow is not
-    basic.  Both are built with the index.  Each verdict tests all pairs
-    at once and scans the pairs in order for the first witness only when
-    the test fails.  No arrow table is kept here: on a failure
-    _arrow_table only scans for the pair, and space_logic builds the
-    table it needs.
+    ``upsets`` pairs each point's bit with its specialization upset, the
+    meet of the basic opens holding it (the carrier if none does); T0
+    twins are the points with equal upsets.  ``opens`` and ``closed``
+    are the opens and their complements.  ``lattice_violation`` is the
+    first basic pair whose union or intersection is not basic.
+    ``arrows`` holds the arrow of each distinct difference of basic
+    opens, which space_logic reads too; ``implication_witness`` is the
+    first basic pair whose arrow is not basic.  Both are built with the
+    index.  Each verdict tests all pairs at once and scans the pairs in
+    order for the first witness only when the test fails.  No arrow
+    table is kept here: on a failure _arrow_table only scans for the
+    pair, and space_logic builds the table it needs.
     """
 
     carrier: int
@@ -168,8 +170,8 @@ class SpaceIndex:
         basis = tuple(sorted_sets(space.basis))
         masks = tuple(map(dict(zip(space.basis, listed)).__getitem__, basis))
         mask_set = frozenset(masks)
-        order = specialization_order(space)
-        upsets = tuple((1 << x, _mask(order.upset(x))) for x in range(space.n_points))
+        upsets = tuple((1 << x, reduce(operator.and_, [u for u in listed if u >> x & 1], carrier))
+                       for x in range(space.n_points))
         open_masks = frozenset(_mask(o) for o in opens(space))
         arrows = _arrows(masks, upsets)
         witness = None
@@ -198,20 +200,6 @@ class SpaceIndex:
             if not u & a:
                 missing |= u
         return self.carrier & ~missing
-
-
-@dataclass(frozen=True)
-class SpecializationOrder:
-    """x below y when y lies in every basic open containing x.
-
-    A preorder in general; antisymmetric exactly when the space is T0.
-    """
-
-    point_names: tuple[str, ...]
-    matrix: tuple[tuple[bool, ...], ...]
-
-    def upset(self, x: int) -> PointSet:
-        return frozenset(y for y in range(len(self.point_names)) if self.matrix[x][y])
 
 
 @dataclass(frozen=True)
@@ -260,13 +248,13 @@ def closure(space: FiniteSpace, A: Iterable[int]) -> PointSet:
 
 
 def _t0_witness(space: FiniteSpace) -> tuple[int, int] | None:
-    """The first two points lying in the same basic opens, if any."""
-    seen: dict[frozenset[int], int] = {}
-    for x in range(space.n_points):
-        profile = point_filter(space, x)
-        if profile in seen:
-            return seen[profile], x
-        seen[profile] = x
+    """The first two points lying in the same basic opens, if any: the
+    first two with the same specialization upset."""
+    first: dict[int, int] = {}
+    for x, (_, up) in enumerate(space._index.upsets):
+        y = first.setdefault(up, x)
+        if y != x:
+            return y, x
     return None
 
 
@@ -300,16 +288,6 @@ def generic_point(space: FiniteSpace, F: Iterable[int]) -> tuple[int | None, boo
     if not candidates:
         return None, False
     return candidates[0], len(candidates) == 1
-
-
-@lru_cache(maxsize=None)
-def specialization_order(space: FiniteSpace) -> SpecializationOrder:
-    n = space.n_points
-    matrix = tuple(
-        tuple(all(y in b for b in space.basis if x in b) for y in range(n))
-        for x in range(n)
-    )
-    return SpecializationOrder(space.point_names, matrix)
 
 
 def has_implication(space: FiniteSpace) -> tuple[bool, tuple[PointSet, PointSet] | None]:

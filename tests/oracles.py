@@ -13,11 +13,12 @@ from functools import reduce
 from itertools import chain, combinations, permutations
 
 from logictop import corpus
-from logictop.builders import FiniteLattice, _bitrows, _lowest
-from logictop.core import set_key, sorted_sets, theory_spectrum
+from logictop.builders import FiniteLattice, FinitePoset, _bitrows, _lowest
+from logictop.core import (AbstractLogic, ConnectiveTables, TheoryFamily, close_under_intersection, set_key,
+                           sorted_sets, theory_spectrum)
 from logictop.documents import _EMITTERS
 from logictop.duality import analyze_logic_map
-from logictop.errors import PrimalityFailure
+from logictop.errors import BoundExceeded, PrimalityFailure
 
 
 def subfamilies(family):
@@ -135,6 +136,36 @@ def oracle_specialization_upsets(n, basis):
     """For each point x, the points lying in every basic open around x."""
     basis = [frozenset(b) for b in basis]
     return [frozenset(y for y in range(n) if all(y in b for b in basis if x in b)) for x in range(n)]
+
+
+def oracle_cover_edges(matrix):
+    """Pairs (i, j), i below j in a preorder matrix, with no k distinct
+    from both strictly between them, by trying every k."""
+    n = len(matrix)
+    return tuple(
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j and matrix[i][j]
+        and not any(k != i and k != j and matrix[i][k] and matrix[k][j] for k in range(n))
+    )
+
+
+def oracle_dot(obj):
+    """export_dot's text for a poset, or for a space drawn as the matrix
+    of its oracle specialization upsets under its basis legend, with the
+    edges of oracle_cover_edges."""
+    if isinstance(obj, FinitePoset):
+        names, matrix, legend = obj.element_names, obj.leq, []
+    else:
+        names = obj.point_names
+        upsets = oracle_specialization_upsets(obj.n_points, obj.basis)
+        matrix = [[y in up for y in range(obj.n_points)] for up in upsets]
+        legend = [f"basis {name} = {{{','.join(names[p] for p in sorted(b))}}}"
+                  for name, b in zip(obj.basis_names, obj.basis)]
+    lines = ["digraph {", *(f"  // {entry}" for entry in legend), *(f'  "{s}";' for s in names)]
+    lines += [f'  "{names[i]}" -> "{names[j]}";' for i, j in oracle_cover_edges(matrix)]
+    return "\n".join([*lines, "}"]) + "\n"
 
 
 def oracle_implication(upsets, u, v):
@@ -517,6 +548,66 @@ def lattice_from_leq(element_names, leq):
     top = _lowest(common) if common else None
     bottom = rows.index(full) if full in rows else None
     return FiniteLattice(element_names, leq, top=top, bottom=bottom)
+
+
+RANDOM_LOGIC_BOUND = 12
+
+
+def random_logic(n, seed):
+    """A reproducible random intersection structure on n expressions."""
+    if not 1 <= n <= RANDOM_LOGIC_BOUND:
+        raise BoundExceeded(f"random logics support 1..{RANDOM_LOGIC_BOUND} expressions, got {n}")
+    rng = random.Random(seed)
+    count = rng.randint(1, max(2, n))
+    generators = [
+        frozenset(a for a in range(n) if rng.random() < 0.5)
+        for _ in range(count)
+    ]
+    theories = close_under_intersection(n, generators)
+    return AbstractLogic(tuple(f"e{i}" for i in range(n)), theories)
+
+
+def quotient_logic(logic):
+    """Collapse logically equivalent expressions to one representative each.
+
+    Representatives are the smallest index of each equivalence class, kept
+    in ascending order.  Theories are unions of whole classes (equivalent
+    expressions share every theory) so transporting them through the
+    projection is well defined; connective tables are transported through
+    the representatives.  The projection is a normal, stable and
+    surjective logic map; the duality module's analyzer confirms that.
+    """
+    projection = logic._index.class_of
+    reps = []
+    for a, c in enumerate(projection):
+        if c == len(reps):
+            reps.append(a)
+
+    names = tuple(logic.expr_names[rep] for rep in reps)
+    theories = TheoryFamily(
+        len(reps),
+        frozenset(frozenset(projection[a] for a in t) for t in logic.theories.theories),
+    )
+
+    tables = None
+    if logic.connectives is not None:
+        c = logic.connectives
+
+        def move(table):
+            if table is None:
+                return None
+            return tuple(tuple(projection[table[i][j]] for j in reps) for i in reps)
+
+        tables = ConnectiveTables(
+            join=move(c.join),
+            meet=move(c.meet),
+            impl=move(c.impl),
+            neg=tuple(projection[c.neg[i]] for i in reps) if c.neg is not None else None,
+            top=projection[c.top] if c.top is not None else None,
+            bottom=projection[c.bottom] if c.bottom is not None else None,
+        )
+
+    return AbstractLogic(names, theories, tables), projection
 
 
 def oracle_lattice_tables(leq):

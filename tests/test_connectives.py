@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logictop.builders import FinitePoset, heyting_from_upsets, logic_from_lattice_filters, random_logic
+from logictop.builders import FinitePoset, heyting_from_upsets, logic_from_lattice_filters
 from logictop.connectives import (
     CONDITION_ORDER,
     ConditionCheck,
@@ -33,6 +33,7 @@ from oracles import (
     oracle_neg_condition,
     oracle_top_condition,
     oracle_upsets,
+    random_logic,
 )
 
 ORACLES = {

@@ -11,13 +11,11 @@ from logictop.core import (
     TheoryFamily,
     close_under_intersection,
     consequence,
-    quotient_logic,
     set_key,
     sorted_sets,
     theory_spectrum,
 )
 from logictop.duality import LogicMap, analyze_logic_map
-from logictop.builders import random_logic
 from logictop.corpus import corpus_logics
 
 from oracles import (
@@ -32,6 +30,8 @@ from oracles import (
     oracle_primes,
     oracle_tables_error,
     oracle_totally_primes,
+    quotient_logic,
+    random_logic,
     subfamilies,
 )
 

@@ -24,7 +24,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logictop import corpus, duality, topology
-from logictop.builders import random_logic
 from logictop.connectives import prime_extension
 from logictop.core import AbstractLogic, ConnectiveTables, TheoryFamily, set_key, theory_spectrum
 from logictop.duality import (
@@ -40,6 +39,7 @@ from oracles import (
     oracle_extension_pairs,
     oracle_prime_extension,
     oracle_stability_pair,
+    random_logic,
 )
 
 

@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from logictop.builders import FinitePoset, heyting_from_upsets, random_logic
+from logictop.builders import FinitePoset, heyting_from_upsets
 from logictop.cli import run_cli
 from logictop.core import AbstractLogic
 from logictop.corpus import (
@@ -32,7 +32,7 @@ from logictop.duality import LogicMap, PointMap, basic_open_embedding
 from logictop.errors import ParseError, SchemaError, WorkbenchError
 from logictop.topology import FiniteSpace
 
-from oracles import oracle_emit
+from oracles import oracle_emit, random_logic
 
 L3_DOC = """
 {
@@ -387,6 +387,15 @@ def test_emission_of_any_names_matches_the_standard_encoder(doc, names):
     assert emit_document(renamed) == oracle_emit(renamed)
 
 
+def _nested(levels):
+    """A value nested levels deep, dicts and lists in turn, around a row
+    of ints and strings."""
+    value = [0, 1, "a"]
+    for level in range(levels - 1):
+        value = {"k": value, "n": level} if level % 2 else [value, None]
+    return value
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
@@ -399,6 +408,7 @@ _JSON = st.recursive(
 @example(True)
 @example(None)
 @example({"status": False, "witness": None, "rows": [[True, None], [], [0, False]]})
+@example(_nested(400))
 def test_the_encoder_writes_any_json_value_as_the_standard_library(value):
     assert _encode(value, "\n") == json.dumps(value, indent=2, ensure_ascii=False)
 

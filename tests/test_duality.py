@@ -6,13 +6,11 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logictop.builders import RANDOM_LOGIC_BOUND, random_logic
 from logictop.core import (
     AbstractLogic,
     ConnectiveTables,
     TheoryFamily,
     close_under_intersection,
-    quotient_logic,
     theory_spectrum,
 )
 from logictop import builders, topology
@@ -39,11 +37,14 @@ from logictop.errors import NotDistributive, NotSpectralMap, NotStable, Workbenc
 from logictop.topology import FiniteSpace, _members, analyze_space, has_implication, is_distributive_space
 
 from oracles import (
+    RANDOM_LOGIC_BOUND,
     oracle_analyze_logic_map,
     oracle_analyze_space,
     oracle_extent,
     oracle_has_implication,
     oracle_preserves_join,
+    quotient_logic,
+    random_logic,
 )
 
 

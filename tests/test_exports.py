@@ -1,5 +1,6 @@
-"""The package exports only what the program itself uses, and its classes
-define no public member that the program does not read."""
+"""The package exports only what the program itself uses, its classes
+define no public member that the program does not read, and every cache
+it keeps is listed with its reason."""
 
 import ast
 from pathlib import Path
@@ -11,13 +12,32 @@ PACKAGE = ROOT / "src" / "logictop"
 
 # exported for the tests alone, each for a stated reason
 ALLOWED = {
-    "random_logic": "the property tests build their random logics with it",
-    "quotient_logic": "the property tests build their quotient instances with it",
     "is_strongly_connected": "criterion 9's prelinearity check is to call it",
 }
 
 # (class, member) defined for the tests alone, each for a stated reason
 ALLOWED_MEMBERS: dict[tuple[str, str], str] = {}
+
+_VALUE_CACHE = "value cache that perfbench/tracer.py reads through cache_info(); folds once it no longer does"
+_CORPUS_LIST = "corpus list: the criteria share one object per max-points"
+
+# every lru_cache and cached_property in the package, as module.name or
+# module.Class.name, each for a stated reason
+CACHES = {
+    "core.theory_spectrum": _VALUE_CACHE,
+    "connectives.verify_connectives": _VALUE_CACHE,
+    "duality.logic_space": _VALUE_CACHE,
+    "duality.space_logic": _VALUE_CACHE,
+    "topology.opens": _VALUE_CACHE,
+    "corpus.corpus_frames": _CORPUS_LIST,
+    "corpus.corpus_logics": _CORPUS_LIST,
+    "corpus.corpus_spaces": _CORPUS_LIST,
+    "core.AbstractLogic._hash": "per-object state: the hash of a logic's value, computed once",
+    "core.AbstractLogic._index": "per-object state: the logic's compiled index",
+    "topology.FiniteSpace._index": "per-object state: the space's compiled index",
+    "topology.FiniteSpace._report": "per-object state: analyze_space returns one report per space",
+}
+_CACHING = {"cache", "lru_cache", "cached_property"}
 
 
 def _exports() -> set[str]:
@@ -58,6 +78,28 @@ def _public_members() -> set[tuple[str, str]]:
     return found
 
 
+def _decorator_name(node: ast.expr) -> str | None:
+    """The name a decorator applies: lru_cache for @lru_cache(maxsize=None)
+    and for @functools.lru_cache alike."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _caches() -> set[str]:
+    """module.name, or module.Class.name, of every function in the
+    package decorated with a cache."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(path.stem, tree), *((f"{path.stem}.{node.name}", node) for node in ast.walk(tree)
+                                       if isinstance(node, ast.ClassDef))]
+        found.update(f"{prefix}.{item.name}" for prefix, scope in scopes for item in scope.body
+                     if isinstance(item, ast.FunctionDef)
+                     and any(_decorator_name(d) in _CACHING for d in item.decorator_list))
+    return found
+
+
 def test_every_export_has_a_caller_in_the_program():
     files = [*(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"), *(ROOT / "demos").glob("*.py")]
     used = set().union(*map(_references, files))
@@ -74,3 +116,9 @@ def test_every_public_member_is_read_by_the_program():
     unread = {(cls, name) for cls, name in _public_members() if name not in read}
     assert sorted(unread - set(ALLOWED_MEMBERS)) == [], "defined, but nothing in src/ or demos/ reads it"
     assert sorted(set(ALLOWED_MEMBERS) - unread) == [], "allowed, but now read or no longer defined"
+
+
+def test_every_cache_is_on_the_allowlist():
+    caches = _caches()
+    assert sorted(caches - set(CACHES)) == [], "a cache with no stated reason"
+    assert sorted(set(CACHES) - caches) == [], "allowed, but no longer a cache"

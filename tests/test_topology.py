@@ -5,9 +5,10 @@ import dataclasses
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from logictop.corpus import discrete_two, indiscrete_two, one_point
+from logictop.corpus import corpus_frames, discrete_two, indiscrete_two, one_point
 from logictop.duality import logic_space
 from logictop.core import _mask
+from logictop.dot import export_dot
 from logictop.errors import BasisNotLattice, NotClosed, NotSpectral
 from logictop.topology import (
     FiniteSpace,
@@ -24,14 +25,15 @@ from logictop.topology import (
     opens,
     point_filter,
     prime_filters_on_basis,
-    specialization_order,
 )
 
 from oracles import (
+    _t0_witness as oracle_t0_witness,
     oracle_adjunction,
     oracle_analyze_space,
     oracle_closure,
     oracle_constructible_topology,
+    oracle_dot,
     oracle_has_implication,
     oracle_implication,
     oracle_is_distributive_space,
@@ -143,8 +145,8 @@ def test_discrete_pair_is_boolean():
 
 def test_specialization_of_vframe_spectrum(vframe_logic):
     space = logic_space(vframe_logic).space
-    order = specialization_order(space)
-    above = {(i, j) for i in range(3) for j in range(3) if i != j and order.matrix[i][j]}
+    up = [mask for _, mask in space._index.upsets]
+    above = {(i, j) for i in range(3) for j in range(3) if i != j and up[i] >> j & 1}
     assert above == {(0, 1), (0, 2)}
     assert _t0_witness(space) is None and oracle_t0(space.n_points, space.basis)
 
@@ -152,8 +154,8 @@ def test_specialization_of_vframe_spectrum(vframe_logic):
 def test_specialization_antisymmetric_iff_t0(wide_spaces):
     assert any(_t0_witness(space) is not None for _, space in wide_spaces)
     for name, space in wide_spaces:
-        matrix = specialization_order(space).matrix
-        antisymmetric = not any(matrix[x][y] and matrix[y][x]
+        up = [mask for _, mask in space._index.upsets]
+        antisymmetric = not any(up[x] >> y & 1 and up[y] >> x & 1
                                 for x in range(space.n_points) for y in range(x + 1, space.n_points))
         assert antisymmetric == (_t0_witness(space) is None) == oracle_t0(space.n_points, space.basis), name
 
@@ -162,9 +164,9 @@ def test_basic_opens_are_specialization_upsets(small_spaces):
     for name, space in small_spaces:
         if not analyze_space(space).is_T0:
             continue
-        order = specialization_order(space)
+        upsets = [_members(up) for _, up in space._index.upsets]
         for u in space.basis:
-            assert all(order.upset(x) <= u for x in u), name
+            assert all(upsets[x] <= u for x in u), name
 
 
 def test_irreducible_closed_sets_of_vframe_spectrum(vframe_logic):
@@ -298,6 +300,8 @@ def _assert_matches_the_oracles(space, label):
         # the adjunction is a theorem once every arrow is basic
         assert oracle_adjunction(n, basis) == (True, None), label
     upsets = oracle_specialization_upsets(n, basis)
+    assert [_members(up) for _, up in space._index.upsets] == upsets, label
+    assert _t0_witness(space) == oracle_t0_witness(n, basis), label
     covered = frozenset().union(*basis)
     opens_meet = all(u & v in ops for u in ops for v in ops)
     for u in basis:
@@ -349,6 +353,21 @@ def _random_spaces(draw):
 @given(_random_spaces())
 def test_space_index_matches_the_frozenset_oracles(space):
     _assert_matches_the_oracles(space, space.basis)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_spaces())
+def test_dot_export_draws_the_oracle_specialization_order(space):
+    assert export_dot(space) == oracle_dot(space)
+
+
+def test_dot_export_draws_every_frame_and_corpus_space_as_the_oracle(wide_spaces):
+    """The frames of corpus_frames(5) and the wide corpus spaces, T0 or
+    not; two equivalent points are drawn with an edge each way."""
+    for name, obj in [*corpus_frames(5), *wide_spaces]:
+        assert export_dot(obj) == oracle_dot(obj), name
+    twins = export_dot(indiscrete_two())
+    assert '"x" -> "y";' in twins and '"y" -> "x";' in twins
 
 
 def _assert_refines_as_the_oracle(space, label):
