@@ -62,6 +62,14 @@ def _write(args, text: str) -> None:
             fh.write(text)
 
 
+def _ordered(s) -> list:
+    """A set's members in emission order: sets by set_key, ints by value,
+    anything else by repr."""
+    if all(isinstance(e, frozenset) for e in s):
+        return sorted_sets(s)
+    return sorted(s) if all(isinstance(e, int) for e in s) else sorted(s, key=repr)
+
+
 def _jsonable(x):
     """A report as JSON values: a dataclass as an object of its fields,
     sets as sorted arrays, tuples as arrays.
@@ -78,7 +86,7 @@ def _jsonable(x):
     if kind is set or kind is frozenset:
         if all(isinstance(e, frozenset) for e in x):
             return [_jsonable(e) for e in sorted_sets(x)]
-        return sorted(x, key=repr) if not all(isinstance(e, int) for e in x) else sorted(x)
+        return _ordered(x)
     fields = getattr(kind, "__dataclass_fields__", None)
     if fields is not None:
         return {name: _jsonable(getattr(x, name)) for name in fields}
@@ -91,7 +99,7 @@ def _flag(value: bool) -> str:
 
 def _show(witness) -> str:
     if isinstance(witness, (set, frozenset)):
-        return "{" + ",".join(_show(e) for e in sorted(witness, key=repr)) + "}"
+        return "{" + ",".join(_show(e) for e in _ordered(witness)) + "}"
     if isinstance(witness, tuple):
         return "(" + ", ".join(_show(e) for e in witness) + ")"
     return str(witness)

@@ -16,12 +16,11 @@ from typing import Iterable
 from .core import (
     AbstractLogic,
     ExprSet,
+    LogicIndex,
     _check_universe,
     _mask,
     consequence,
     set_key,
-    sorted_sets,
-    theory_spectrum,
 )
 from .errors import (
     MissingJoin,
@@ -29,6 +28,7 @@ from .errors import (
     PreconditionViolated,
     PrimalityFailure,
 )
+from .topology import _arrow, _arrows
 
 CONDITION_ORDER = ("join", "meet", "neg", "impl", "top", "bottom")
 
@@ -89,70 +89,57 @@ def _check_bound(logic: AbstractLogic, name: str, inside: bool) -> ConditionChec
     e = _table(logic, name)
     if e is None:
         return ConditionCheck(name, None)
-    for t in sorted_sets(logic.theories.theories):
+    for t in logic._index.theories:
         if (e in t) != inside:
             return ConditionCheck(name, False, (t,))
     return ConditionCheck(name, True)
 
 
-def _signatures(logic: AbstractLogic, tps: list[ExprSet]) -> tuple[list[int], list[int]]:
-    """Each expression's signature, an int with bit i set when it lies in
-    the totally prime tps[i]; and for each i the mask of the primes above
-    it, bit j set when tps[i] lies inside tps[j]."""
-    sig = [0] * logic.universe_size
-    for i, t in enumerate(tps):
-        for a in t:
-            sig[a] |= 1 << i
-    up = [sum(1 << j for j, u in enumerate(tps) if t <= u) for t in tps]
-    return sig, up
-
-
-def _expected_signatures(name: str, sig: list[int], up: list[int]) -> list[int]:
+def _expected_signatures(name: str, sig: tuple[int, ...], up: tuple[tuple[int, int], ...]) -> list[int]:
     """The signature each entry of the join, meet, neg or impl table must
-    have, row by row, for its condition to hold on every totally prime
-    theory.
+    have, row by row, for its condition to hold on every prime, given the
+    index's signatures and prime upsets.
 
     a join b lies in a prime exactly when a or b does, and a meet b when
     both do.  a -> b lies in prime i exactly when no prime above it holds
-    a and misses b; that depends only on sig[a] & ~sig[b], so each
-    distinct difference is worked out once.  The negation of a lies in
-    prime i exactly when a lies in no theory above it; every theory lies
-    inside a maximal, hence prime, theory, so that is when no prime above
-    it holds a: the arrow of sig[a] alone.
+    a and misses b: the arrow of sig[a] into sig[b] on the upsets.  The
+    negation of a lies in prime i exactly when a lies in no theory above
+    it; every theory lies inside a maximal, hence prime, theory, so that
+    is the arrow of sig[a] into nothing.
     """
     if name == "join":
         return [s | t for s in sig for t in sig]
     if name == "meet":
         return [s & t for s in sig for t in sig]
-    differences = sig if name == "neg" else [s & ~t for s in sig for t in sig]
-    arrows = {d: sum(1 << i for i, above in enumerate(up) if not above & d) for d in set(differences)}
-    return [arrows[d] for d in differences]
+    if name == "neg":
+        return [_arrow(up, s, 0) for s in sig]
+    arrows = _arrows(sig, up)
+    return [arrows[s & ~t] for s in sig for t in sig]
 
 
-def _check_signed(
-    logic: AbstractLogic, name: str, tps: list[ExprSet], sig: list[int], up: list[int]
-) -> ConditionCheck:
+def _check_signed(logic: AbstractLogic, name: str, index: LogicIndex) -> ConditionCheck:
     """The join, meet, neg or impl condition, compared for the whole table
-    and every prime at once on the signatures.
+    and every prime at once on the index's signatures.
 
     Entry k differs from its condition on prime i when bit i of
-    sig[entry] ^ expected is set.  The lowest bit set in any entry names
-    the first failing prime in canonical order, and the first entry with
-    that bit, (a, b) = divmod(k, n), or a = k for neg, its first witness.
+    sig[entry] ^ expected is set.  The first failing prime in sorted_sets
+    order, and the first entry failing there, (a, b) = divmod(k, n), or
+    a = k for neg, make the first witness.
     """
     table = _table(logic, name)
     if table is None:
         return ConditionCheck(name, None)
+    sig, primes = index.signatures, index.primes
     actual = [sig[e] for e in table] if name == "neg" else [sig[e] for row in table for e in row]
-    expected = _expected_signatures(name, sig, up)
+    expected = _expected_signatures(name, sig, index.upsets)
     if actual == expected:
         return ConditionCheck(name, True)
     diffs = list(map(operator.xor, actual, expected))
     bad = reduce(operator.or_, diffs)
-    low = bad & -bad
-    k = next(k for k, d in enumerate(diffs) if d & low)
+    i = min((i for i in range(len(primes)) if bad >> i & 1), key=lambda i: set_key(primes[i]))
+    k = next(k for k, d in enumerate(diffs) if d >> i & 1)
     place = (k,) if name == "neg" else divmod(k, logic.universe_size)
-    return ConditionCheck(name, False, (tps[low.bit_length() - 1], *place))
+    return ConditionCheck(name, False, (primes[i], *place))
 
 
 @lru_cache(maxsize=None)
@@ -165,18 +152,16 @@ def verify_connectives(logic: AbstractLogic) -> ClassificationReport:
     totally prime theories coinciding).  An absent connective never
     upgrades a verdict.
     """
-    spectrum = theory_spectrum(logic)
-    tps = sorted_sets(spectrum.totally_primes)
-    sig, up = _signatures(logic, tps)
+    index = logic._index
     checks = (
-        *(_check_signed(logic, name, tps, sig, up) for name in ("join", "meet", "neg", "impl")),
+        *(_check_signed(logic, name, index) for name in ("join", "meet", "neg", "impl")),
         _check_bound(logic, "top", True),
         _check_bound(logic, "bottom", False),
     )
     report = ClassificationReport(
         conditions=checks,
         classification="none",
-        maximals_equal_totally_primes=spectrum.maximals == spectrum.totally_primes,
+        maximals_equal_totally_primes=index.maximals == frozenset(index.primes),
         has_valid_formula=bool(consequence(logic, frozenset())),
         has_inconsistent_formula=bool(logic.full_set.difference(*logic.theories.theories)),
     )

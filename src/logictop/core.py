@@ -4,7 +4,8 @@ An abstract logic here is a finite expression universe (indices 0..n-1)
 together with a non-empty family of subsets, the theories, closed under
 intersections of non-empty subfamilies.  Consequence, consistency and the
 primality hierarchy are all derived from the family by exhaustive set
-algebra; nothing is ever axiomatic or lazy.
+algebra; nothing is axiomatic.  What is derived once per logic (its
+hash and its index) is computed lazily, on first reading, and kept.
 
 Expressions are plain ints and expression sets are frozensets of ints.
 Every public operation accepts any iterable of indices and normalizes.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator
 
@@ -211,15 +212,20 @@ class LogicIndex:
     Built lazily, once per AbstractLogic object (its ``_index``).
     ``theories`` follows sorted_sets order and ``primes`` the graded
     order (size, then contents), so scanning either finds the same first
-    witness as scanning the frozensets.  logic_space numbers its points
-    in the primes' order: smaller primes come first, so the generic
-    point of a chain of primes takes the lowest index.  ``masks`` holds
-    the theories as bitmasks; ``mask_set`` and ``prime_mask_set`` answer
-    membership of a bitmask among the theories and among the primes.
-    ``class_of[a]`` numbers the membership column of expression a by
-    first appearance: two expressions share a class id exactly when they
-    lie in the same theories, and class ids ascend with the smallest
-    member of their class.
+    witness as scanning the frozensets; logic_space numbers its points
+    in the primes' order, the generic point of a chain first.  ``masks``
+    holds the theories as bitmasks; ``mask_set`` and ``prime_mask_set``
+    answer membership of a bitmask among the theories and the primes.
+    A theory is maximal when it has no strict superset.  It is prime
+    unless some non-empty family excluding it intersects to it; such a
+    family consists of strict supersets, and then all of them intersect
+    to it, so it is prime when their meet differs from it (no
+    distributivity needed).  Bit i of ``signatures[a]`` is set when
+    expression a lies in primes[i]; ``upsets`` pairs bit i with the mask
+    of the primes containing primes[i].  ``class_of`` numbers the
+    signatures in order of first appearance: every theory is an
+    intersection of primes, so two expressions share a class exactly
+    when they lie in the same theories.
     """
 
     theories: tuple[ExprSet, ...]
@@ -227,21 +233,30 @@ class LogicIndex:
     mask_set: frozenset[int]
     primes: tuple[ExprSet, ...]
     prime_mask_set: frozenset[int]
+    maximals: frozenset[ExprSet]
+    signatures: tuple[int, ...]
+    upsets: tuple[tuple[int, int], ...]
     class_of: tuple[int, ...]
 
     @classmethod
     def of(cls, logic: AbstractLogic) -> LogicIndex:
         theories = tuple(sorted_sets(logic.theories.theories))
-        masks = tuple(_mask(t) for t in theories)
-        primes = tuple(sorted(theory_spectrum(logic).totally_primes, key=lambda t: (len(t), set_key(t))))
-        prime_mask_set = frozenset(_mask(p) for p in primes)
-        columns = [0] * logic.universe_size
-        for k, t in enumerate(theories):
-            for a in t:
-                columns[a] |= 1 << k
+        masks = tuple(map(_mask, theories))
+        # the meet of each theory's strict supersets, -1 when it has none
+        meets = [reduce(operator.and_, [u for u in masks if u & m == m and u != m], -1) for m in masks]
+        primes = sorted((t for t, m, meet in zip(theories, masks, meets) if meet != m), key=len)
+        maximals = frozenset(t for t, meet in zip(theories, meets) if meet == -1)
+        signatures = [0] * logic.universe_size
+        for i, p in enumerate(primes):
+            for a in p:
+                signatures[a] |= 1 << i
+        every = (1 << len(primes)) - 1
+        upsets = tuple((1 << i, reduce(operator.and_, map(signatures.__getitem__, p), every))
+                       for i, p in enumerate(primes))
         ids: dict[int, int] = {}
-        class_of = tuple(ids.setdefault(column, len(ids)) for column in columns)
-        return cls(theories, masks, frozenset(masks), primes, prime_mask_set, class_of)
+        class_of = tuple(ids.setdefault(s, len(ids)) for s in signatures)
+        return cls(theories, masks, frozenset(masks), tuple(primes), frozenset(map(_mask, primes)),
+                   maximals, tuple(signatures), upsets, class_of)
 
 
 @dataclass(frozen=True)
@@ -323,26 +338,12 @@ def consequence(logic: AbstractLogic, A: Iterable[int]) -> ExprSet:
 
 @lru_cache(maxsize=None)
 def theory_spectrum(logic: AbstractLogic) -> TheorySpectrum:
-    """Primes, totally primes, maximal theories, and the least generator set.
+    """Primes, totally primes, maximal theories, and the least generator
+    set, read off the logic's index.
 
     On a finite family every intersecting subfamily is finite, so the
     prime and totally prime notions coincide; the spectrum stores one
     set for both, and the collapse is part of the contract.
-
-    One pass lists each theory's strict supersets.  A theory is maximal
-    when it has none.  It fails to be prime exactly when some non-empty
-    family excluding it intersects to it; any such family consists of
-    strict supersets, and then all of them intersect to it too, so it is
-    prime when it has none or their intersection differs from it.  No
-    distributivity is needed for this reduction.
     """
-    ths = logic.theories.theories
-    primes, maximals = set(), set()
-    for t in ths:
-        strict = [u for u in ths if t < u]
-        if not strict:
-            maximals.add(t)
-            primes.add(t)
-        elif frozenset.intersection(*strict) != t:
-            primes.add(t)
-    return TheorySpectrum(primes=frozenset(primes), maximals=frozenset(maximals))
+    index = logic._index
+    return TheorySpectrum(primes=frozenset(index.primes), maximals=index.maximals)

@@ -29,6 +29,7 @@ from .core import (
     sorted_sets,
 )
 from .errors import (
+    EmptyGeneratorSet,
     MissingJoin,
     NotDistributive,
     NotDistributiveSpace,
@@ -38,6 +39,7 @@ from .errors import (
 from .topology import (
     FiniteSpace,
     PointSet,
+    _members,
     is_distributive_space,
     opens,
     point_filter,
@@ -155,28 +157,18 @@ class DualityReport:
 
 @lru_cache(maxsize=None)
 def logic_space(logic: AbstractLogic) -> SpectrumPresentation:
-    """The prime spectrum of a distributive logic, extents as basis."""
+    """The prime spectrum of a distributive logic: the index's primes as
+    points, each distinct signature (extent) as a basic open named by its
+    expressions joined with "=", so an expression's slot is its class id."""
     if not verify_connectives(logic).is_distributive:
         raise NotDistributive("the spectrum construction needs join and meet to hold")
-    primes = logic._index.primes
-    point_names = tuple(f"p{i}" for i in range(len(primes)))
-    basis: list[PointSet] = []
-    names: list[str] = []
-    expr_to_basis: list[int] = []
-    slot: dict[PointSet, int] = {}
-    for a in logic.exprs:
-        ext = frozenset(i for i, p in enumerate(primes) if a in p)
-        if ext in slot:
-            i = slot[ext]
-            names[i] = f"{names[i]}={logic.expr_names[a]}"
-        else:
-            i = len(basis)
-            slot[ext] = i
-            basis.append(ext)
-            names.append(logic.expr_names[a])
-        expr_to_basis.append(i)
-    space = FiniteSpace(point_names, tuple(basis), tuple(names))
-    return SpectrumPresentation(space, primes, tuple(expr_to_basis))
+    index = logic._index
+    names: dict[int, list[str]] = {}
+    for name, s in zip(logic.expr_names, index.signatures):
+        names.setdefault(s, []).append(name)
+    point_names = tuple(f"p{i}" for i in range(len(index.primes)))
+    space = FiniteSpace(point_names, tuple(map(_members, names)), tuple(map("=".join, names.values())))
+    return SpectrumPresentation(space, index.primes, index.class_of)
 
 
 @lru_cache(maxsize=None)
@@ -188,10 +180,16 @@ def space_logic(space: FiniteSpace) -> AbstractLogic:
     optional connectives appear exactly when the basis supports them:
     implication when it stays basic, bounds when listed, negation as
     implication into the empty basic open.
+
+    The duality stops at spaces with no points.  Such a space passes
+    is_distributive_space, but it has no point filter, and a logic needs
+    at least one theory, so it is refused with EmptyGeneratorSet.
     """
     verdict = is_distributive_space(space)
     if not verdict.distributive:
         raise NotDistributiveSpace(f"not a distributive space: {verdict.witness}")
+    if not space.n_points:
+        raise EmptyGeneratorSet("a space with no points has no point filter, and a logic needs at least one theory")
     n = len(space.basis)
     generators = [point_filter(space, x) for x in range(space.n_points)]
     theories = close_under_intersection(n, generators)

@@ -35,6 +35,7 @@ from oracles import (
     oracle_opens,
     oracle_distributivity_witness,
     oracle_double_negation_scan,
+    oracle_extent,
     oracle_is_heyting,
     oracle_lattice_error,
     oracle_lattice_tables,
@@ -162,9 +163,13 @@ def test_frames_past_the_enumeration_bound_roundtrip_onto_their_points(frame):
     representation holds: sending point x to the prime of the upsets
     holding x is a bijection onto the spectrum's points that preserves
     and reflects the order, x <= y exactly when x's prime lies below
-    y's in the specialization order."""
+    y's in the specialization order.  The points come in graded order,
+    and each expression's basic open is its extent over them."""
     logic = logic_from_lattice_filters(heyting_from_upsets(frame))
     pres = logic_space(logic)
+    assert list(pres.points) == sorted(pres.points, key=lambda p: (len(p), sorted(p)))
+    for a in logic.exprs:
+        assert pres.space.basis[pres.expr_to_basis[a]] == oracle_extent(pres.points, a), a
     for report in (roundtrip_logic(logic), roundtrip_space(pres.space)):
         assert report.iso_ok and report.square_ok, report.direction
     elements = sorted(oracle_upsets(frame.leq), key=lambda s: (len(s), sorted(s)))

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logictop import cli, core, duality
+from logictop.builders import heyting_from_upsets, logic_from_lattice_filters
 from logictop.cli import run_cli
 from logictop.connectives import verify_connectives
 from logictop.core import theory_spectrum
@@ -249,6 +250,35 @@ def test_a_space_document_is_bounded_before_its_union_closure(tmp_path, capsys):
         path.write_text(emit_document(Document("space", _discrete(k))), encoding="utf-8")
         assert run_cli(["dualize", "--input", str(path)]) == code
         assert capsys.readouterr() == ("", err)
+
+
+def test_a_space_with_no_points_has_no_dual_logic(tmp_path, capsys):
+    """A space with no points passes as distributive, with or without the
+    empty basic open, but it has no point filter to make a theory of:
+    dualize and roundtrip refuse it with exit 1 and say why."""
+    err = "error: a space with no points has no point filter, and a logic needs at least one theory\n"
+    for basis in ([], [[]]):
+        path = tmp_path / f"no-points-{len(basis)}.json"
+        path.write_text(json.dumps({"kind": "space", "points": [], "basis": basis}), encoding="utf-8")
+        for command in ("dualize", "roundtrip"):
+            assert run_cli([command, "--input", str(path)]) == 1, (basis, command)
+            assert capsys.readouterr() == ("", err), (basis, command)
+
+
+def test_text_witnesses_list_members_in_the_json_order(tmp_path, capsys):
+    """Indices past 9 print by value, as the JSON output lists them, and a
+    set of sets prints its members in set_key order."""
+    logic = logic_from_lattice_filters(heyting_from_upsets(antichain(4)))
+    join = [list(row) for row in logic.connectives.join]
+    join[0][1] = 0
+    logic = dataclasses.replace(logic, connectives=dataclasses.replace(logic.connectives, join=join))
+    path = tmp_path / "join-fails.json"
+    path.write_text(emit_document(Document("logic", logic)), encoding="utf-8")
+    assert run_cli(["classify", "--input", str(path)]) == 0
+    assert "join witness: ({1,5,6,7,11,12,13,15}, 0, 1)\n" in capsys.readouterr().out
+    assert run_cli(["classify", "--input", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["conditions"][0]["witness"] == [[1, 5, 6, 7, 11, 12, 13, 15], 0, 1]
+    assert cli._show(frozenset({frozenset({0, 1}), frozenset({0})})) == "{{0},{0,1}}"
 
 
 def test_a_point_map_is_bounded_at_the_endpoint_past_the_bound(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """The package exports only what the program itself uses, its classes
-define no public member that the program does not read, and every cache
-it keeps is listed with its reason."""
+define no public member that the program does not read, every cache it
+keeps is listed with its reason, and no check in it rests on assert."""
 
 import ast
 from pathlib import Path
@@ -122,3 +122,10 @@ def test_every_cache_is_on_the_allowlist():
     caches = _caches()
     assert sorted(caches - set(CACHES)) == [], "a cache with no stated reason"
     assert sorted(set(CACHES) - caches) == [], "allowed, but no longer a cache"
+
+
+def test_no_check_in_the_package_rests_on_assert():
+    # python -O strips assert statements, so none may guard an invariant
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(node, ast.Assert)]
+    assert found == [], "assert statements in src/logictop"
