@@ -17,7 +17,7 @@ from itertools import compress, permutations
 from typing import Iterable, Iterator, Sequence
 
 from .core import AbstractLogic, ConnectiveTables, TheoryFamily, _check_indices, _close, _mask, set_key
-from .errors import BoundExceeded, EmptyGeneratorSet, NotDistributiveLattice, NotHeyting
+from .errors import BoundExceeded, EmptyGeneratorSet, NotHeyting
 from .topology import PointSet, _arrow, _arrow_table, _arrows
 
 LeqMatrix = tuple[tuple[bool, ...], ...]
@@ -191,33 +191,6 @@ class FiniteLattice:
     def n(self) -> int:
         return len(self.element_names)
 
-    def distributivity_witness(self) -> tuple[int, int, int] | None:
-        """The first (a, b, c) with a & (b | c) != (a & b) | (a & c).
-
-        A finite lattice is distributive exactly when sending x to the
-        set of join-irreducibles below it preserves joins: that map always
-        preserves meets and is one to one, so it then embeds the lattice
-        in a lattice of sets; and in a distributive lattice every
-        join-irreducible below a | b lies below a or below b.  This is
-        tested first, as n rows of masks.  Only a lattice that fails it
-        is scanned: for each (a, b) the c-row is compared whole, a & (b | c)
-        over c being row a of meet picked at row b of join, and
-        (a & b) | (a & c) row a & b of join picked at row a of meet; only
-        a failing row is scanned for its c.
-        """
-        if not self.n or self._joins_preserved_on_irreducibles():
-            return None
-        join, meet = self.join, self.meet
-        by_join = [operator.itemgetter(*row) for row in join]
-        for a, meet_a in enumerate(meet):
-            pick_a = operator.itemgetter(*meet_a)
-            for b, ab in enumerate(meet_a):
-                if by_join[b](meet_a) != pick_a(join[ab]):
-                    for c in range(self.n):
-                        if meet_a[join[b][c]] != join[ab][meet_a[c]]:
-                            return (a, b, c)
-        return None
-
     def _below_irreducibles(self) -> list[int]:
         """For each element x, the mask of the join-irreducibles under x.
         x is join-irreducible when the elements strictly below it have a
@@ -226,7 +199,8 @@ class FiniteLattice:
         bottom, which is never join-irreducible).
 
         The map is one to one and carries meets to intersections; it
-        carries joins to unions exactly when the lattice is distributive."""
+        carries joins to unions exactly when the lattice is distributive,
+        as the Heyting algebras godel_witness reads it on are."""
         up = _bitrows(self.leq)
         full = (1 << self.n) - 1
         irreducible = 0
@@ -235,13 +209,6 @@ class FiniteLattice:
             if reduce(operator.and_, under, full) != up[x]:
                 irreducible |= 1 << x
         return [mask & irreducible for mask in _bitrows(zip(*self.leq))]
-
-    def _joins_preserved_on_irreducibles(self) -> bool:
-        """Whether below(a | b) == below(a) | below(b) for all a, b, with
-        below the _below_irreducibles masks."""
-        below = self._below_irreducibles()
-        return all([below[j] for j in row] == [mask | other for other in below]
-                   for mask, row in zip(below, self.join))
 
     @property
     def is_heyting(self) -> bool:
@@ -324,17 +291,19 @@ def heyting_from_upsets(frame: FinitePoset) -> FiniteLattice:
 def logic_from_lattice_filters(lattice: FiniteLattice, *, proper: bool = True) -> AbstractLogic:
     """The logic whose expressions are lattice elements and theories its filters.
 
-    Filters on a finite lattice are the upsets of single elements, closed
-    under intersection since up(a) & up(b) = up(a | b); the
+    Filters on any finite lattice are the upsets of single elements,
+    closed under intersection since up(a) & up(b) = up(a | b); the
     one generated by the least element is the whole carrier and is
     dropped by default, which keeps the logic regular.  Passing
     proper=False keeps it and yields the singular variant.  Connective
     tables are copied from the lattice; negation is implication into the
     declared bottom when both exist.
+
+    Distributivity is verify_connectives' verdict on the result.  Its
+    primes are up(j) for the join-irreducible j (and the carrier when
+    kept), so its meet condition always holds, and its join condition
+    exactly when each such j is join-prime: when the lattice is distributive.
     """
-    witness = lattice.distributivity_witness()
-    if witness is not None:
-        raise NotDistributiveLattice(f"distributivity fails at {witness}", witness=witness)
     n = lattice.n
     theories = frozenset(frozenset(h for h in range(n) if lattice.leq[g][h]) for g in range(n))
     if proper:

@@ -8,15 +8,21 @@ the basis listed in a comment legend.  Output is deterministic line for line.
 
 from __future__ import annotations
 
+from json.encoder import encode_basestring
+
 from .builders import FinitePoset, _bitrows, cover_edges
 from .topology import FiniteSpace
 
 
 def _digraph(names: tuple[str, ...], up: list[int], legend: list[str]) -> str:
+    """Names come from documents, which allow any string: ids are quoted
+    and legend entries escaped as JSON strings are, so a quote, backslash
+    or line break in a name cannot end an id or a comment early."""
+    ids = list(map(encode_basestring, names))
     lines = ["digraph {"]
-    lines += [f"  // {entry}" for entry in legend]
-    lines += [f'  "{s}";' for s in names]
-    lines += [f'  "{names[i]}" -> "{names[j]}";' for i, j in cover_edges(up)]
+    lines += [f"  // {encode_basestring(entry)[1:-1]}" for entry in legend]
+    lines += [f"  {s};" for s in ids]
+    lines += [f"  {ids[i]} -> {ids[j]};" for i, j in cover_edges(up)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -74,10 +74,6 @@ class NotSpectralMap(WorkbenchError):
 
 # builders
 
-class NotDistributiveLattice(WorkbenchError):
-    pass
-
-
 class NotHeyting(WorkbenchError):
     pass
 

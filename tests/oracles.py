@@ -64,7 +64,12 @@ def oracle_primes(theories):
 
 
 def oracle_totally_primes(theories):
-    """Members T such that any subfamily intersecting into T has a member in T."""
+    """Members T such that any subfamily intersecting into T has a member in T.
+
+    This is the meet-prime reading of "totally prime".  theory_spectrum
+    reads it as prime (intersection-irreducible); the two agree on
+    distributive families only, and the readings are pinned side by side
+    in test_builders."""
     out = set()
     for t in theories:
         ok = all(
@@ -154,7 +159,8 @@ def oracle_cover_edges(matrix):
 def oracle_dot(obj):
     """export_dot's text for a poset, or for a space drawn as the matrix
     of its oracle specialization upsets under its basis legend, with the
-    edges of oracle_cover_edges."""
+    edges of oracle_cover_edges; names are quoted, and legend entries
+    escaped, as JSON strings."""
     if isinstance(obj, FinitePoset):
         names, matrix, legend = obj.element_names, obj.leq, []
     else:
@@ -163,8 +169,10 @@ def oracle_dot(obj):
         matrix = [[y in up for y in range(obj.n_points)] for up in upsets]
         legend = [f"basis {name} = {{{','.join(names[p] for p in sorted(b))}}}"
                   for name, b in zip(obj.basis_names, obj.basis)]
-    lines = ["digraph {", *(f"  // {entry}" for entry in legend), *(f'  "{s}";' for s in names)]
-    lines += [f'  "{names[i]}" -> "{names[j]}";' for i, j in oracle_cover_edges(matrix)]
+    quoted = [json.dumps(s, ensure_ascii=False) for s in names]
+    lines = ["digraph {", *(f"  // {json.dumps(entry, ensure_ascii=False)[1:-1]}" for entry in legend)]
+    lines += [f"  {s};" for s in quoted]
+    lines += [f"  {quoted[i]} -> {quoted[j]};" for i, j in oracle_cover_edges(matrix)]
     return "\n".join([*lines, "}"]) + "\n"
 
 

@@ -19,9 +19,10 @@ from logictop.builders import (
     is_strongly_connected,
     logic_from_lattice_filters,
 )
+from logictop.connectives import CONDITION_ORDER, ConditionCheck, verify_connectives
 from logictop.corpus import POSET_COUNTS, antichain, chain, corpus_frames, corpus_spaces, discrete_two, indiscrete_two, sierpinski, v_frame
-from logictop.core import _close, _mask, sorted_sets
-from logictop.errors import BoundExceeded, EmptyGeneratorSet, NotDistributiveLattice, NotHeyting
+from logictop.core import _close, _mask, sorted_sets, theory_spectrum
+from logictop.errors import BoundExceeded, EmptyGeneratorSet, NotHeyting
 from logictop.duality import logic_space, roundtrip_logic, roundtrip_space
 from logictop.topology import FiniteSpace, _arrow, _members
 
@@ -29,6 +30,7 @@ from oracles import (
     canonical_form,
     lattice_from_leq,
     oracle_canonical_matrix,
+    oracle_condition_check,
     oracle_labeled_posets,
     oracle_open_implication,
     oracle_open_set_lattice,
@@ -37,11 +39,15 @@ from oracles import (
     oracle_double_negation_scan,
     oracle_extent,
     oracle_is_heyting,
+    oracle_join_condition,
     oracle_lattice_error,
     oracle_lattice_tables,
+    oracle_meet_condition,
     oracle_order_closure,
     oracle_order_error,
     oracle_poset_count,
+    oracle_primes,
+    oracle_totally_primes,
     oracle_upsets,
     order_isomorphic,
     random_logic,
@@ -257,16 +263,17 @@ def test_filter_logic_needs_a_filter_to_keep():
     assert logic_from_lattice_filters(one, proper=False).theories.theories == {frozenset({0})}
 
 
-def test_filter_logic_rejects_non_distributive():
-    # N5: bottom, a < c, b, top
+def test_filter_logic_of_n5_is_graded_none():
+    # N5: bottom, a < c, b, top; five expressions, join and meet tables
+    # and both bounds, whose join condition fails at a prime
     names = ("0", "a", "b", "c", "1")
     pairs = [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")]
-    poset = FinitePoset.from_pairs(names, pairs)
-    lattice = lattice_from_leq(names, poset.leq)
-    with pytest.raises(NotDistributiveLattice) as err:
-        logic_from_lattice_filters(lattice)
-    assert err.value.witness is not None
-    assert lattice.distributivity_witness() is not None
+    lattice = lattice_from_leq(names, FinitePoset.from_pairs(names, pairs).leq)
+    assert oracle_distributivity_witness(lattice) is not None
+    report = verify_connectives(logic_from_lattice_filters(lattice))
+    assert report.classification == "none"
+    assert report.condition("join").status is False
+    assert report.condition("meet").status is True
 
 
 def test_open_set_lattice_of_sierpinski_is_chain():
@@ -586,20 +593,45 @@ def test_join_and_meet_are_read_off_the_order():
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(_bounded_lattices(5)), st.randoms(use_true_random=False))
-def test_distributivity_witness_matches_the_loop_oracle(lattice, rng):
-    """Every bounded corpus poset that is a lattice, under a random
-    relabelling, so that the first witness falls at varied positions."""
+def test_filter_logic_conditions_match_the_loop_oracle(lattice, rng):
+    """The filter logic of every bounded corpus poset that is a lattice,
+    under a random relabelling, so that the first witness of a failing
+    condition falls at varied positions."""
     n = lattice.n
     order = list(range(n))
     rng.shuffle(order)
     leq = [[lattice.leq[order[i]][order[j]] for j in range(n)] for i in range(n)]
-    relabelled = lattice_from_leq([lattice.element_names[i] for i in order], leq)
-    assert relabelled.distributivity_witness() == oracle_distributivity_witness(relabelled)
+    logic = logic_from_lattice_filters(lattice_from_leq([lattice.element_names[i] for i in order], leq))
+    report = verify_connectives(logic)
+    for name in CONDITION_ORDER:
+        assert report.condition(name) == ConditionCheck(name, *oracle_condition_check(logic, name)), name
 
 
-def test_distributivity_witness_on_upset_algebras_and_non_distributive_lattices():
+def test_filter_logic_is_distributive_exactly_when_its_lattice_is():
     lattices = _bounded_lattices(5)
-    assert sum(lattice.distributivity_witness() is not None for lattice in lattices) > 0
+    assert (len(lattices), sum(oracle_distributivity_witness(lattice) is not None for lattice in lattices)) == (76, 57)
     lattices += [heyting_from_upsets(frame) for _, frame in corpus_frames(4)]
     for lattice in lattices:
-        assert lattice.distributivity_witness() == oracle_distributivity_witness(lattice)
+        report = verify_connectives(logic_from_lattice_filters(lattice))
+        assert report.is_distributive == (oracle_distributivity_witness(lattice) is None)
+
+
+def test_the_two_readings_of_totally_prime_part_on_non_distributive_logics():
+    """theory_spectrum reads totally prime as prime (intersection-
+    irreducible); oracle_totally_primes reads it as meet-prime.  On the
+    filter logics of the bounded corpus lattices they part exactly on the
+    57 that are not distributive, and under the meet-prime reading the
+    join and meet conditions hold on all 76, so only the library's reading
+    grades a filter logic distributive exactly when its lattice is."""
+    parted, non_distributive = [], []
+    for lattice in _bounded_lattices(5):
+        logic = logic_from_lattice_filters(lattice)
+        theories, spectrum = logic.theories.theories, theory_spectrum(logic)
+        assert spectrum.primes == oracle_primes(theories)
+        assert oracle_join_condition(logic) is True and oracle_meet_condition(logic) is True
+        parted.append(spectrum.totally_primes != oracle_totally_primes(theories))
+        non_distributive.append(oracle_distributivity_witness(lattice) is not None)
+    assert parted == non_distributive and sum(parted) == 57
+    random_logics = [random_logic(6, seed) for seed in range(20)]
+    assert sum(theory_spectrum(logic).totally_primes != oracle_totally_primes(logic.theories.theories)
+               for logic in random_logics) == 8

@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logictop import cli, core, duality
-from logictop.builders import heyting_from_upsets, logic_from_lattice_filters
+from logictop.builders import FinitePoset, heyting_from_upsets, logic_from_lattice_filters
 from logictop.cli import run_cli
 from logictop.connectives import verify_connectives
 from logictop.core import theory_spectrum
@@ -295,6 +296,29 @@ def test_export_dot(docs, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert '"r" -> "b";' in out
+
+
+_DOT_ID = r'"(?:[^"\\\x00-\x1f]|\\.)*"'
+
+
+def test_export_dot_quotes_names_that_hold_quotes_backslashes_or_line_breaks(tmp_path, capsys):
+    """Each node line is one quoted id that reads back as its name, and a
+    line break in a point or basis name stays inside its legend line."""
+    poset = FinitePoset.from_pairs(('a"b', "c\\"), [('a"b', "c\\")])
+    space = FiniteSpace(("x\ny", "z"), (frozenset(), frozenset({0}), frozenset({0, 1})), ("U0", "U\n1", "U2"))
+    for name, obj in (("poset", poset), ("space", space)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(emit_document(Document(name, obj)), encoding="utf-8")
+        assert run_cli(["export-dot", "--input", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        names = poset.element_names if name == "poset" else space.point_names
+        legend = [line for line in lines if line.startswith("  // basis ")]
+        nodes = [line[2:-1] for line in lines if re.fullmatch(f"  {_DOT_ID};", line)]
+        edges = [line for line in lines if re.fullmatch(f"  {_DOT_ID} -> {_DOT_ID};", line)]
+        assert [json.loads(node) for node in nodes] == list(names)
+        assert len(legend) == (3 if name == "space" else 0)
+        assert lines == ["digraph {", *legend, *(f"  {node};" for node in nodes), *edges, "}"]
+        assert len(edges) == 1
 
 
 def test_output_file_writing(docs, tmp_path):

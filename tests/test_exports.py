@@ -1,6 +1,7 @@
 """The package exports only what the program itself uses, its classes
-define no public member that the program does not read, every cache it
-keeps is listed with its reason, and no check in it rests on assert."""
+define no public member that the program does not read, every error
+class is raised or caught, every cache it keeps is listed with its
+reason, and no check in it rests on assert."""
 
 import ast
 from pathlib import Path
@@ -122,6 +123,26 @@ def test_every_cache_is_on_the_allowlist():
     caches = _caches()
     assert sorted(caches - set(CACHES)) == [], "a cache with no stated reason"
     assert sorted(set(CACHES) - caches) == [], "allowed, but no longer a cache"
+
+
+def _handled_names(path: Path) -> set[str]:
+    """The names path's code raises or catches: the class of each raise,
+    called or not, and each class an except clause lists."""
+    named = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            named.append(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            named += node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+    return {node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None) for node in named}
+
+
+def test_every_error_class_is_raised_or_caught_in_the_program():
+    errors = PACKAGE / "errors.py"
+    defined = {node.name for node in ast.parse(errors.read_text(encoding="utf-8")).body
+               if isinstance(node, ast.ClassDef)}
+    handled = set().union(*map(_handled_names, set(PACKAGE.glob("*.py")) - {errors}))
+    assert sorted(defined - handled) == [], "an error class that no raise or except in src/logictop names"
 
 
 def test_no_check_in_the_package_rests_on_assert():
