@@ -336,6 +336,19 @@ def consequence(logic: AbstractLogic, A: Iterable[int]) -> ExprSet:
     return out if covered else logic.full_set
 
 
+# each value shared so far -> the first object that held it, for the life
+# of the process: accepted documents, spectra and dual logics
+_VALUES: dict = {}
+
+
+def _shared(value):
+    """The first object equal to value that was shared in this process,
+    or value itself when none was.  Values are immutable and equal values
+    have equal cached facts, so one object can stand for all of them, and
+    its index and reports are built once."""
+    return _VALUES.setdefault(value, value)
+
+
 @lru_cache(maxsize=None)
 def theory_spectrum(logic: AbstractLogic) -> TheorySpectrum:
     """Primes, totally primes, maximal theories, and the least generator

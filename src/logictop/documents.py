@@ -18,17 +18,17 @@ and names the first fault in reading order; if they hold none, the
 refusal stands.
 
 parse_document keeps each document it accepts for the life of the
-process, keyed by the SHA-256 digest of its text.  A map's endpoint is
-looked up in the same table, under the digest of its canonical text,
-before it is parsed: an endpoint written as emit_document writes it
-shares one object with the equal standalone document, and the two
-endpoints of an identity map are one object.  An endpoint is parsed
-only on a miss, at its own path; the endpoints parsed on the way are
-kept only when the whole document is accepted.
+process, keyed by the SHA-256 digest of its text, and shares its value
+through core._shared: a document whose value equals one already kept,
+whatever its text, holds that value's one object.  So does each map
+endpoint, parsed at its own path: an endpoint shares one object with the
+equal standalone document, and the two endpoints of an identity map are
+one object.  The values first seen in a text are kept only when the
+whole text is accepted.
 
 A space document is refused at its basis path when the basis closes
 under union to more than OPEN_BOUND opens; the count is taken once per
-distinct text or endpoint, before any analysis of the space starts.
+distinct space value, before any analysis of the space starts.
 
 Orders travel as pairs of element names; reflexive and transitive
 closure is applied on parse, and the full non-reflexive order is
@@ -47,7 +47,7 @@ from json.encoder import encode_basestring
 from operator import itemgetter
 
 from .builders import FiniteLattice, FinitePoset
-from .core import AbstractLogic, ConnectiveTables, TheoryFamily
+from .core import _VALUES, AbstractLogic, ConnectiveTables, TheoryFamily
 from .duality import LogicMap, PointMap
 from .errors import BoundExceeded, ParseError, SchemaError
 from .topology import OPEN_BOUND, FiniteSpace, opens
@@ -66,23 +66,23 @@ class Document:
 
 
 # SHA-256 digest of a text -> the Document parsed from it, for the life
-# of the process: each accepted document's text and the canonical text of
-# each map endpoint parsed on the way; refused texts are not kept
+# of the process; refused texts are not kept
 _DOCUMENTS: dict[bytes, Document] = {}
 
 
 def parse_document(text: str) -> Document:
     """The document that text spells.  Equal texts give one shared object,
-    so its indices and cached facts are computed once per process;
-    documents are immutable, so sharing is safe.  A refused text is
-    parsed again, and refused at the same path, on every call, and
-    leaves the table as it was."""
+    and equal values one shared value (core._shared), map endpoints
+    included, so its indices and cached facts are computed once per
+    process; documents are immutable, so sharing is safe.  A refused text
+    is parsed again, and refused at the same path, on every call, and
+    leaves both tables as they were."""
     key = _digest(text)
     doc = _DOCUMENTS.get(key)
     if doc is None:
-        endpoints: dict[bytes, Document] = {}
-        doc = _parse(text, endpoints)
-        _DOCUMENTS.update(endpoints)
+        shared: dict = {}
+        doc = _parse(text, shared)
+        _VALUES.update(shared)
         _DOCUMENTS[key] = doc
     return doc
 
@@ -94,9 +94,9 @@ def _digest(text: str) -> bytes:
     return hashlib.sha256(text.encode("utf-8", "surrogatepass")).digest()
 
 
-def _parse(text: str, endpoints: dict) -> Document:
+def _parse(text: str, shared: dict) -> Document:
     try:
-        return _document_from_obj(_decode(text), "", endpoints)
+        return _document_from_obj(_decode(text), "", shared)
     except RecursionError:
         raise ParseError("document nested too deeply") from None
 
@@ -292,51 +292,31 @@ def _parse_space(obj: dict, path: str, read: list) -> FiniteSpace:
         basis_names = _as_names(obj["basis_names"], f"{path}/basis_names")
         if basis_names and len(basis_names) != len(sets):
             _fail(f"{path}/basis_names", "one display name per basis element")
-    space = _built(f"{path}/basis", FiniteSpace, names, sets, basis_names)
-    try:
-        opens(space)  # once per distinct text or endpoint: parse_document keeps what it accepts
-    except BoundExceeded:
-        _fail(f"{path}/basis", f"more than {OPEN_BOUND} opens; space documents may have at most {OPEN_BOUND}")
-    return space
+    return _built(f"{path}/basis", FiniteSpace, names, sets, basis_names)
 
 
-def _parse_endpoint(obj, path: str, kind: str, endpoints: dict):
-    """The value of the kind that the endpoint obj spells.
-
-    An object of that kind is looked up first, under the digest of its
-    canonical text, among the documents kept and the endpoints parsed
-    so far; a miss is parsed at path and noted in endpoints.  Anything
-    else is parsed, and refused, as it stands.
-    """
-    key = doc = None
-    if type(obj) is dict and obj.get("kind") == kind:
-        try:
-            key = _digest(_encode(obj, "\n") + "\n")
-        except RecursionError:  # a value nested past the encoder's reach: the parse refuses it
-            pass
-        else:
-            doc = _DOCUMENTS.get(key) or endpoints.get(key)
-    if doc is None:
-        doc = _document_from_obj(obj, path, endpoints)
-        if key is not None:
-            endpoints[key] = doc
+def _parse_endpoint(obj, path: str, kind: str, shared: dict):
+    """The value of the kind that the endpoint obj spells, parsed at path."""
+    doc = _document_from_obj(obj, path, shared)
     if doc.kind != kind:
         _fail(f"{path}/kind", f"expected a {kind} document")
     return doc.value
 
 
-def _parse_map(kind: str, obj: dict, path: str, read: list, endpoints: dict) -> LogicMap | PointMap:
+def _parse_map(kind: str, obj: dict, path: str, read: list, shared: dict) -> LogicMap | PointMap:
     endpoint, cls, size = _MAPS[kind]
     _as_object(obj, path, ("kind", "source", "target", "map"))
-    source = _parse_endpoint(_require(obj, "source", path), f"{path}/source", endpoint, endpoints)
-    target = _parse_endpoint(_require(obj, "target", path), f"{path}/target", endpoint, endpoints)
+    source = _parse_endpoint(_require(obj, "source", path), f"{path}/source", endpoint, shared)
+    target = _parse_endpoint(_require(obj, "target", path), f"{path}/target", endpoint, shared)
     row = _index_field(read, _require(obj, "map", path), f"{path}/map", getattr(target, size),
                        (getattr(source, size),))
     return _built(f"{path}/map", cls, source, target, row)
 
 
-def _document_from_obj(obj, path: str, endpoints: dict) -> Document:
-    """The document obj spells, at path; the one refusal path, which
+def _document_from_obj(obj, path: str, shared: dict) -> Document:
+    """The document obj spells, at path, with its value shared: the one
+    kept for an equal value, else the first one this text spells, noted
+    in shared for parse_document to keep.  The one refusal path, which
     explains a refusal from the index fields the parser noted in read."""
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
@@ -346,11 +326,19 @@ def _document_from_obj(obj, path: str, endpoints: dict) -> Document:
     read: list = []
     try:
         if kind in _MAPS:
-            return Document(kind, _parse_map(kind, obj, path, read, endpoints))
-        return Document(kind, _PARSERS[kind](obj, path, read))
+            value = _parse_map(kind, obj, path, read, shared)
+        else:
+            value = _PARSERS[kind](obj, path, read)
     except SchemaError:
         _explain(read)
         raise
+    value = shared.setdefault(value, _VALUES.get(value, value))
+    if kind == "space":
+        try:
+            opens(value)  # counted on the shared space: opens keeps one object per value
+        except BoundExceeded:
+            _fail(f"{path}/basis", f"more than {OPEN_BOUND} opens; space documents may have at most {OPEN_BOUND}")
+    return Document(kind, value)
 
 
 # emission
@@ -369,9 +357,8 @@ def _encode(obj, newline: str) -> str:
     starts on.  The text is written into one list of parts and joined
     once, so each level of nesting is copied once, not once per
     enclosing level.  Each level takes two stack frames (_write and
-    _write_container): a value nested past about 490 levels raises
-    RecursionError, on which _parse_endpoint parses the endpoint as it
-    stands.
+    _write_container); only values the program builds are encoded,
+    documents and reports, and those nest a few levels deep.
     """
     parts: list[str] = []
     _write(obj, newline, parts)

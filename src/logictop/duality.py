@@ -24,6 +24,7 @@ from .core import (
     ConnectiveTables,
     ExprSet,
     LogicIndex,
+    _shared,
     close_under_intersection,
     set_key,
     sorted_sets,
@@ -159,7 +160,9 @@ class DualityReport:
 def logic_space(logic: AbstractLogic) -> SpectrumPresentation:
     """The prime spectrum of a distributive logic: the index's primes as
     points, each distinct signature (extent) as a basic open named by its
-    expressions joined with "=", so an expression's slot is its class id."""
+    expressions joined with "=", so an expression's slot is its class id.
+    The space is shared (core._shared): it is the object of an equal
+    space document parsed earlier."""
     if not verify_connectives(logic).is_distributive:
         raise NotDistributive("the spectrum construction needs join and meet to hold")
     index = logic._index
@@ -167,7 +170,7 @@ def logic_space(logic: AbstractLogic) -> SpectrumPresentation:
     for name, s in zip(logic.expr_names, index.signatures):
         names.setdefault(s, []).append(name)
     point_names = tuple(f"p{i}" for i in range(len(index.primes)))
-    space = FiniteSpace(point_names, tuple(map(_members, names)), tuple(map("=".join, names.values())))
+    space = _shared(FiniteSpace(point_names, tuple(map(_members, names)), tuple(map("=".join, names.values()))))
     return SpectrumPresentation(space, index.primes, index.class_of)
 
 
@@ -184,6 +187,9 @@ def space_logic(space: FiniteSpace) -> AbstractLogic:
     The duality stops at spaces with no points.  Such a space passes
     is_distributive_space, but it has no point filter, and a logic needs
     at least one theory, so it is refused with EmptyGeneratorSet.
+
+    The logic is shared (core._shared): the dual of a parsed logic's
+    spectrum, when it equals the logic, is that logic's object.
     """
     verdict = is_distributive_space(space)
     if not verdict.distributive:
@@ -204,7 +210,7 @@ def space_logic(space: FiniteSpace) -> AbstractLogic:
     if impl is not None and bottom is not None:
         neg = tuple(impl[i][bottom] for i in range(n))
     tables = ConnectiveTables(join=join, meet=meet, impl=impl, neg=neg, top=top, bottom=bottom)
-    return AbstractLogic(space.basis_names, theories, tables)
+    return _shared(AbstractLogic(space.basis_names, theories, tables))
 
 
 def _fibers(mapping: tuple[int, ...], n_target: int) -> list[int]:

@@ -11,7 +11,9 @@ from logictop.corpus import (
     sierpinski,
     v_frame,
 )
+from logictop.core import _VALUES
 from logictop.documents import _DOCUMENTS
+from logictop.duality import logic_space, space_logic
 
 
 @pytest.fixture(scope="session")
@@ -62,25 +64,39 @@ def quartet():
     return degenerate_quartet()
 
 
+def _forget_shared():
+    """Empty the tables of parsed documents and shared values, and the
+    caches whose results the value table shares, so no kept document,
+    spectrum or dual logic is an object the table no longer holds."""
+    _DOCUMENTS.clear()
+    _VALUES.clear()
+    logic_space.cache_clear()
+    space_logic.cache_clear()
+
+
 @pytest.fixture
 def fresh_corpus():
-    """Empty corpus lists before and after the test.  The cached lists hold
-    the corpus spaces, and each space keeps its report, so a patched
-    library function neither meets a report built before it nor leaves
-    its own behind for later tests."""
+    """Empty corpus lists and shared objects before and after the test.
+    The cached lists hold the corpus spaces, and each space keeps its
+    report, so a patched library function neither meets a report built
+    before it nor leaves its own behind for later tests; nor does the
+    value table hand back a space an earlier test built and analysed."""
     caches = (corpus_frames, corpus_logics, corpus_spaces)
     for cache in caches:
         cache.cache_clear()
+    _forget_shared()
     yield
     for cache in caches:
         cache.cache_clear()
+    _forget_shared()
 
 
 @pytest.fixture
 def fresh_documents():
-    """Empty the table of parsed documents before and after the test, so
-    each text it parses is parsed afresh, into objects whose indices and
-    reports no earlier test has built, and none is left for later tests."""
-    _DOCUMENTS.clear()
+    """Empty the tables of parsed documents and shared values before and
+    after the test, so each text it parses is parsed afresh, into objects
+    whose indices and reports no earlier test has built, and none is left
+    for later tests."""
+    _forget_shared()
     yield
-    _DOCUMENTS.clear()
+    _forget_shared()

@@ -850,15 +850,17 @@ def oracle_prime_extension(logic, t, s):
 # different first witness shows up as a mismatch.
 
 
-def oracle_condition_check(logic, name):
+def oracle_condition_check(logic, name, primes=None):
     """One connective condition as (status, witness): None status when the
     table is absent, else the first failing (t, a[, b]) over the totally
-    prime theories in sorted order, then a, then b."""
+    prime theories in sorted order, then a, then b.  The primes are
+    oracle_primes' unless a caller whose logic is past that brute force
+    passes them."""
     c = logic.connectives
     e = None if c is None else getattr(c, name)
     if e is None:
         return None, None
-    tps = sorted_sets(theory_spectrum(logic).totally_primes)
+    tps = sorted_sets(oracle_primes(logic.theories.theories) if primes is None else primes)
     exprs = logic.exprs
     if name in ("top", "bottom"):
         for t in sorted_sets(logic.theories.theories):

@@ -29,7 +29,7 @@ from logictop.corpus import (
     sierpinski,
     v_frame,
 )
-from logictop.documents import Document, _encode, emit_document
+from logictop.documents import Document, _encode, emit_document, parse_document
 from logictop.duality import (
     LogicMap,
     PointMap,
@@ -38,6 +38,7 @@ from logictop.duality import (
     logic_space,
     roundtrip_logic,
     roundtrip_space,
+    space_logic,
     stable_iff_disjunction,
 )
 from logictop.errors import WorkbenchError
@@ -400,8 +401,10 @@ def test_commands_on_one_file_parse_it_once(tmp_path, capsys, monkeypatch, fresh
         assert run_cli([command, "--input", str(path)]) == 0, command
     capsys.readouterr()
     assert len(decoded) == 1
-    # the logic's and its dual's
-    assert len(indexed) == 2 and indexed[0] == logic and indexed[1] is not indexed[0]
+    # the dual of the logic's spectrum is the parsed logic itself: one index
+    assert indexed == [logic]
+    parsed = parse_document(path.read_text(encoding="utf-8")).value
+    assert space_logic(logic_space(parsed).space) is parsed is indexed[0]
 
 
 def test_basis_names_of_the_wrong_length_are_reported_at_their_path(capsys, monkeypatch):

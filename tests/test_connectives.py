@@ -31,6 +31,7 @@ from oracles import (
     oracle_join_stable_theories,
     oracle_meet_condition,
     oracle_neg_condition,
+    oracle_primes,
     oracle_top_condition,
     oracle_upsets,
     random_logic,
@@ -188,6 +189,11 @@ def test_prime_extension_rejects_bad_inputs(boolean4_logic):
 
 _EDITABLE = ("join", "meet", "impl", "neg")
 
+# the most theories on which the condition tests run oracle_primes, whose
+# cost doubles with each theory (about 0.04 s at 14): every corpus_logics(4)
+# logic, and most random ones
+ORACLE_PRIME_THEORIES = 16
+
 
 @st.composite
 def _edited_logics(draw):
@@ -226,8 +232,12 @@ def test_conditions_and_squares_match_the_loop_oracles(drawn, data):
     # and its witness the first entry differing there
     logic, edited = drawn
     report = verify_connectives(edited)
+    # oracle_primes tries every subfamily, so a random logic with more
+    # theories than ORACLE_PRIME_THEORIES is past it and takes the library's
+    theories = edited.theories.theories
+    primes = oracle_primes(theories) if len(theories) <= ORACLE_PRIME_THEORIES else theory_spectrum(edited).primes
     for name in CONDITION_ORDER:
-        assert report.condition(name) == ConditionCheck(name, *oracle_condition_check(edited, name)), name
+        assert report.condition(name) == ConditionCheck(name, *oracle_condition_check(edited, name, primes)), name
     assert report.has_inconsistent_formula == any(not oracle_consistent(edited, {a}) for a in edited.exprs)
     n = logic.universe_size
     identity = tuple(range(n))
@@ -253,10 +263,15 @@ def _frame_with_upsets(rng: random.Random, size: int) -> FinitePoset:
 @pytest.mark.parametrize("size, seed", [(48, 0), (48, 1), (64, 0)])
 def test_conditions_match_the_loop_oracle_on_large_filter_logics(size, seed):
     # the filter logics of the largest 6-point frames, where every table
-    # condition holds and so is answered by the signature test alone
+    # condition holds and so is answered by the signature test alone.
+    # Their 48 or 64 theories are past oracle_primes, so the oracle reads
+    # the library's primes, pinned only by their count: one principal
+    # filter per join-irreducible upset, the principal upset of each point
     logic = logic_from_lattice_filters(heyting_from_upsets(_frame_with_upsets(random.Random(seed), size)))
     assert logic.universe_size == size
+    primes = theory_spectrum(logic).primes
+    assert len(primes) == 6
     report = verify_connectives(logic)
     for name in CONDITION_ORDER:
-        assert report.condition(name) == ConditionCheck(name, *oracle_condition_check(logic, name)), name
+        assert report.condition(name) == ConditionCheck(name, *oracle_condition_check(logic, name, primes)), name
     assert report.classification in ("intuitionistic", "classical")

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from logictop.builders import FinitePoset, heyting_from_upsets
 from logictop.cli import run_cli
-from logictop.core import AbstractLogic
+from logictop.core import _VALUES, AbstractLogic
 from logictop.corpus import (
     corpus_frames,
     corpus_logics,
@@ -28,7 +28,7 @@ from logictop.corpus import (
 )
 from logictop.documents import _DOCUMENTS, KINDS, Document, _encode, emit_document, parse_document
 from logictop.dot import export_dot
-from logictop.duality import LogicMap, PointMap, basic_open_embedding
+from logictop.duality import LogicMap, PointMap, basic_open_embedding, logic_space, space_logic
 from logictop.errors import ParseError, SchemaError, WorkbenchError
 from logictop.topology import FiniteSpace
 
@@ -543,24 +543,29 @@ def test_the_same_text_returns_the_same_object(fresh_documents):
 
 
 def test_a_text_that_differs_in_whitespace_is_parsed_apart(fresh_documents):
+    # two texts, two documents, one shared value
     text = emit_document(Document("logic", lv3()))
     compact = json.dumps(json.loads(text))
     assert compact != text
     first, second = parse_document(text), parse_document(compact)
     assert second == first and second is not first
-    assert second.value is not first.value
-    assert len(_DOCUMENTS) == 2
+    assert second.value is first.value
+    assert len(_DOCUMENTS) == 2 and list(_VALUES) == [first.value]
 
 
 def test_a_refused_text_is_refused_at_the_same_path_every_time(fresh_documents):
     text = '{"kind": "logic", "exprs": ["a", "b"], "theories": [[0], [1]]}'
-    for _ in range(3):
-        with pytest.raises(SchemaError) as err:
-            parse_document(text)
-        assert err.value.path == "/theories"
+    # both endpoints parse, and are new values, before the map is refused
+    obj = json.loads(_map_text(LogicMap(l22(), l3(), (0, 2, 1, 2))))
+    obj["map"][3] = 9
+    for bad, path in ((text, "/theories"), (json.dumps(obj), "/map/3")):
+        for _ in range(3):
+            with pytest.raises(SchemaError) as err:
+                parse_document(bad)
+            assert err.value.path == path
     with pytest.raises(ParseError):
         parse_document('{"kind": bogus}')
-    assert _DOCUMENTS == {}
+    assert _DOCUMENTS == {} and _VALUES == {}
 
 
 @pytest.mark.parametrize("text, message", [
@@ -586,8 +591,8 @@ def test_an_identity_maps_endpoints_are_one_object(fresh_documents):
     assert logic_map.source is logic_map.target
     point_map = parse_document(_map_text(PointMap(sierpinski(), sierpinski(), (1, 1)))).value
     assert point_map.source is point_map.target
-    # each map and its one endpoint
-    assert len(_DOCUMENTS) == 4
+    # each map's text, and each map and its one endpoint as values
+    assert len(_DOCUMENTS) == 2 and len(_VALUES) == 4
 
 
 def test_an_endpoint_is_the_standalone_documents_value(fresh_documents):
@@ -595,10 +600,10 @@ def test_an_endpoint_is_the_standalone_documents_value(fresh_documents):
     m = parse_document(_map_text(LogicMap(l22(), l3(), (0, 2, 1, 2)))).value
     assert m.source is logic
     assert m.target == l3()
-    # the target's canonical text, given after the map, is not parsed again
-    with mock.patch.object(json, "loads", side_effect=AssertionError("decoded")):
-        assert parse_document(emit_document(Document("logic", l3()))).value is m.target
-    assert len(_DOCUMENTS) == 3
+    # the target's canonical text, given after the map, is a new text, but
+    # its value is the endpoint's
+    assert parse_document(emit_document(Document("logic", l3()))).value is m.target
+    assert len(_DOCUMENTS) == 3 and len(_VALUES) == 3
 
 
 @pytest.mark.parametrize("edit, path, message", [
@@ -614,6 +619,7 @@ def test_a_refused_map_keeps_none_of_its_endpoints(fresh_documents, edit, path, 
             parse_document(text)
         assert str(err.value) == f"{path}: {message}"
         assert list(_DOCUMENTS.values()) == [kept]
+        assert list(_VALUES) == [kept.value]
 
 
 def test_a_non_canonical_endpoint_gives_an_equal_value(fresh_documents):
@@ -621,17 +627,17 @@ def test_a_non_canonical_endpoint_gives_an_equal_value(fresh_documents):
     obj = json.loads(_map_text(LogicMap(lv3(), lv3(), tuple(lv3().exprs))))
     # compact text: each endpoint re-encodes to the canonical text
     assert parse_document(json.dumps(obj)).value.source is logic
-    # reordered keys and theories: another text, an equal value
+    # reordered keys and theories: another text, the same value object
     obj["source"] = dict(reversed(obj["source"].items()))
     obj["source"]["theories"].reverse()
     m = parse_document(json.dumps(obj)).value
-    assert m.source == logic and m.source is not logic
+    assert m.source is logic
     assert m.target is logic
 
 
 def test_an_emitted_endpoint_re_encodes_to_its_standalone_text():
-    """The key a map endpoint is looked up under is the digest of exactly
-    the text emit_document writes for it alone."""
+    """A map's text holds each endpoint as exactly the text emit_document
+    writes for it alone, and that text parses to the map's endpoint."""
     maps = [doc for doc in samples() + _corpus_documents() if doc.kind in ("logic_map", "point_map")]
     for _, logic in corpus_logics(3):
         with contextlib.suppress(WorkbenchError):  # a logic with no dual logic of its spectrum
@@ -640,9 +646,34 @@ def test_an_emitted_endpoint_re_encodes_to_its_standalone_text():
     for doc in maps:
         obj = json.loads(emit_document(doc))
         kind = "logic" if doc.kind == "logic_map" else "space"
+        parsed = parse_document(emit_document(doc)).value
         for endpoint in ("source", "target"):
             text = emit_document(Document(kind, getattr(doc.value, endpoint)))
             assert _encode(obj[endpoint], "\n") + "\n" == text
+            assert parse_document(text).value is getattr(parsed, endpoint)
+
+
+def test_a_parsed_spectrum_and_its_dual_are_the_parsed_objects(fresh_documents, small_logics):
+    """The text of a corpus logic and the text of its spectrum parse to
+    logic_space's space itself, and the dual logic of that space, when it
+    equals the logic, is the parsed logic: the duality closes on one
+    object per value.  It does for every filter logic; of the degenerate
+    quartet, two have no dual logic and one has a dual without its
+    negation and bottom."""
+    duals, same = 0, 0
+    for _, logic in small_logics:
+        try:
+            space = logic_space(logic).space
+            space_logic(space)
+        except WorkbenchError:  # no spectrum, or a spectrum with no dual logic
+            continue
+        parsed = parse_document(emit_document(Document("logic", logic))).value
+        spectrum = parse_document(emit_document(Document("space", space))).value
+        assert spectrum is logic_space(parsed).space
+        dual = space_logic(spectrum)
+        assert (dual is parsed) == (dual == parsed)
+        duals, same = duals + 1, same + (dual is parsed)
+    assert (len(small_logics), duals, same) == (12, 10, 9)
 
 
 _LONG_INTEGER = '{"kind": "logic", "exprs": ["a"], "theories": [[' + "9" * 5000 + "]]}"

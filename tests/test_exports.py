@@ -1,7 +1,7 @@
 """The package exports only what the program itself uses, its classes
 define no public member that the program does not read, every error
-class is raised or caught, every cache it keeps is listed with its
-reason, and no check in it rests on assert."""
+class is raised or caught, every cache and session table it keeps is
+listed with its reason, and no check in it rests on assert."""
 
 import ast
 from pathlib import Path
@@ -23,7 +23,8 @@ _VALUE_CACHE = "value cache that perfbench/tracer.py reads through cache_info();
 _CORPUS_LIST = "corpus list: the criteria share one object per max-points"
 
 # every lru_cache and cached_property in the package, as module.name or
-# module.Class.name, each for a stated reason
+# module.Class.name, and every module-level dict or set that it writes to
+# at run time, as module.name, each for a stated reason
 CACHES = {
     "core.theory_spectrum": _VALUE_CACHE,
     "connectives.verify_connectives": _VALUE_CACHE,
@@ -37,8 +38,12 @@ CACHES = {
     "core.AbstractLogic._index": "per-object state: the logic's compiled index",
     "topology.FiniteSpace._index": "per-object state: the space's compiled index",
     "topology.FiniteSpace._report": "per-object state: analyze_space returns one report per space",
+    "documents._DOCUMENTS": "session table: each accepted text is parsed once per process",
+    "core._VALUES": "session table: one object per equal value, so its index and reports are built once",
 }
 _CACHING = {"cache", "lru_cache", "cached_property"}
+# the methods by which code writes to a dict or set it holds
+_WRITES = {"setdefault", "update", "add"}
 
 
 def _exports() -> set[str]:
@@ -87,10 +92,32 @@ def _decorator_name(node: ast.expr) -> str | None:
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
 
 
+def _is_table(node: ast.expr | None) -> bool:
+    """Whether node builds a dict or a set: a display, a comprehension, or
+    a call of dict or set."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", None) in ("dict", "set")
+    return isinstance(node, (ast.Dict, ast.DictComp, ast.Set, ast.SetComp))
+
+
+def _written_names(tree: ast.Module) -> set[str]:
+    """The names tree's code writes into: the target of a subscript store,
+    or the object of a setdefault, update or add call."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            found.add(getattr(node.value, "id", None))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in _WRITES:
+            found.add(getattr(node.func.value, "id", None))
+    return found
+
+
 def _caches() -> set[str]:
     """module.name, or module.Class.name, of every function in the
-    package decorated with a cache."""
-    found = set()
+    package decorated with a cache, and module.name of every module-level
+    dict or set that code in the package writes to: a table that lives as
+    long as the process."""
+    found, tables, written = set(), {}, set()
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         scopes = [(path.stem, tree), *((f"{path.stem}.{node.name}", node) for node in ast.walk(tree)
@@ -98,7 +125,13 @@ def _caches() -> set[str]:
         found.update(f"{prefix}.{item.name}" for prefix, scope in scopes for item in scope.body
                      if isinstance(item, ast.FunctionDef)
                      and any(_decorator_name(d) in _CACHING for d in item.decorator_list))
-    return found
+        for item in tree.body:
+            if isinstance(item, (ast.Assign, ast.AnnAssign)) and _is_table(item.value):
+                targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                tables.update((target.id, f"{path.stem}.{target.id}") for target in targets
+                              if isinstance(target, ast.Name))
+        written |= _written_names(tree)
+    return found | {tables[name] for name in written & set(tables)}
 
 
 def test_every_export_has_a_caller_in_the_program():
